@@ -11,15 +11,14 @@ Stationarity gives w = g + sum_i u_i c_i with multipliers u >= 0, so inactive
 constraints leave g untouched and active ones add just enough of the
 constraint gradient to zero the violated slack.
 
-project_n is the general solver, used for the per-domain constraint set: it
-enumerates active sets on the small Gram matrix of the rows.  project_two
-keeps the closed-form enumeration for at most two rows (source plus one
-memory row), which the projector warm-up and crt_sdc use.
+project_n is the one solver, for any number of rows: it enumerates active
+sets on the small Gram matrix of the rows (projected dual ascent above eight
+rows).  kkt_check judges a solution, and brute_force_project is an
+independent oracle for the tests.
 """
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,47 +26,7 @@ from .errors import DimensionError, NumericError
 from .numerics import require_finite
 
 EPS_SCALE = 1e-9
-CASE_NAMES = {(): "interior", (0,): "source-active",
-              (1,): "memory-active", (0, 1): "both-active"}
-
-
-@dataclass(frozen=True)
-class GradientSet:
-    """Raw update gradient plus the constraint gradients, all length P."""
-
-    g_t: np.ndarray
-    g_s: np.ndarray
-    g_dm: np.ndarray = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "g_t", np.asarray(self.g_t, dtype=np.float64))
-        object.__setattr__(self, "g_s", np.asarray(self.g_s, dtype=np.float64))
-        if self.g_dm is not None:
-            object.__setattr__(self, "g_dm", np.asarray(self.g_dm, dtype=np.float64))
-        for name in ("g_t", "g_s", "g_dm"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if v.ndim != 1:
-                raise DimensionError(f"{name} must be a vector")
-            if v.shape != self.g_t.shape:
-                raise DimensionError("gradients disagree on parameter count")
-            require_finite(v, name)
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    w: np.ndarray
-    u_star: np.ndarray
-    case: str
-    objective: float
-    diagnostics: dict
-
-    @property
-    def kkt_ok(self) -> bool:
-        return all(self.diagnostics[k] for k in
-                   ("primal_feasible", "dual_feasible",
-                    "complementary", "stationary"))
+KKT_FLAGS = ("primal_feasible", "dual_feasible", "complementary", "stationary")
 
 
 def tolerance(g, constraints) -> float:
@@ -94,72 +53,6 @@ def kkt_check(w, u, g, constraints, eps) -> dict:
     }
 
 
-def _solve_subset(g, constraints, subset):
-    """Multipliers for the given active subset, or None when too ill-posed.
-
-    Solves Gram(u) = -C g for the subset's rows; a tiny ridge is added only
-    when the Gram determinant collapses relative to its trace.
-    """
-    if not subset:
-        return np.zeros(0)
-    C = np.stack([constraints[i] for i in subset])
-    G = C @ C.T
-    b = -(C @ g)
-    if len(subset) == 1:
-        if G[0, 0] <= 0.0:
-            return None
-        return b / G[0, 0]
-    det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-    tr = G[0, 0] + G[1, 1]
-    if det < 1e-14 * max(tr * tr, 1e-300):
-        G = G + 1e-12 * max(tr, 1.0) * np.eye(len(subset))
-    try:
-        return np.linalg.solve(G, b)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def project_two(grads: GradientSet) -> ProjectionResult:
-    """Project g_t onto the (one or two) half-space constraints.
-
-    A missing or zero-norm constraint gradient is vacuous: it never enters
-    the active set and its multiplier stays zero.  The returned u_star always
-    has two entries, ordered (source, memory).
-    """
-    g = grads.g_t
-    raw = [grads.g_s, grads.g_dm if grads.g_dm is not None
-           else np.zeros_like(g)]
-    live = [i for i in range(2) if np.linalg.norm(raw[i]) > 0.0]
-    constraints = [raw[i] for i in live]
-    eps = tolerance(g, constraints)
-
-    best = None
-    for size in range(len(live) + 1):
-        for subset in itertools.combinations(range(len(live)), size):
-            u_sub = _solve_subset(g, constraints, subset)
-            if u_sub is None:
-                continue
-            u_sub = np.maximum(u_sub, 0.0)
-            w = g.copy()
-            for ui, idx in zip(u_sub, subset):
-                w = w + ui * constraints[idx]
-            slacks = np.array([c @ w for c in constraints])
-            if slacks.size and slacks.min() < -eps:
-                continue
-            obj = 0.5 * float((w - g) @ (w - g))
-            if best is None or obj < best[0] - eps * eps:
-                full_u = np.zeros(2)
-                for ui, idx in zip(u_sub, subset):
-                    full_u[live[idx]] = ui
-                case = CASE_NAMES[tuple(sorted(live[idx] for idx in subset))]
-                best = (obj, w, full_u, case)
-
-    obj, w, u_star, case = best
-    diag = kkt_check(w, u_star, g, raw, eps)
-    return ProjectionResult(w=w, u_star=u_star, case=case,
-                            objective=obj, diagnostics=diag)
-
-
 _SUBSET_LIMIT = 8
 
 
@@ -172,12 +65,17 @@ def project_n(g, constraints):
     chosen u is mapped back to w = g + C^T u.  Small n enumerates active
     subsets on these matrices; larger n runs projected gradient ascent on
     the dual (Lipschitz step from the Gram spectrum).  Zero rows are vacuous
-    and keep a zero multiplier.
+    and keep a zero multiplier.  Mismatched shapes raise DimensionError and
+    NaN or Inf entries raise NumericError.
     """
     g = np.asarray(g, dtype=np.float64)
     C = np.asarray(constraints, dtype=np.float64)
+    if g.ndim != 1:
+        raise DimensionError(f"update gradient has shape {g.shape}")
     if C.ndim != 2 or C.shape[1] != g.shape[0]:
         raise DimensionError(f"constraint matrix has shape {C.shape}")
+    require_finite(g, "update gradient")
+    require_finite(C, "constraint gradients")
     gram = C @ C.T
     live = np.flatnonzero(np.diag(gram) > 0.0)
     eps = tolerance(g, C)

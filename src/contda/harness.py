@@ -6,7 +6,8 @@ into an accuracy matrix with the two summary metrics.
 Strategies mirror the ablation family: a frozen source model, fixed-weight
 multitask combinations, a source-constrained projection, and GRCL, which
 projects onto the source constraint plus one memory constraint per earlier
-target domain.
+target domain.  The projector warm-up, crt_sdc and GRCL all take their step
+from project_step, one KKT-guarded call of gradproject.project_n.
 """
 
 import math
@@ -219,9 +220,8 @@ def warm_projector(params, source_train, plan, rng):
             _, g_t = contrastive_mod.contrastive_grad(params, batch, fbank,
                                                       ccfg, rng)
             _, g_s = model_mod.ce_loss_and_grad(params, batch)
-            res = gradproject.project_two(
-                gradproject.GradientSet(g_t=g_t, g_s=g_s, g_dm=None))
-            params = model_mod.sgd_step(params, res.w,
+            w, _, _ = project_step(g_t, g_s)
+            params = model_mod.sgd_step(params, w,
                                         _cosine_lr(plan.lr, step, total))
             fresh = model_mod.encode_project_batch(params, batch.inputs)
             bank_mod.momentum_update(fbank, batch.ids, fresh, plan.bank_momentum)
@@ -306,18 +306,26 @@ def _memory_grads(params, batch, mem_sel):
     return float(shares @ np.array(losses)), shares @ g_mem, g_mem
 
 
-def _project_per_domain(g_t, g_s, g_mem):
-    """Projection onto the source constraint and one constraint per row of
-    g_mem; u_star is (source multiplier, sum of the memory multipliers)."""
+CASE_NAMES = {(): "interior", (0,): "source-active",
+              (1,): "memory-active", (0, 1): "both-active"}
+
+
+def project_step(g_t, g_s, g_mem=None):
+    """Projection of g_t onto the source constraint g_s and one constraint
+    per row of g_mem, guarded by the KKT diagnostics.
+
+    Returns w, u_star = (source multiplier, sum of the memory multipliers)
+    and the case name saying which of the two are positive.
+    """
     rows = [g_s] + ([] if g_mem is None else list(g_mem))
     w, u = gradproject.project_n(g_t, rows)
-    u_star = np.array([u[0], u[1:].sum()])
-    case = gradproject.CASE_NAMES[tuple(i for i in range(2) if u_star[i] > 0.0)]
     diag = gradproject.kkt_check(w, u, g_t, rows,
                                  gradproject.tolerance(g_t, rows))
-    return gradproject.ProjectionResult(
-        w=w, u_star=u_star, case=case,
-        objective=0.5 * float((w - g_t) @ (w - g_t)), diagnostics=diag)
+    if not all(diag[k] for k in gradproject.KKT_FLAGS):
+        raise ContractViolationError(
+            f"projection failed KKT diagnostics: {diag}")
+    u_star = np.array([u[0], u[1:].sum()])
+    return w, u_star, CASE_NAMES[tuple(i for i in range(2) if u_star[i] > 0.0)]
 
 
 def _step_direction(plan, g_t, g_s, g_dm, g_mem=None):
@@ -325,21 +333,14 @@ def _step_direction(plan, g_t, g_s, g_dm, g_mem=None):
 
     g_dm is the pooled memory gradient that the fixed-weight strategies
     weigh in; GRCL instead constrains the step by g_s and by each row of
-    g_mem, one per earlier target domain present in the batch.
+    g_mem, one per earlier target domain present in the batch, and crt_sdc
+    by g_s alone.
     """
     if plan.strategy in _FIXED_WEIGHT:
         lam_m = plan.lambda_memory if plan.strategy != CRT_SRC else 0.0
         w = multitask_step_grad(g_t, g_s, g_dm, plan.lambda_source, lam_m)
         return w, np.zeros(2), "fixed-weight"
-    if plan.strategy == GRCL:
-        res = _project_per_domain(g_t, g_s, g_mem)
-    else:
-        res = gradproject.project_two(
-            gradproject.GradientSet(g_t=g_t, g_s=g_s, g_dm=None))
-    if not res.kkt_ok:
-        raise ContractViolationError(
-            f"projection failed KKT diagnostics: {res.diagnostics}")
-    return res.w, res.u_star, res.case
+    return project_step(g_t, g_s, g_mem if plan.strategy == GRCL else None)
 
 
 def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError
-from .numerics import l2_normalize, log_softmax_rows
+from .numerics import log_softmax_rows
 
 # origin tags carried by batch samples
 ORIGIN_SOURCE = "source"
@@ -97,18 +97,20 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-a, a, size=(fan_out, fan_in))
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Seeded uniform [-a, a] init with a = sqrt(6/(fan_in+fan_out)); zero biases."""
+def _block_shapes(config: ModelConfig) -> dict:
+    """Shape of each parameter block, in flattening order."""
     d, h, ph, e, c = (config.input_dim, config.hidden_dim,
                       config.proj_hidden_dim, config.embed_dim, config.n_classes)
-    return ModelParams(
-        config=config,
-        enc1_w=_glorot(rng, h, d), enc1_b=np.zeros(h),
-        enc2_w=_glorot(rng, h, h), enc2_b=np.zeros(h),
-        proj1_w=_glorot(rng, ph, h), proj1_b=np.zeros(ph),
-        proj2_w=_glorot(rng, e, ph), proj2_b=np.zeros(e),
-        cls_w=_glorot(rng, c, h), cls_b=np.zeros(c),
-    )
+    return {"enc1_w": (h, d), "enc1_b": (h,), "enc2_w": (h, h), "enc2_b": (h,),
+            "proj1_w": (ph, h), "proj1_b": (ph,), "proj2_w": (e, ph),
+            "proj2_b": (e,), "cls_w": (c, h), "cls_b": (c,)}
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    """Seeded uniform [-a, a] init with a = sqrt(6/(fan_in+fan_out)); zero biases."""
+    return ModelParams(config=config, **{
+        f: _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+        for f, shape in _block_shapes(config).items()})
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
@@ -167,31 +169,11 @@ def _projector_forward(params: ModelParams, H2: np.ndarray):
     return P1, Z
 
 
-def encode(params: ModelParams, x) -> np.ndarray:
-    """Encoder features for one input vector."""
-    X = _check_input_dim(params, x)
-    _, H2 = _encoder_forward(params, X)
-    return H2[0]
-
-
 def encode_batch(params: ModelParams, X) -> np.ndarray:
     """Encoder features for a batch of inputs, one row per sample."""
     X = _check_input_dim(params, X)
     _, H2 = _encoder_forward(params, X)
     return H2
-
-
-def encode_project_raw(params: ModelParams, x) -> np.ndarray:
-    """Projector output before normalization (useful for degenerate checks)."""
-    X = _check_input_dim(params, x)
-    _, H2 = _encoder_forward(params, X)
-    _, Z = _projector_forward(params, H2)
-    return Z[0]
-
-
-def encode_project(params: ModelParams, x) -> np.ndarray:
-    """Unit-norm embedding of one input vector."""
-    return l2_normalize(encode_project_raw(params, x))
 
 
 def encode_project_batch(params: ModelParams, X) -> np.ndarray:
@@ -204,13 +186,6 @@ def encode_project_batch(params: ModelParams, X) -> np.ndarray:
         from .errors import DegenerateInputError
         raise DegenerateInputError("zero pre-normalization embedding in batch")
     return Z / norms
-
-
-def classify(params: ModelParams, x) -> np.ndarray:
-    """Logits over the label space for one input vector."""
-    X = _check_input_dim(params, x)
-    _, H2 = _encoder_forward(params, X)
-    return (H2 @ params.cls_w.T + params.cls_b)[0]
 
 
 def classify_batch(params: ModelParams, X) -> np.ndarray:
@@ -337,5 +312,6 @@ def load_checkpoint(path) -> ModelParams:
             embed_dim=int(data["embed_dim"]),
         )
         flat = np.asarray(data["flat"], dtype=np.float64)
-    template = init_params(cfg, np.random.default_rng(0))
+    template = ModelParams(config=cfg, **{
+        f: np.zeros(shape) for f, shape in _block_shapes(cfg).items()})
     return template.unflatten(flat)

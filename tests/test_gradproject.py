@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contda import gradproject as gp
-from contda.errors import DimensionError
+from contda import harness
+from contda.errors import DimensionError, NumericError
 
 
 def rand_instance(rng, p=None, force_violation=None):
@@ -20,41 +23,48 @@ def rand_instance(rng, p=None, force_violation=None):
     return g, cons[0], cons[1]
 
 
+def objective(w, g):
+    return 0.5 * float((w - g) @ (w - g))
+
+
+def kkt_ok(w, u, g, C):
+    rows = list(C)
+    diag = gp.kkt_check(w, u, g, rows, gp.tolerance(g, rows))
+    return all(diag[k] for k in gp.KKT_FLAGS)
+
+
 def test_interior_case_returns_g_unchanged():
     rng = np.random.default_rng(0)
     for _ in range(50):
         g, c0, c1 = rand_instance(rng, force_violation=())
-        res = gp.project_two(gp.GradientSet(g_t=g, g_s=c0, g_dm=c1))
-        assert res.case == "interior"
-        np.testing.assert_array_equal(res.w, g)
-        np.testing.assert_array_equal(res.u_star, np.zeros(2))
-        assert res.objective == 0.0
-        assert res.kkt_ok
+        w, u = gp.project_n(g, [c0, c1])
+        assert w.tobytes() == g.tobytes()
+        np.testing.assert_array_equal(u, np.zeros(2))
+        assert objective(w, g) == 0.0
+        assert kkt_ok(w, u, g, [c0, c1])
 
 
 def test_single_active_closed_form():
     rng = np.random.default_rng(1)
     for _ in range(50):
         g, c0, _ = rand_instance(rng, force_violation=(0,))
-        res = gp.project_two(gp.GradientSet(g_t=g, g_s=c0))
+        w, u = gp.project_n(g, [c0])
         u1 = -(g @ c0) / (c0 @ c0)
-        np.testing.assert_allclose(res.u_star, [u1, 0.0], rtol=1e-12)
-        np.testing.assert_allclose(res.w, g + u1 * c0, rtol=1e-12)
+        np.testing.assert_allclose(u, [u1], rtol=1e-12)
+        np.testing.assert_allclose(w, g + u1 * c0, rtol=1e-12)
         # active constraint lands exactly on its boundary
-        assert abs(res.w @ c0) <= 1e-9 * max(1.0, np.linalg.norm(c0))
-        assert res.case == "source-active"
-        assert res.kkt_ok
+        assert abs(w @ c0) <= 1e-9 * max(1.0, np.linalg.norm(c0))
+        assert kkt_ok(w, u, g, [c0])
 
 
 def test_hand_example_orthogonal_constraints():
     g = np.array([-1.0, -2.0, 3.0])
     c0 = np.array([1.0, 0.0, 0.0])
     c1 = np.array([0.0, 1.0, 0.0])
-    res = gp.project_two(gp.GradientSet(g_t=g, g_s=c0, g_dm=c1))
-    np.testing.assert_allclose(res.w, [0.0, 0.0, 3.0], atol=1e-12)
-    np.testing.assert_allclose(res.u_star, [1.0, 2.0], atol=1e-12)
-    assert res.case == "both-active"
-    np.testing.assert_allclose(res.objective, 0.5 * (1 + 4), atol=1e-12)
+    w, u = gp.project_n(g, [c0, c1])
+    np.testing.assert_allclose(w, [0.0, 0.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(u, [1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(objective(w, g), 0.5 * (1 + 4), atol=1e-12)
 
 
 def test_hand_example_correlated_constraints():
@@ -63,10 +73,9 @@ def test_hand_example_correlated_constraints():
     c1 = np.array([0.0, 1.0, 1.0, 0.0])
     # choose g with C g = (-4, -5) -> u = G^{-1} (4,5) = (1, 2)
     g = np.array([-1.0, -3.0, -2.0, 7.0])
-    res = gp.project_two(gp.GradientSet(g_t=g, g_s=c0, g_dm=c1))
-    np.testing.assert_allclose(res.u_star, [1.0, 2.0], atol=1e-10)
-    np.testing.assert_allclose(res.w, g + c0 + 2 * c1, atol=1e-10)
-    assert res.case == "both-active"
+    w, u = gp.project_n(g, [c0, c1])
+    np.testing.assert_allclose(u, [1.0, 2.0], atol=1e-10)
+    np.testing.assert_allclose(w, g + c0 + 2 * c1, atol=1e-10)
 
 
 def test_one_violated_one_slack_keeps_single_multiplier():
@@ -74,74 +83,73 @@ def test_one_violated_one_slack_keeps_single_multiplier():
     g = np.array([-2.0, 5.0, 0.0])
     c0 = np.array([1.0, 0.0, 0.0])
     c1 = np.array([0.0, 1.0, 0.0])
-    res = gp.project_two(gp.GradientSet(g_t=g, g_s=c0, g_dm=c1))
-    assert res.case == "source-active"
-    np.testing.assert_allclose(res.w, [0.0, 5.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(res.u_star, [2.0, 0.0], atol=1e-12)
+    w, u = gp.project_n(g, [c0, c1])
+    np.testing.assert_allclose(w, [0.0, 5.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(u, [2.0, 0.0], atol=1e-12)
+    assert u[1] == 0.0
 
 
 def test_memory_only_active_case_name():
     g = np.array([3.0, -2.0])
     c0 = np.array([1.0, 0.0])
     c1 = np.array([0.0, 1.0])
-    res = gp.project_two(gp.GradientSet(g_t=g, g_s=c0, g_dm=c1))
-    assert res.case == "memory-active"
-    np.testing.assert_allclose(res.u_star, [0.0, 2.0], atol=1e-12)
+    w, u = gp.project_n(g, [c0, c1])
+    np.testing.assert_allclose(u, [0.0, 2.0], atol=1e-12)
+    assert u[0] == 0.0
+    assert harness.project_step(g, c0, [c1])[2] == "memory-active"
 
 
 def test_missing_memory_constraint_is_vacuous():
     rng = np.random.default_rng(2)
     for _ in range(20):
         g, c0, _ = rand_instance(rng, force_violation=(0, 1))
-        a = gp.project_two(gp.GradientSet(g_t=g, g_s=c0, g_dm=None))
-        b = gp.project_two(gp.GradientSet(g_t=g, g_s=c0,
-                                          g_dm=np.zeros_like(g)))
-        np.testing.assert_allclose(a.w, b.w, atol=1e-12)
-        assert a.u_star[1] == 0.0 and b.u_star[1] == 0.0
-        assert a.u_star.shape == (2,)
+        wa, ua = gp.project_n(g, [c0])
+        wb, ub = gp.project_n(g, [c0, np.zeros_like(g)])
+        np.testing.assert_allclose(wa, wb, atol=1e-12)
+        assert ub[1] == 0.0 and ub.shape == (2,)
 
 
 def test_both_constraints_zero_means_interior():
     g = np.array([1.0, -2.0])
-    res = gp.project_two(gp.GradientSet(g_t=g, g_s=np.zeros(2), g_dm=None))
-    assert res.case == "interior"
-    np.testing.assert_array_equal(res.w, g)
-    assert res.kkt_ok
+    w, u = gp.project_n(g, [np.zeros(2), np.zeros(2)])
+    np.testing.assert_array_equal(w, g)
+    np.testing.assert_array_equal(u, np.zeros(2))
+    assert kkt_ok(w, u, g, [np.zeros(2), np.zeros(2)])
 
 
 def test_zero_update_gradient():
-    res = gp.project_two(gp.GradientSet(g_t=np.zeros(4),
-                                        g_s=np.array([1.0, 0, 0, 0]),
-                                        g_dm=np.array([0, 1.0, 0, 0])))
-    np.testing.assert_array_equal(res.w, np.zeros(4))
-    assert res.kkt_ok
+    g = np.zeros(4)
+    C = [np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0])]
+    w, u = gp.project_n(g, C)
+    np.testing.assert_array_equal(w, np.zeros(4))
+    assert kkt_ok(w, u, g, C)
 
 
 def test_constraint_scaling_leaves_projection_invariant():
     rng = np.random.default_rng(3)
     for _ in range(30):
         g, c0, c1 = rand_instance(rng, force_violation=(0, 1))
-        a = gp.project_two(gp.GradientSet(g_t=g, g_s=c0, g_dm=c1))
-        b = gp.project_two(gp.GradientSet(g_t=g, g_s=10.0 * c0, g_dm=0.1 * c1))
-        np.testing.assert_allclose(a.w, b.w, atol=1e-8 * max(1, np.linalg.norm(g)))
+        wa, _ = gp.project_n(g, [c0, c1])
+        wb, _ = gp.project_n(g, [10.0 * c0, 0.1 * c1])
+        np.testing.assert_allclose(wa, wb, atol=1e-8 * max(1, np.linalg.norm(g)))
 
 
 def test_parallel_constraints_handled():
     g = np.array([-1.0, 2.0, 0.5])
     c = np.array([2.0, 1.0, 0.0])
-    res = gp.project_two(gp.GradientSet(g_t=g, g_s=c, g_dm=3.0 * c))
-    eps = gp.tolerance(g, [c, 3.0 * c])
-    assert res.diagnostics["slacks"].min() >= -eps
-    assert res.kkt_ok
+    C = [c, 3.0 * c]
+    w, u = gp.project_n(g, C)
+    assert (np.stack(C) @ w).min() >= -gp.tolerance(g, C)
+    assert kkt_ok(w, u, g, C)
 
 
 def test_antiparallel_constraints_force_hyperplane():
     # feasible set is the hyperplane <c, w> = 0; solution is the projection
     g = np.array([1.0, 1.0, 0.0])
     c = np.array([1.0, 0.0, 0.0])
-    res = gp.project_two(gp.GradientSet(g_t=g, g_s=c, g_dm=-c))
-    np.testing.assert_allclose(res.w, [0.0, 1.0, 0.0], atol=1e-6)
-    assert res.kkt_ok
+    w, u = gp.project_n(g, [c, -c])
+    np.testing.assert_allclose(w, [0.0, 1.0, 0.0], atol=1e-6)
+    assert kkt_ok(w, u, g, [c, -c])
 
 
 def test_matches_brute_force_oracle():
@@ -149,13 +157,13 @@ def test_matches_brute_force_oracle():
     patterns = [(), (0,), (1,), (0, 1)]
     for trial in range(200):
         g, c0, c1 = rand_instance(rng, force_violation=patterns[trial % 4])
-        res = gp.project_two(gp.GradientSet(g_t=g, g_s=c0, g_dm=c1))
+        w, u = gp.project_n(g, [c0, c1])
         w_oracle = gp.brute_force_project(g, np.stack([c0, c1]))
-        obj_oracle = 0.5 * float((w_oracle - g) @ (w_oracle - g))
-        assert res.objective <= obj_oracle + 1e-8
-        assert abs(res.objective - obj_oracle) <= 1e-8
-        np.testing.assert_allclose(res.w, w_oracle, atol=1e-6)
-        assert res.kkt_ok, res.diagnostics
+        obj, obj_oracle = objective(w, g), objective(w_oracle, g)
+        assert obj <= obj_oracle + 1e-8
+        assert abs(obj - obj_oracle) <= 1e-8
+        np.testing.assert_allclose(w, w_oracle, atol=1e-6)
+        assert kkt_ok(w, u, g, [c0, c1])
 
 
 def test_kkt_check_flags_fabricated_failures():
@@ -187,14 +195,17 @@ def test_tolerance_scales_with_largest_norm():
     assert gp.tolerance(np.zeros(3), [np.zeros(3)]) == 1e-9
 
 
-def test_gradient_set_validation():
+def test_project_n_validates_inputs():
     with pytest.raises(DimensionError):
-        gp.GradientSet(g_t=np.zeros((2, 2)), g_s=np.zeros(4))
+        gp.project_n(np.zeros((2, 2)), np.zeros((1, 4)))
     with pytest.raises(DimensionError):
-        gp.GradientSet(g_t=np.zeros(3), g_s=np.zeros(4))
-    from contda.errors import NumericError
+        gp.project_n(np.zeros(3), np.zeros((2, 4)))
+    with pytest.raises(DimensionError):
+        gp.project_n(np.zeros(3), np.zeros(3))
     with pytest.raises(NumericError):
-        gp.GradientSet(g_t=np.array([np.nan, 0.0]), g_s=np.zeros(2))
+        gp.project_n(np.array([np.nan, 0.0]), np.zeros((1, 2)))
+    with pytest.raises(NumericError):
+        gp.project_n(np.zeros(2), np.array([[1.0, np.inf]]))
 
 
 def test_project_n_matches_brute_force_small():
@@ -230,11 +241,6 @@ def test_project_n_dual_ascent_path():
     assert u.shape == (n,) and u.min() >= 0.0
 
 
-def test_project_n_rejects_bad_shapes():
-    with pytest.raises(DimensionError):
-        gp.project_n(np.zeros(3), np.zeros((2, 4)))
-
-
 def test_project_n_handles_degenerate_rows():
     # parallel, antiparallel, zero and linearly dependent rows make some
     # active-set Gram blocks singular; the projection still matches the
@@ -264,3 +270,40 @@ def test_project_n_handles_degenerate_rows():
         assert abs(obj - obj_oracle) <= 1e-7 * max(1.0, obj_oracle)
         if kind == 2:
             assert u[2] == 0.0
+
+
+ROW_KINDS = ("random", "parallel", "antiparallel", "zero", "dependent")
+
+
+@st.composite
+def projection_instances(draw):
+    """(g, C) with 1-6 rows of length 3-12; rows after the first are random
+    or a parallel, antiparallel, zero or dependent copy of earlier rows."""
+    p = draw(st.integers(3, 12))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal(p) * draw(st.floats(0.1, 10.0))
+    C = rng.standard_normal((n, p))
+    for k in range(1, n):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        scale = draw(st.floats(0.1, 10.0))
+        if kind == "parallel":
+            C[k] = scale * C[i]
+        elif kind == "antiparallel":
+            C[k] = -scale * C[i]
+        elif kind == "zero":
+            C[k] = 0.0
+        elif kind == "dependent":
+            C[k] = C[i] + scale * C[j]
+    return g, C
+
+
+@settings(derandomize=True, deadline=None)
+@given(projection_instances())
+def test_project_n_property_against_oracle(instance):
+    g, C = instance
+    w, u = gp.project_n(g, C)
+    assert kkt_ok(w, u, g, C)
+    obj, obj_oracle = objective(w, g), objective(gp.brute_force_project(g, C), g)
+    assert abs(obj - obj_oracle) <= 1e-7 * max(1.0, obj)

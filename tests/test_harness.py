@@ -247,6 +247,33 @@ def test_grcl_step_constrains_each_memory_domain():
     assert case == "memory-active"
 
 
+def test_project_step_case_names():
+    c0 = np.array([1.0, 0.0, 0.0])
+    c1 = np.array([0.0, 1.0, 0.0])
+    c2 = np.array([0.0, 0.0, 1.0])
+    cases = [
+        (np.array([1.0, 2.0, 3.0]), None, "interior", [0.0, 0.0]),
+        (np.array([-2.0, 5.0, 0.0]), [c1], "source-active", [2.0, 0.0]),
+        (np.array([3.0, -2.0, -1.0]), [c1, c2], "memory-active", [0.0, 3.0]),
+        (np.array([-1.0, -2.0, 3.0]), [c1], "both-active", [1.0, 2.0]),
+    ]
+    for g_t, g_mem, want_case, want_u in cases:
+        w, u_star, case = harness.project_step(g_t, c0, g_mem)
+        assert case == want_case
+        np.testing.assert_allclose(u_star, want_u, atol=1e-12)
+    w, _, _ = harness.project_step(cases[0][0], c0)
+    np.testing.assert_array_equal(w, cases[0][0])
+
+
+def test_project_step_rejects_failed_kkt(monkeypatch):
+    # a solver answer that leaves the source slack negative must not be
+    # taken as a step, in the warm-up as in the adaptation loop
+    monkeypatch.setattr(gradproject, "project_n",
+                        lambda g, rows: (np.asarray(g), np.zeros(len(rows))))
+    with pytest.raises(ContractViolationError):
+        harness.project_step(np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+
+
 def test_memory_grads_mix_to_pooled_cross_entropy():
     domains = tiny_domains()
     cfg = model.ModelConfig(input_dim=2, n_classes=3, hidden_dim=8,

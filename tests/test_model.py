@@ -86,19 +86,6 @@ def test_batch_rejects_labeled_target_and_unlabeled_source():
                     origins=[model.ORIGIN_TARGET])
 
 
-def test_forward_single_matches_batch():
-    p = make_params(5)
-    rng = np.random.default_rng(6)
-    X = rng.standard_normal((4, 2))
-    H = model.encode_batch(p, X)
-    Q = model.encode_project_batch(p, X)
-    L = model.classify_batch(p, X)
-    for i in range(4):
-        np.testing.assert_allclose(model.encode(p, X[i]), H[i], atol=1e-15)
-        np.testing.assert_allclose(model.encode_project(p, X[i]), Q[i], atol=1e-15)
-        np.testing.assert_allclose(model.classify(p, X[i]), L[i], atol=1e-15)
-
-
 def test_embeddings_are_unit_norm():
     p = make_params(7)
     rng = np.random.default_rng(8)
