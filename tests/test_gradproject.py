@@ -195,13 +195,13 @@ def test_tolerance_scales_with_largest_norm():
     assert gp.tolerance(np.zeros(3), [np.zeros(3)]) == 1e-9
 
 
-def test_project_n_validates_inputs():
+def test_gradient_set_validation():
+    # the update gradient and the constraint rows handed to project_n are
+    # checked as one set: g must be a vector of the rows' length, all finite
     with pytest.raises(DimensionError):
         gp.project_n(np.zeros((2, 2)), np.zeros((1, 4)))
     with pytest.raises(DimensionError):
-        gp.project_n(np.zeros(3), np.zeros((2, 4)))
-    with pytest.raises(DimensionError):
-        gp.project_n(np.zeros(3), np.zeros(3))
+        gp.project_n(np.zeros(3), np.zeros((1, 4)))
     with pytest.raises(NumericError):
         gp.project_n(np.array([np.nan, 0.0]), np.zeros((1, 2)))
     with pytest.raises(NumericError):
@@ -239,6 +239,13 @@ def test_project_n_dual_ascent_path():
     eps = gp.tolerance(g, list(C))
     assert (C @ w).min() >= -10 * eps
     assert u.shape == (n,) and u.min() >= 0.0
+
+
+def test_project_n_rejects_bad_shapes():
+    with pytest.raises(DimensionError):
+        gp.project_n(np.zeros(3), np.zeros((2, 4)))
+    with pytest.raises(DimensionError):
+        gp.project_n(np.zeros(3), np.zeros(3))
 
 
 def test_project_n_handles_degenerate_rows():
