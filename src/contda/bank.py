@@ -51,10 +51,6 @@ class FeatureBank:
     def key(self, sample_id) -> np.ndarray:
         return self.keys[self.row_of(sample_id)].copy()
 
-    def keys_for(self, sample_ids) -> np.ndarray:
-        rows = [self.row_of(s) for s in sample_ids]
-        return self.keys[rows].copy()
-
 
 def init_bank(params, pools) -> FeatureBank:
     """Build a bank from (ids, inputs, origin) pools using a frozen snapshot.

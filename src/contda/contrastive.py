@@ -55,21 +55,25 @@ def _loss_and_query_grad(query, positive, negatives, temperature):
     return float(-logp[0]), (coeff @ keys) / temperature
 
 
-def contrastive_grad(params, batch, bank, config: ContrastiveConfig,
+def contrastive_grad(params, fw, ids, bank, config: ContrastiveConfig,
                      rng: np.random.Generator):
-    """Mean contrastive loss over a batch and its flat parameter gradient.
+    """Mean contrastive loss over the rows of a forward pass and its flat
+    parameter gradient.
 
+    fw holds the activations of the samples with these ids, in order.
     Positives come from each sample's own bank entry; negatives are drawn
     fresh per sample from the rest of the bank (all of it when
     use_full_bank is set).  Classifier blocks of the gradient are zero.
     """
-    n = len(batch)
+    n = len(ids)
     if n == 0:
         raise DimensionError("empty batch")
-    Q = model_mod.encode_project_batch(params, batch.inputs)
+    if fw.X.shape[0] != n:
+        raise DimensionError(f"{n} ids for {fw.X.shape[0]} rows")
+    Q = fw.embeddings()
     dQ = np.zeros_like(Q)
     total = 0.0
-    for i, sid in enumerate(batch.ids):
+    for i, sid in enumerate(ids):
         positive = bank.key(sid)
         if config.use_full_bank:
             negatives = bank_mod.negatives_full(bank, sid)
@@ -79,5 +83,4 @@ def contrastive_grad(params, batch, bank, config: ContrastiveConfig,
                                            config.temperature)
         total += loss_i
         dQ[i] = g_q / n
-    grad = model_mod.embedding_backward(params, batch.inputs, dQ)
-    return total / n, grad
+    return total / n, model_mod.embedding_grad(params, fw, dQ)

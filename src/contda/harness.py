@@ -7,11 +7,14 @@ Strategies mirror the ablation family: a frozen source model, fixed-weight
 multitask combinations, a source-constrained projection, and GRCL, which
 projects onto the source constraint plus one memory constraint per earlier
 target domain.  The projector warm-up, crt_sdc and GRCL all take their step
-from project_step, one KKT-guarded call of gradproject.project_n.
+from project_step, one KKT-guarded call of gradproject.project_n.  Every
+iteration runs two forward passes: one before the step, whose activations
+feed the contrastive gradient and each cross-entropy gradient on its own
+rows, and one after it, whose embeddings refresh the bank.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,9 +220,10 @@ def warm_projector(params, source_train, plan, rng):
                           inputs=source_train.X[idx],
                           labels=source_train.y[idx],
                           origins=[ORIGIN_SOURCE] * idx.size)
-            _, g_t = contrastive_mod.contrastive_grad(params, batch, fbank,
-                                                      ccfg, rng)
-            _, g_s = model_mod.ce_loss_and_grad(params, batch)
+            fw = model_mod.forward(params, batch.inputs)
+            _, g_t = contrastive_mod.contrastive_grad(params, fw, batch.ids,
+                                                      fbank, ccfg, rng)
+            _, g_s = model_mod.ce_grad(params, fw, batch.labels)
             w, _, _ = project_step(g_t, g_s)
             params = model_mod.sgd_step(params, w,
                                         _cosine_lr(plan.lr, step, total))
@@ -284,13 +288,9 @@ def _compose_batch(source_train, memories, target_train, counts, rng):
     return batch, src_sel, mem_sel
 
 
-def _sub_batch(batch, sel):
-    return Batch(ids=[batch.ids[i] for i in sel], inputs=batch.inputs[sel],
-                 labels=batch.labels[sel], origins=[batch.origins[i] for i in sel])
-
-
-def _memory_grads(params, batch, mem_sel):
-    """Memory cross-entropy per earlier target domain in the batch.
+def _memory_grads(params, fw, batch, mem_sel):
+    """Memory cross-entropy per earlier target domain in the batch, from the
+    batch's forward pass fw.
 
     Returns the pooled loss and gradient (the size-weighted mix of the
     per-domain terms, equal to the cross-entropy over all memory rows) and
@@ -300,7 +300,7 @@ def _memory_grads(params, batch, mem_sel):
     for i in mem_sel:
         groups.setdefault(batch.origins[i], []).append(i)
     shares = np.array([len(sel) / len(mem_sel) for sel in groups.values()])
-    losses, rows = zip(*(model_mod.ce_loss_and_grad(params, _sub_batch(batch, sel))
+    losses, rows = zip(*(model_mod.ce_grad(params, fw.rows(sel), batch.labels[sel])
                          for sel in groups.values()))
     g_mem = np.stack(rows)
     return float(shares @ np.array(losses)), shares @ g_mem, g_mem
@@ -367,18 +367,19 @@ def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
         for _ in range(iters):
             batch, src_sel, mem_sel = _compose_batch(
                 source_train, memories, target_train, counts, batch_rng)
+            fw = model_mod.forward(params, batch.inputs)
             loss_con, g_t = contrastive_mod.contrastive_grad(
-                params, batch, fbank, ccfg, neg_rng)
-            loss_src, g_s = model_mod.ce_loss_and_grad(
-                params, _sub_batch(batch, src_sel))
+                params, fw, batch.ids, fbank, ccfg, neg_rng)
+            loss_src, g_s = model_mod.ce_grad(
+                params, fw.rows(src_sel), batch.labels[src_sel])
             g_mem = None
             if not mem_sel:
                 loss_mem, g_dm = float("nan"), None
             elif plan.strategy == GRCL:
-                loss_mem, g_dm, g_mem = _memory_grads(params, batch, mem_sel)
+                loss_mem, g_dm, g_mem = _memory_grads(params, fw, batch, mem_sel)
             else:
-                loss_mem, g_dm = model_mod.ce_loss_and_grad(
-                    params, _sub_batch(batch, mem_sel))
+                loss_mem, g_dm = model_mod.ce_grad(
+                    params, fw.rows(mem_sel), batch.labels[mem_sel])
 
             w, u_star, case = _step_direction(plan, g_t, g_s, g_dm, g_mem)
             refs = [g_s] + (list(g_mem) if g_mem is not None else

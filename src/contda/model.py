@@ -3,15 +3,20 @@
 The encoder is two tanh layers, the projector one tanh hidden layer with a
 linear output that gets l2-normalized, and the classifier a linear head on the
 encoder features (it bypasses the projector).  All parameters live in a single
-flat float64 vector of length P; gradients and update directions are expressed
-in that same space.
+flat float64 vector of length P, and every weight block is a view of it;
+gradients and update directions are expressed in that same space.  One
+forward pass keeps a batch's activations, and each gradient of that batch
+(cross-entropy on any subset of its rows, or the embedding gradient) is one
+backward pass from them.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+import math
 
 import numpy as np
 
-from .errors import ContractViolationError, DimensionError
+from .errors import ContractViolationError, DegenerateInputError, DimensionError
 from .numerics import log_softmax_rows
 
 # origin tags carried by batch samples
@@ -33,63 +38,69 @@ class ModelConfig:
 
 
 # flattening order; fixed for the lifetime of the format
-_PARAM_FIELDS = (
-    "enc1_w", "enc1_b", "enc2_w", "enc2_b",
-    "proj1_w", "proj1_b", "proj2_w", "proj2_b",
-    "cls_w", "cls_b",
-)
+_PARAM_FIELDS = ("enc1_w", "enc1_b", "enc2_w", "enc2_b", "proj1_w", "proj1_b",
+                 "proj2_w", "proj2_b", "cls_w", "cls_b")
 
 CHECKPOINT_VERSION = 1
 
 
+@lru_cache(maxsize=None)
+def _layout(config: ModelConfig) -> dict:
+    """Map block name -> (slice of the flat vector, block shape), in
+    flattening order."""
+    d, h, ph, e, c = (config.input_dim, config.hidden_dim,
+                      config.proj_hidden_dim, config.embed_dim, config.n_classes)
+    shapes = ((h, d), (h,), (h, h), (h,), (ph, h), (ph,), (e, ph), (e,),
+              (c, h), (c,))
+    layout, offset = {}, 0
+    for name, shape in zip(_PARAM_FIELDS, shapes):
+        layout[name] = (slice(offset, offset + math.prod(shape)), shape)
+        offset += math.prod(shape)
+    return layout
+
+
+def _blocks(config: ModelConfig, vec: np.ndarray) -> dict:
+    """One view of vec per parameter block, shaped as that block."""
+    return {name: vec[s].reshape(shape)
+            for name, (s, shape) in _layout(config).items()}
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Immutable parameter bundle; use sgd_step / unflatten to derive new ones."""
+    """Immutable parameters: a config and a read-only copy of one flat vector.
+
+    The blocks enc1_w ... cls_b are views of flat; sgd_step derives new
+    parameters.
+    """
 
     config: ModelConfig
-    enc1_w: np.ndarray
-    enc1_b: np.ndarray
-    enc2_w: np.ndarray
-    enc2_b: np.ndarray
-    proj1_w: np.ndarray
-    proj1_b: np.ndarray
-    proj2_w: np.ndarray
-    proj2_b: np.ndarray
-    cls_w: np.ndarray
-    cls_b: np.ndarray
+    flat: np.ndarray
+
+    def __post_init__(self):
+        flat = np.array(self.flat, dtype=np.float64)
+        want = sum(s.stop - s.start for s, _ in _layout(self.config).values())
+        if flat.shape != (want,):
+            raise DimensionError(
+                f"flat vector has shape {flat.shape}, expected ({want},)")
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
 
     @property
     def num_params(self) -> int:
-        return sum(getattr(self, f).size for f in _PARAM_FIELDS)
+        return self.flat.size
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([getattr(self, f).ravel() for f in _PARAM_FIELDS])
-
-    def unflatten(self, flat: np.ndarray) -> "ModelParams":
-        """Rebuild a params bundle from a flat vector with this model's shapes."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.num_params,):
-            raise DimensionError(
-                f"flat vector has length {flat.shape}, expected ({self.num_params},)"
-            )
-        out = {}
-        offset = 0
-        for f in _PARAM_FIELDS:
-            shape = getattr(self, f).shape
-            size = getattr(self, f).size
-            out[f] = flat[offset:offset + size].reshape(shape).copy()
-            offset += size
-        return replace(self, **out)
+    @cached_property
+    def blocks(self) -> dict:
+        return _blocks(self.config, self.flat)
 
     def block_slices(self) -> dict:
         """Map field name -> slice of the flat vector it occupies."""
-        slices = {}
-        offset = 0
-        for f in _PARAM_FIELDS:
-            size = getattr(self, f).size
-            slices[f] = slice(offset, offset + size)
-            offset += size
-        return slices
+        return {name: s for name, (s, _) in _layout(self.config).items()}
+
+
+for _name in _PARAM_FIELDS:
+    setattr(ModelParams, _name,
+            property(lambda self, name=_name: self.blocks[name]))
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -97,24 +108,11 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-a, a, size=(fan_out, fan_in))
 
 
-def _block_shapes(config: ModelConfig) -> dict:
-    """Shape of each parameter block, in flattening order."""
-    d, h, ph, e, c = (config.input_dim, config.hidden_dim,
-                      config.proj_hidden_dim, config.embed_dim, config.n_classes)
-    return {"enc1_w": (h, d), "enc1_b": (h,), "enc2_w": (h, h), "enc2_b": (h,),
-            "proj1_w": (ph, h), "proj1_b": (ph,), "proj2_w": (e, ph),
-            "proj2_b": (e,), "cls_w": (c, h), "cls_b": (c,)}
-
-
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Seeded uniform [-a, a] init with a = sqrt(6/(fan_in+fan_out)); zero biases."""
-    return ModelParams(config=config, **{
-        f: _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-        for f, shape in _block_shapes(config).items()})
-
-
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return params.unflatten(np.zeros(params.num_params))
+    return ModelParams(config, np.concatenate([
+        _glorot(rng, *shape).ravel() if len(shape) == 2 else np.zeros(shape)
+        for _, shape in _layout(config).values()]))
 
 
 @dataclass
@@ -146,91 +144,88 @@ class Batch:
         return self.inputs.shape[0]
 
 
-def _check_input_dim(params: ModelParams, X: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class Forward:
+    """Activations of one forward pass, one row per sample: inputs X, encoder
+    layers H1 and H2, projector hidden layer P1 and the embedding Z before
+    normalization (P1 and Z are None when the pass stopped at the encoder)."""
+
+    X: np.ndarray
+    H1: np.ndarray
+    H2: np.ndarray
+    P1: np.ndarray = None
+    Z: np.ndarray = None
+
+    def rows(self, sel) -> "Forward":
+        """The same pass restricted to the rows in sel."""
+        return Forward(*(None if a is None else a[sel]
+                         for a in (self.X, self.H1, self.H2, self.P1, self.Z)))
+
+    def embeddings(self) -> np.ndarray:
+        """Unit-norm embeddings, one row per sample."""
+        norms = np.linalg.norm(self.Z, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise DegenerateInputError("zero pre-normalization embedding in batch")
+        return self.Z / norms
+
+
+def forward(params: ModelParams, X, project: bool = True) -> Forward:
+    """One forward pass over a batch of inputs; project=False stops at the
+    encoder."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != params.config.input_dim:
-        raise DimensionError(
-            f"inputs have shape {X.shape}, model expects dimension {params.config.input_dim}"
-        )
-    return X
-
-
-def _encoder_forward(params: ModelParams, X: np.ndarray):
+        raise DimensionError(f"inputs have shape {X.shape}, model expects "
+                             f"dimension {params.config.input_dim}")
     H1 = np.tanh(X @ params.enc1_w.T + params.enc1_b)
     H2 = np.tanh(H1 @ params.enc2_w.T + params.enc2_b)
-    return H1, H2
-
-
-def _projector_forward(params: ModelParams, H2: np.ndarray):
+    if not project:
+        return Forward(X, H1, H2)
     P1 = np.tanh(H2 @ params.proj1_w.T + params.proj1_b)
-    Z = P1 @ params.proj2_w.T + params.proj2_b
-    return P1, Z
+    return Forward(X, H1, H2, P1, P1 @ params.proj2_w.T + params.proj2_b)
 
 
 def encode_batch(params: ModelParams, X) -> np.ndarray:
     """Encoder features for a batch of inputs, one row per sample."""
-    X = _check_input_dim(params, X)
-    _, H2 = _encoder_forward(params, X)
-    return H2
+    return forward(params, X, project=False).H2
 
 
 def encode_project_batch(params: ModelParams, X) -> np.ndarray:
     """Unit-norm embeddings for a batch of inputs, one row per sample."""
-    X = _check_input_dim(params, X)
-    _, H2 = _encoder_forward(params, X)
-    _, Z = _projector_forward(params, H2)
-    norms = np.linalg.norm(Z, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        from .errors import DegenerateInputError
-        raise DegenerateInputError("zero pre-normalization embedding in batch")
-    return Z / norms
+    return forward(params, X).embeddings()
 
 
 def classify_batch(params: ModelParams, X) -> np.ndarray:
-    X = _check_input_dim(params, X)
-    _, H2 = _encoder_forward(params, X)
-    return H2 @ params.cls_w.T + params.cls_b
+    return forward(params, X, project=False).H2 @ params.cls_w.T + params.cls_b
 
 
-def _encoder_backward(params, X, H1, H2, dH2, grads):
-    dZ2 = dH2 * (1.0 - H2 * H2)
-    grads["enc2_w"] += dZ2.T @ H1
-    grads["enc2_b"] += dZ2.sum(axis=0)
-    dH1 = dZ2 @ params.enc2_w
-    dZ1 = dH1 * (1.0 - H1 * H1)
-    grads["enc1_w"] += dZ1.T @ X
-    grads["enc1_b"] += dZ1.sum(axis=0)
+def _encoder_backward(params, fw, dH2, G):
+    dZ2 = dH2 * (1.0 - fw.H2 * fw.H2)
+    G["enc2_w"] += dZ2.T @ fw.H1
+    G["enc2_b"] += dZ2.sum(axis=0)
+    dZ1 = (dZ2 @ params.enc2_w) * (1.0 - fw.H1 * fw.H1)
+    G["enc1_w"] += dZ1.T @ fw.X
+    G["enc1_b"] += dZ1.sum(axis=0)
 
 
-def _grads_to_flat(params: ModelParams, grads: dict) -> np.ndarray:
-    pieces = []
-    for f in _PARAM_FIELDS:
-        g = grads.get(f)
-        if g is None:
-            pieces.append(np.zeros(getattr(params, f).size))
-        else:
-            pieces.append(np.asarray(g, dtype=np.float64).ravel())
-    return np.concatenate(pieces)
+def ce_grad(params: ModelParams, fw: Forward, y):
+    """Mean softmax cross-entropy of labels y over the rows of fw and its
+    flat gradient.
 
-
-def ce_loss_and_grad(params: ModelParams, batch: Batch):
-    """Mean softmax cross-entropy over a fully labeled batch and its flat gradient.
-
-    The classifier path bypasses the projector, so the projector blocks of the
-    returned gradient are exactly zero.
+    The classifier path bypasses the projector, so the projector blocks of
+    the returned gradient are exactly zero.
     """
-    if np.any(batch.labels < 0):
+    y = np.asarray(y, dtype=np.int64)
+    n = fw.H2.shape[0]
+    if y.shape != (n,):
+        raise DimensionError(f"{y.shape} labels for {n} rows")
+    if np.any(y < 0):
         raise ContractViolationError("cross-entropy requires labels on every sample")
-    X = _check_input_dim(params, batch.inputs)
-    n = X.shape[0]
-    y = batch.labels
     if np.any(y >= params.config.n_classes):
         raise ContractViolationError("label outside the model's class range")
 
-    H1, H2 = _encoder_forward(params, X)
-    logits = H2 @ params.cls_w.T + params.cls_b
+    logits = fw.H2 @ params.cls_w.T + params.cls_b
     logp = log_softmax_rows(logits)
     loss = float(-logp[np.arange(n), y].mean())
 
@@ -238,50 +233,46 @@ def ce_loss_and_grad(params: ModelParams, batch: Batch):
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
 
-    grads = {
-        "cls_w": dlogits.T @ H2,
-        "cls_b": dlogits.sum(axis=0),
-        "enc1_w": np.zeros_like(params.enc1_w), "enc1_b": np.zeros_like(params.enc1_b),
-        "enc2_w": np.zeros_like(params.enc2_w), "enc2_b": np.zeros_like(params.enc2_b),
-    }
-    dH2 = dlogits @ params.cls_w
-    _encoder_backward(params, X, H1, H2, dH2, grads)
-    return loss, _grads_to_flat(params, grads)
+    grad = np.zeros(params.num_params)
+    G = _blocks(params.config, grad)
+    G["cls_w"][...] = dlogits.T @ fw.H2
+    G["cls_b"][...] = dlogits.sum(axis=0)
+    _encoder_backward(params, fw, dlogits @ params.cls_w, G)
+    return loss, grad
 
 
-def embedding_backward(params: ModelParams, X: np.ndarray, dQ: np.ndarray) -> np.ndarray:
+def ce_loss_and_grad(params: ModelParams, batch: Batch):
+    """ce_grad over a fully labeled batch, from its own encoder pass."""
+    return ce_grad(params, forward(params, batch.inputs, project=False),
+                   batch.labels)
+
+
+def embedding_grad(params: ModelParams, fw: Forward, dQ: np.ndarray) -> np.ndarray:
     """Flat gradient of a scalar loss given its gradient dQ w.r.t. the unit
-    embeddings of X.  Classifier blocks are exactly zero."""
-    X = _check_input_dim(params, X)
-    H1, H2 = _encoder_forward(params, X)
-    P1, Z = _projector_forward(params, H2)
-    norms = np.linalg.norm(Z, axis=1, keepdims=True)
-    Q = Z / norms
+    embeddings of fw's rows.  Classifier blocks are exactly zero."""
+    norms = np.linalg.norm(fw.Z, axis=1, keepdims=True)
+    Q = fw.Z / norms
 
     # through q = z/||z||:  dz = (dq - (dq.q) q) / ||z||
     dZ = (dQ - (dQ * Q).sum(axis=1, keepdims=True) * Q) / norms
 
-    grads = {
-        "proj2_w": dZ.T @ P1,
-        "proj2_b": dZ.sum(axis=0),
-        "enc1_w": np.zeros_like(params.enc1_w), "enc1_b": np.zeros_like(params.enc1_b),
-        "enc2_w": np.zeros_like(params.enc2_w), "enc2_b": np.zeros_like(params.enc2_b),
-    }
-    dP1 = dZ @ params.proj2_w
-    dZ3 = dP1 * (1.0 - P1 * P1)
-    grads["proj1_w"] = dZ3.T @ H2
-    grads["proj1_b"] = dZ3.sum(axis=0)
-    dH2 = dZ3 @ params.proj1_w
-    _encoder_backward(params, X, H1, H2, dH2, grads)
-    return _grads_to_flat(params, grads)
+    grad = np.zeros(params.num_params)
+    G = _blocks(params.config, grad)
+    G["proj2_w"][...] = dZ.T @ fw.P1
+    G["proj2_b"][...] = dZ.sum(axis=0)
+    dZ3 = (dZ @ params.proj2_w) * (1.0 - fw.P1 * fw.P1)
+    G["proj1_w"][...] = dZ3.T @ fw.H2
+    G["proj1_b"][...] = dZ3.sum(axis=0)
+    _encoder_backward(params, fw, dZ3 @ params.proj1_w, G)
+    return grad
 
 
 def sgd_step(params: ModelParams, w: np.ndarray, lr: float) -> ModelParams:
     """params - lr * w for a gradient-like descent direction w of length P."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (params.num_params,):
-        raise DimensionError(f"update has shape {w.shape}, expected ({params.num_params},)")
-    return params.unflatten(params.flatten() - lr * w)
+    if w.shape != params.flat.shape:
+        raise DimensionError(f"update has shape {w.shape}, expected {params.flat.shape}")
+    return ModelParams(params.config, params.flat - lr * w)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -295,7 +286,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         hidden_dim=np.int64(cfg.hidden_dim),
         proj_hidden_dim=np.int64(cfg.proj_hidden_dim),
         embed_dim=np.int64(cfg.embed_dim),
-        flat=params.flatten(),
+        flat=params.flat,
     )
 
 
@@ -311,7 +302,4 @@ def load_checkpoint(path) -> ModelParams:
             proj_hidden_dim=int(data["proj_hidden_dim"]),
             embed_dim=int(data["embed_dim"]),
         )
-        flat = np.asarray(data["flat"], dtype=np.float64)
-    template = ModelParams(config=cfg, **{
-        f: np.zeros(shape) for f, shape in _block_shapes(cfg).items()})
-    return template.unflatten(flat)
+        return ModelParams(cfg, data["flat"])

@@ -7,7 +7,7 @@ so they are safe to call concurrently.
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, NumericError
+from .errors import DimensionError, NumericError
 
 
 def as_vector(a) -> np.ndarray:
@@ -22,23 +22,6 @@ def require_finite(a: np.ndarray, what: str = "input") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericError(f"{what} contains NaN or Inf")
     return a
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    va, vb = as_vector(a), as_vector(b)
-    if va.shape != vb.shape:
-        raise DimensionError(f"length mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    return float(np.dot(va, vb))
-
-
-def l2_normalize(a) -> np.ndarray:
-    """Scale a non-zero vector to unit Euclidean norm."""
-    v = as_vector(a)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise DegenerateInputError("cannot normalize a zero vector")
-    return v / norm
 
 
 def log_softmax(logits) -> np.ndarray:

@@ -161,12 +161,12 @@ def test_constraints_hold_every_iteration():
 
 
 def _fd_loss(loss_fn, params, coords, h=1e-6):
-    flat = params.flatten()
+    flat = params.flat.copy()
     grads = np.empty(len(coords))
     for n, idx in enumerate(coords):
         for sign in (1.0, -1.0):
             flat[idx] += sign * h
-            moved = params.unflatten(flat)
+            moved = model_mod.ModelParams(params.config, flat)
             if sign > 0:
                 hi = loss_fn(moved)
             else:
@@ -210,18 +210,16 @@ def test_analytic_gradients_match_finite_differences():
             fbank = FeatureBank(embed_dim=config.embed_dim, ids=list(ids),
                                 keys=keys.copy(),
                                 origins=["target"] * n)
-            batch = model_mod.Batch(ids=ids, inputs=X,
-                                    labels=np.full(n, -1, dtype=int),
-                                    origins=["target"] * n)
             cfg = contrastive.ContrastiveConfig(temperature=0.2,
                                                 use_full_bank=True)
 
             def loss_fn(p):
                 return contrastive.contrastive_grad(
-                    p, batch, fbank, cfg, np.random.default_rng(0))[0]
+                    p, model_mod.forward(p, X), ids, fbank, cfg,
+                    np.random.default_rng(0))[0]
 
             grad = contrastive.contrastive_grad(
-                params, batch, fbank, cfg,
+                params, model_mod.forward(params, X), ids, fbank, cfg,
                 np.random.default_rng(0))[1].flatten()
         coords = rng.choice(len(grad), size=64, replace=False)
         fd = _fd_loss(loss_fn, params, coords)

@@ -24,7 +24,6 @@ def test_lookup_and_shape_validation():
     assert len(b) == 5
     assert b.row_of("x3") == 3
     np.testing.assert_array_equal(b.key("x3"), b.keys[3])
-    np.testing.assert_array_equal(b.keys_for(["x4", "x0"]), b.keys[[4, 0]])
     with pytest.raises(MissingEntryError):
         b.row_of("nope")
     with pytest.raises(DimensionError):

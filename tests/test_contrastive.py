@@ -74,6 +74,10 @@ def test_nce_validates_shapes():
         contrastive.nce_loss(np.zeros(3), np.zeros(3), np.zeros((1, 3)), 0.0)
 
 
+def fw(params, batch):
+    return model.forward(params, batch.inputs)
+
+
 def make_setup(seed, n=5):
     cfg = model.ModelConfig(input_dim=2, n_classes=3, hidden_dim=6,
                             proj_hidden_dim=5, embed_dim=4)
@@ -93,8 +97,8 @@ def make_setup(seed, n=5):
 def test_contrastive_loss_matches_per_sample_mean():
     params, batch, fbank = make_setup(10)
     cfg = contrastive.ContrastiveConfig(temperature=0.2, use_full_bank=True)
-    loss, _ = contrastive.contrastive_grad(params, batch, fbank, cfg,
-                                           np.random.default_rng(0))
+    loss, _ = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                           fbank, cfg, np.random.default_rng(0))
     Q = model.encode_project_batch(params, batch.inputs)
     want = 0.0
     for i, sid in enumerate(batch.ids):
@@ -111,12 +115,15 @@ def test_contrastive_grad_matches_finite_differences():
         rng = np.random.default_rng(99)
 
         def loss_at(flat):
-            l, _ = contrastive.contrastive_grad(params.unflatten(flat), batch,
-                                                fbank, cfg, rng)
+            moved = model.ModelParams(params.config, flat)
+            l, _ = contrastive.contrastive_grad(
+                moved, model.forward(moved, batch.inputs), batch.ids, fbank,
+                cfg, rng)
             return l
 
-        _, g = contrastive.contrastive_grad(params, batch, fbank, cfg, rng)
-        flat = params.flatten()
+        _, g = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                            fbank, cfg, rng)
+        flat = params.flat.copy()
         coords = np.random.default_rng(trial).choice(params.num_params,
                                                      size=40, replace=False)
         h = 1e-6
@@ -130,8 +137,8 @@ def test_contrastive_grad_matches_finite_differences():
 def test_contrastive_grad_classifier_blocks_zero():
     params, batch, fbank = make_setup(30)
     cfg = contrastive.ContrastiveConfig(use_full_bank=True)
-    _, g = contrastive.contrastive_grad(params, batch, fbank, cfg,
-                                        np.random.default_rng(0))
+    _, g = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                        fbank, cfg, np.random.default_rng(0))
     slices = params.block_slices()
     assert np.all(g[slices["cls_w"]] == 0.0)
     assert np.all(g[slices["cls_b"]] == 0.0)
@@ -144,26 +151,26 @@ def test_bank_keys_receive_no_gradient():
     # identical keys but different array objects agree exactly
     params, batch, fbank = make_setup(40)
     cfg = contrastive.ContrastiveConfig(use_full_bank=True)
-    _, g1 = contrastive.contrastive_grad(params, batch, fbank, cfg,
-                                         np.random.default_rng(0))
+    _, g1 = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                         fbank, cfg, np.random.default_rng(0))
     clone = bank.FeatureBank(embed_dim=fbank.embed_dim, ids=list(fbank.ids),
                              keys=fbank.keys.copy(), origins=list(fbank.origins))
-    _, g2 = contrastive.contrastive_grad(params, batch, clone, cfg,
-                                         np.random.default_rng(0))
+    _, g2 = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                         clone, cfg, np.random.default_rng(0))
     np.testing.assert_array_equal(g1, g2)
 
 
 def test_sampled_negatives_use_rng_stream():
     params, batch, fbank = make_setup(50)
     cfg = contrastive.ContrastiveConfig(temperature=0.2, negatives=5)
-    l1, g1 = contrastive.contrastive_grad(params, batch, fbank, cfg,
-                                          np.random.default_rng(7))
-    l2, g2 = contrastive.contrastive_grad(params, batch, fbank, cfg,
-                                          np.random.default_rng(7))
+    l1, g1 = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                          fbank, cfg, np.random.default_rng(7))
+    l2, g2 = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                          fbank, cfg, np.random.default_rng(7))
     assert l1 == l2
     np.testing.assert_array_equal(g1, g2)
-    l3, _ = contrastive.contrastive_grad(params, batch, fbank, cfg,
-                                         np.random.default_rng(8))
+    l3, _ = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                         fbank, cfg, np.random.default_rng(8))
     assert l1 != l3
 
 
@@ -172,6 +179,15 @@ def test_empty_batch_rejected():
     empty = model.Batch(ids=[], inputs=np.zeros((0, 2)),
                         labels=np.zeros(0, dtype=np.int64), origins=[])
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(params, empty, fbank,
+        contrastive.contrastive_grad(params, model.forward(params, empty.inputs),
+                                     empty.ids, fbank,
                                      contrastive.ContrastiveConfig(),
+                                     np.random.default_rng(0))
+
+
+def test_ids_must_match_forward_rows():
+    params, batch, fbank = make_setup(70)
+    with pytest.raises(DimensionError):
+        contrastive.contrastive_grad(params, fw(params, batch), batch.ids[:-1],
+                                     fbank, contrastive.ContrastiveConfig(),
                                      np.random.default_rng(0))

@@ -241,6 +241,20 @@ def test_project_n_dual_ascent_path():
     assert u.shape == (n,) and u.min() >= 0.0
 
 
+def test_solve_gram_residual_check():
+    # one batched call: a singular inconsistent system has no solution and
+    # must come back NaN; a singular consistent one and a regular one solve
+    G = np.array([[[1.0, 1.0], [1.0, 1.0]],
+                  [[1.0, 1.0], [1.0, 1.0]],
+                  [[2.0, 1.0], [1.0, 3.0]]])
+    rhs = np.array([[1.0, 2.0], [1.0, 1.0], [1.0, 2.0]])
+    u = gp._solve_gram(G, rhs)
+    assert np.all(np.isnan(u[0]))
+    assert np.all(np.isfinite(u[1]))
+    np.testing.assert_allclose(G[1] @ u[1], rhs[1], atol=1e-12)
+    np.testing.assert_allclose(u[2], np.linalg.solve(G[2], rhs[2]), rtol=1e-12)
+
+
 def test_project_n_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         gp.project_n(np.zeros(3), np.zeros((2, 4)))

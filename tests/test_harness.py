@@ -91,7 +91,8 @@ def test_evaluate_tie_break_picks_first_class():
     domains = tiny_domains()
     cfg = model.ModelConfig(input_dim=2, n_classes=3, hidden_dim=8,
                             proj_hidden_dim=8, embed_dim=4)
-    params = model.zeros_like_params(model.init_params(cfg, np.random.default_rng(0)))
+    params = model.ModelParams(
+        cfg, np.zeros(model.init_params(cfg, np.random.default_rng(0)).num_params))
     # all-zero weights give identical logits; argmax must resolve to class 0
     accs = harness.evaluate(params, [domains[0].holdout])
     want = float(np.mean(domains[0].holdout.y == 0))
@@ -284,14 +285,18 @@ def test_memory_grads_mix_to_pooled_cross_entropy():
     batch = model.Batch(ids=[f"m{i}" for i in range(7)], inputs=X,
                         labels=domains[1].train.y[:7], origins=origins)
     mem_sel = list(range(7))
-    loss, g_dm, g_mem = harness._memory_grads(params, batch, mem_sel)
+    loss, g_dm, g_mem = harness._memory_grads(params, model.forward(params, X),
+                                              batch, mem_sel)
     want_loss, want_g = model.ce_loss_and_grad(params, batch)
     assert g_mem.shape == (2, params.num_params)
     np.testing.assert_allclose(loss, want_loss, rtol=1e-12)
     np.testing.assert_allclose(g_dm, want_g, rtol=1e-10, atol=1e-14)
     for row, d in zip(g_mem, (1, 2)):
         sel = [i for i in mem_sel if origins[i] == model.origin_memory(d)]
-        _, g_d = model.ce_loss_and_grad(params, harness._sub_batch(batch, sel))
+        sub = model.Batch(ids=[batch.ids[i] for i in sel], inputs=X[sel],
+                          labels=batch.labels[sel],
+                          origins=[origins[i] for i in sel])
+        _, g_d = model.ce_loss_and_grad(params, sub)
         np.testing.assert_array_equal(row, g_d)
 
 
@@ -360,12 +365,10 @@ def test_warm_projector_improves_objective_without_losing_source():
     def source_nce(p):
         """Warm-phase objective against the embeddings' own snapshot bank."""
         fb = bank.init_bank(p, [(src.ids, src.X, model.ORIGIN_SOURCE)])
-        batch = model.Batch(ids=src.ids, inputs=src.X, labels=src.y,
-                            origins=[model.ORIGIN_SOURCE] * len(src))
         ccfg = contrastive.ContrastiveConfig(temperature=plan.temperature,
                                              use_full_bank=True)
-        loss, _ = contrastive.contrastive_grad(p, batch, fb, ccfg,
-                                               np.random.default_rng(0))
+        loss, _ = contrastive.contrastive_grad(p, model.forward(p, src.X), src.ids,
+                                               fb, ccfg, np.random.default_rng(0))
         return loss
 
     assert source_nce(warmed) < source_nce(params)
@@ -381,3 +384,44 @@ def test_run_plan_rejects_trivial_sequences():
                                     per_class=20), 1, np.random.default_rng(0))]
     with pytest.raises(ContractViolationError):
         harness.run_plan(mixed, tiny_plan(harness.GRCL))
+
+
+def test_two_forward_passes_per_iteration(monkeypatch):
+    # one forward before each step feeds the contrastive, source and
+    # per-domain memory gradients; one after it refreshes the bank
+    domains = tiny_domains(n_domains=4)
+    forwards, step_marks, phases = [0], [], []
+    real_forward, real_step = model.forward, model.sgd_step
+
+    def counting_forward(*args, **kwargs):
+        forwards[0] += 1
+        return real_forward(*args, **kwargs)
+
+    def marking_step(*args):
+        step_marks.append(forwards[0])
+        return real_step(*args)
+
+    def phase(fn):
+        def wrapped(*args):
+            f0, s0 = forwards[0], len(step_marks)
+            out = fn(*args)
+            phases.append((fn.__name__, forwards[0] - f0, step_marks[s0:]))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    monkeypatch.setattr(model, "sgd_step", marking_step)
+    monkeypatch.setattr(harness, "warm_projector", phase(harness.warm_projector))
+    monkeypatch.setattr(harness, "adapt_domain", phase(harness.adapt_domain))
+    res = harness.run_plan(domains, tiny_plan(harness.GRCL))
+
+    assert [name for name, _, _ in phases] == ["warm_projector"] + ["adapt_domain"] * 3
+    # domains 2 and 3 draw memory rows into every batch
+    assert all(math.isfinite(row["loss_mem"])
+               for row in res.diagnostics if row["domain"] > 1)
+    for name, _, marks in phases:
+        assert len(marks) > 1
+        assert np.all(np.diff(marks) == 2), name
+    # the warm-up adds only the bank snapshot of its one source pool
+    _, total, marks = phases[0]
+    assert total == 1 + 2 * len(marks)

@@ -32,17 +32,23 @@ def test_param_shapes_and_count():
     assert p.cls_w.shape == (3, 5)
     want = 5 * 2 + 5 + 5 * 5 + 5 + 4 * 5 + 4 + 3 * 4 + 3 + 3 * 5 + 3
     assert p.num_params == want
-    assert p.flatten().shape == (want,)
+    assert p.flat.copy().shape == (want,)
 
 
 def test_flatten_unflatten_roundtrip():
     p = make_params(3)
-    flat = p.flatten()
-    q = p.unflatten(flat)
+    flat = p.flat.copy()
+    q = model.ModelParams(p.config, flat)
     for f in ("enc1_w", "enc2_b", "proj1_w", "proj2_w", "cls_w", "cls_b"):
         np.testing.assert_array_equal(getattr(p, f), getattr(q, f))
+        # every block is a read-only view of the one flat vector
+        assert np.shares_memory(getattr(q, f), q.flat)
+        assert not getattr(q, f).flags.writeable
+    # the params own a copy: the caller's vector stays theirs
+    flat[0] += 1.0
+    assert q.flat[0] == p.flat[0]
     with pytest.raises(DimensionError):
-        p.unflatten(flat[:-1])
+        model.ModelParams(p.config, flat[:-1])
 
 
 def test_block_slices_partition_the_flat_vector():
@@ -53,7 +59,7 @@ def test_block_slices_partition_the_flat_vector():
         covered[s] += 1
     assert np.all(covered == 1)
     # each slice reproduces its own block
-    flat = p.flatten()
+    flat = p.flat.copy()
     np.testing.assert_array_equal(flat[slices["cls_b"]], p.cls_b)
     np.testing.assert_array_equal(flat[slices["enc1_w"]], p.enc1_w.ravel())
 
@@ -67,7 +73,7 @@ def test_init_bounds_and_zero_biases():
     assert np.all(p.enc1_b == 0) and np.all(p.cls_b == 0)
     # seeded determinism
     q = make_params(9, cfg)
-    np.testing.assert_array_equal(p.flatten(), q.flatten())
+    np.testing.assert_array_equal(p.flat.copy(), q.flat.copy())
 
 
 def test_batch_rejects_labeled_target_and_unlabeled_source():
@@ -144,10 +150,10 @@ def test_ce_grad_matches_finite_differences():
         batch = labeled_batch(rng, p, n=5)
 
         def loss_at(flat):
-            return model.ce_loss_and_grad(p.unflatten(flat), batch)[0]
+            return model.ce_loss_and_grad(model.ModelParams(p.config, flat), batch)[0]
 
         _, g = model.ce_loss_and_grad(p, batch)
-        flat = p.flatten()
+        flat = p.flat.copy()
         coords = rng.choice(p.num_params, size=40, replace=False)
         fd = _fd_grad(loss_at, flat, coords)
         for j, v in fd.items():
@@ -174,11 +180,11 @@ def test_embedding_backward_matches_finite_differences():
         C = rng.standard_normal((4, p.config.embed_dim))
 
         def loss_at(flat):
-            Q = model.encode_project_batch(p.unflatten(flat), X)
+            Q = model.encode_project_batch(model.ModelParams(p.config, flat), X)
             return float((C * Q).sum())
 
-        g = model.embedding_backward(p, X, C)
-        flat = p.flatten()
+        g = model.embedding_grad(p, model.forward(p, X), C)
+        flat = p.flat.copy()
         coords = rng.choice(p.num_params, size=40, replace=False)
         fd = _fd_grad(loss_at, flat, coords)
         for j, v in fd.items():
@@ -188,8 +194,8 @@ def test_embedding_backward_matches_finite_differences():
 def test_embedding_backward_classifier_blocks_exactly_zero():
     p = make_params(51)
     rng = np.random.default_rng(52)
-    g = model.embedding_backward(p, rng.standard_normal((3, 2)),
-                                 rng.standard_normal((3, 3)))
+    g = model.embedding_grad(p, model.forward(p, rng.standard_normal((3, 2))),
+                             rng.standard_normal((3, 3)))
     slices = p.block_slices()
     assert np.all(g[slices["cls_w"]] == 0.0)
     assert np.all(g[slices["cls_b"]] == 0.0)
@@ -202,7 +208,7 @@ def test_normalization_backward_kills_radial_component():
     rng = np.random.default_rng(62)
     X = rng.standard_normal((5, 2))
     Q = model.encode_project_batch(p, X)
-    g = model.embedding_backward(p, X, 3.7 * Q)
+    g = model.embedding_grad(p, model.forward(p, X), 3.7 * Q)
     np.testing.assert_allclose(g, np.zeros_like(g), atol=1e-12)
 
 
@@ -210,9 +216,39 @@ def test_sgd_step_arithmetic():
     p = make_params(71)
     w = np.ones(p.num_params)
     q = model.sgd_step(p, w, 0.25)
-    np.testing.assert_allclose(q.flatten(), p.flatten() - 0.25, atol=1e-15)
+    np.testing.assert_allclose(q.flat.copy(), p.flat.copy() - 0.25, atol=1e-15)
     with pytest.raises(DimensionError):
         model.sgd_step(p, np.ones(3), 0.1)
+
+
+def test_sgd_step_leaves_old_params_untouched():
+    p = make_params(72)
+    before = p.flat.copy()
+    q = model.sgd_step(p, np.ones(p.num_params), 0.5)
+    np.testing.assert_array_equal(p.flat, before)
+    assert not np.shares_memory(p.flat, q.flat)
+    with pytest.raises(ValueError):
+        p.flat[0] = 0.0
+
+
+def test_ce_grad_on_row_subset_matches_sub_batch():
+    # one forward over the whole batch serves the cross-entropy of any
+    # subset of its rows
+    rng = np.random.default_rng(73)
+    for trial in range(5):
+        p = make_params(300 + trial)
+        batch = labeled_batch(rng, p, n=12)
+        fw = model.forward(p, batch.inputs)
+        sel = np.sort(rng.choice(12, size=int(rng.integers(1, 12)), replace=False))
+        loss, g = model.ce_grad(p, fw.rows(sel), batch.labels[sel])
+        sub = model.Batch(ids=[batch.ids[i] for i in sel], inputs=batch.inputs[sel],
+                          labels=batch.labels[sel],
+                          origins=[batch.origins[i] for i in sel])
+        want_loss, want_g = model.ce_loss_and_grad(p, sub)
+        assert abs(loss - want_loss) <= 1e-12
+        np.testing.assert_allclose(g, want_g, rtol=0, atol=1e-12)
+    with pytest.raises(DimensionError):
+        model.ce_grad(p, fw, batch.labels[:3])
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -221,7 +257,7 @@ def test_checkpoint_roundtrip(tmp_path):
     model.save_checkpoint(p, path)
     q = model.load_checkpoint(path)
     assert q.config == p.config
-    np.testing.assert_array_equal(q.flatten(), p.flatten())
+    np.testing.assert_array_equal(q.flat.copy(), p.flat.copy())
 
 
 def test_checkpoint_version_checked(tmp_path):

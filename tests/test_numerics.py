@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from contda.errors import DegenerateInputError, DimensionError, NumericError
-from contda.numerics import (as_vector, dot, l2_normalize, log_softmax,
-                             log_softmax_rows, require_finite)
+from contda.errors import DimensionError, NumericError
+from contda.numerics import as_vector, log_softmax, log_softmax_rows, require_finite
 
 NTRIES = 200
 
@@ -26,38 +25,6 @@ def test_require_finite_rejects_nan_and_inf():
         require_finite(np.array([1.0, np.nan]), "x")
     with pytest.raises(NumericError):
         require_finite(np.array([np.inf]), "x")
-
-
-def test_dot_matches_fsum_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(NTRIES):
-        n = rng.integers(1, 40)
-        a = rng.standard_normal(n)
-        b = rng.standard_normal(n)
-        want = math.fsum(float(x) * float(y) for x, y in zip(a, b))
-        assert abs(dot(a, b) - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_dot_rejects_length_mismatch():
-    with pytest.raises(DimensionError):
-        dot(np.zeros(3), np.zeros(4))
-
-
-def test_l2_normalize_unit_norm_and_direction():
-    rng = np.random.default_rng(11)
-    for _ in range(NTRIES):
-        v = rng.standard_normal(rng.integers(1, 20))
-        if np.linalg.norm(v) == 0.0:
-            continue
-        u = l2_normalize(v)
-        np.testing.assert_allclose(np.linalg.norm(u), 1.0, rtol=0, atol=1e-12)
-        # same direction: u scaled back recovers v
-        np.testing.assert_allclose(u * np.linalg.norm(v), v, rtol=1e-12, atol=1e-12)
-
-
-def test_l2_normalize_zero_vector_raises():
-    with pytest.raises(DegenerateInputError):
-        l2_normalize(np.zeros(5))
 
 
 def _log_softmax_direct(logits):
