@@ -4,7 +4,8 @@ and current-target pools.
 Keys are initialized from a frozen parameter snapshot and thereafter blended
 toward fresh embeddings with a momentum coefficient, then re-normalized so
 every stored key stays on the unit sphere.  The bank is mutated in place by a
-single writer (the adaptation loop); lookups go through an id -> row index map.
+single writer (the adaptation loop); lookups go through an id -> row index map,
+and each query's negatives are drawn as rows of the bank other than its own.
 """
 
 import csv
@@ -47,9 +48,6 @@ class FeatureBank:
             return self._index[sample_id]
         except KeyError:
             raise MissingEntryError(f"sample id {sample_id!r} not in bank") from None
-
-    def key(self, sample_id) -> np.ndarray:
-        return self.keys[self.row_of(sample_id)].copy()
 
 
 def init_bank(params, pools) -> FeatureBank:
@@ -98,27 +96,23 @@ def momentum_update(bank: FeatureBank, sample_ids, embeddings,
     return bank
 
 
-def draw_negatives(bank: FeatureBank, sample_id, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Sample `count` distinct bank keys uniformly, excluding the sample's own.
+def negative_rows(bank: FeatureBank, own: np.ndarray, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """For each bank row in own, `count` distinct other rows drawn uniformly.
 
-    Raises when the bank has fewer than count other entries.
+    Row i of the result is rng.choice(N - 1, count, replace=False) with every
+    index at or past own[i] shifted up by one: the same rows, from the same
+    stream, as a draw among the bank's rows with own[i] deleted.  Raises when
+    the bank has fewer than count other entries.
     """
-    own = bank.row_of(sample_id)
     n = len(bank)
     if n - 1 < count:
         raise InsufficientNegativesError(
             f"bank holds {n - 1} candidate negatives, need {count}")
-    candidates = np.delete(np.arange(n), own)
-    chosen = rng.choice(candidates, size=count, replace=False)
-    return bank.keys[chosen].copy()
-
-
-def negatives_full(bank: FeatureBank, sample_id) -> np.ndarray:
-    """Every key except the sample's own, in bank order."""
-    own = bank.row_of(sample_id)
-    rows = np.delete(np.arange(len(bank)), own)
-    return bank.keys[rows].copy()
+    rows = np.empty((len(own), count), dtype=np.int64)
+    for i in range(len(own)):
+        rows[i] = rng.choice(n - 1, size=count, replace=False)
+    return rows + (rows >= own[:, None])
 
 
 def export_bank_csv(bank: FeatureBank, path) -> None:

@@ -62,10 +62,10 @@ class AdaptationPlan:
     hidden_dim: int = 64
     proj_hidden_dim: int = 64
     embed_dim: int = 16
-    # plan-level default is softer than the module default: at embed_dim 16
-    # with 64 negatives the sharp temperature saturates the softmax early
+    # softer than the common 0.07: at embed_dim 16 with 64 negatives the
+    # sharp temperature saturates the softmax early
     temperature: float = 0.2
-    negatives: int = contrastive_mod.DEFAULT_NEGATIVES
+    negatives: int = 64
     bank_momentum: float = bank_mod.DEFAULT_MOMENTUM
     memory_capacity: int = memory_mod.DEFAULT_CAPACITY
     seed: int = 0
@@ -83,6 +83,14 @@ class AdaptationPlan:
             raise ContractViolationError("batch size too small to compose")
         if self.lr <= 0.0 or self.pretrain_lr <= 0.0:
             raise ContractViolationError("learning rates must be positive")
+        if not self.temperature > 0.0:
+            raise ContractViolationError("temperature must be positive")
+        if self.negatives < 0:
+            raise ContractViolationError("negatives must be non-negative")
+        if not 0.0 <= self.bank_momentum <= 1.0:
+            raise ContractViolationError("bank momentum must lie in [0, 1]")
+        if self.memory_capacity < 1:
+            raise ContractViolationError("memory capacity must be at least 1")
 
 
 @dataclass
@@ -207,8 +215,6 @@ def warm_projector(params, source_train, plan, rng):
     n = len(source_train)
     fbank = bank_mod.init_bank(
         params, [(source_train.ids, source_train.X, ORIGIN_SOURCE)])
-    ccfg = contrastive_mod.ContrastiveConfig(
-        temperature=plan.temperature, negatives=plan.negatives)
     iters = math.ceil(n / plan.batch_size)
     total = plan.warm_epochs * iters
     step = 0
@@ -221,8 +227,9 @@ def warm_projector(params, source_train, plan, rng):
                           labels=source_train.y[idx],
                           origins=[ORIGIN_SOURCE] * idx.size)
             fw = model_mod.forward(params, batch.inputs)
-            _, g_t = contrastive_mod.contrastive_grad(params, fw, batch.ids,
-                                                      fbank, ccfg, rng)
+            _, g_t = contrastive_mod.contrastive_grad(
+                params, fw, batch.ids, fbank, plan.temperature, plan.negatives,
+                rng)
             _, g_s = model_mod.ce_grad(params, fw, batch.labels)
             w, _, _ = project_step(g_t, g_s)
             params = model_mod.sgd_step(params, w,
@@ -256,36 +263,31 @@ def _draw(rng, pool_size, count):
     return rng.choice(pool_size, size=count, replace=count > pool_size)
 
 
-def _compose_batch(source_train, memories, target_train, counts, rng):
-    n_s, n_m, n_t = counts
-    ids, rows, labels, origins = [], [], [], []
+def _batch_pool(parts):
+    """Concatenate (ids, inputs, labels, origin) parts, the source first,
+    then each memory, then the target, into the (ids, inputs, labels,
+    origins) arrays a batch is gathered from.  Returns them with the sizes
+    of the source, all memories together and the target."""
+    lengths = [len(p[0]) for p in parts]
+    pool = (np.array([sid for p in parts for sid in p[0]], dtype=object),
+            np.concatenate([p[1] for p in parts]),
+            np.concatenate([p[2] for p in parts]),
+            np.repeat(np.array([p[3] for p in parts], dtype=object), lengths))
+    return pool, (lengths[0], sum(lengths[1:-1]), lengths[-1])
 
-    for j in _draw(rng, len(source_train), n_s):
-        ids.append(source_train.ids[j])
-        rows.append(source_train.X[j])
-        labels.append(int(source_train.y[j]))
-        origins.append(ORIGIN_SOURCE)
 
-    if n_m:
-        flat = [(m, i) for m in memories for i in range(len(m))]
-        for j in _draw(rng, len(flat), n_m):
-            m, i = flat[j]
-            ids.append(m.ids[i])
-            rows.append(m.inputs[i])
-            labels.append(int(m.labels[i]))
-            origins.append(origin_memory(m.domain_index))
-
-    for j in _draw(rng, len(target_train), n_t):
-        ids.append(target_train.ids[j])
-        rows.append(target_train.X[j])
-        labels.append(-1)
-        origins.append(ORIGIN_TARGET)
-
-    batch = Batch(ids=ids, inputs=np.stack(rows), labels=np.array(labels),
-                  origins=origins)
-    src_sel = [i for i, o in enumerate(batch.origins) if o == ORIGIN_SOURCE]
-    mem_sel = [i for i, o in enumerate(batch.origins) if o.startswith("memory:")]
-    return batch, src_sel, mem_sel
+def _compose_batch(pool, sizes, counts, rng):
+    """Draw counts[i] samples from part i of the pool (source, memories,
+    target); returns the batch and the batch rows of its source and memory
+    samples."""
+    ids, inputs, labels, origins = pool
+    starts = np.cumsum((0,) + sizes[:-1])
+    idx = np.concatenate([start + _draw(rng, size, count)
+                          for start, size, count in zip(starts, sizes, counts)])
+    batch = Batch(ids=ids[idx].tolist(), inputs=inputs[idx],
+                  labels=labels[idx], origins=origins[idx].tolist())
+    n_s, n_m, _ = counts
+    return batch, list(range(n_s)), list(range(n_s, n_s + n_m))
 
 
 def _memory_grads(params, fw, batch, mem_sel):
@@ -350,26 +352,27 @@ def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
     target_train = domains[t].train
     batch_rng, neg_rng, kmeans_rng = streams
 
-    pools = [(source_train.ids, source_train.X, ORIGIN_SOURCE)]
-    for m in memories:
-        pools.append((m.ids, m.inputs, origin_memory(m.domain_index)))
-    pools.append((target_train.ids, target_train.X, ORIGIN_TARGET))
-    fbank = bank_mod.init_bank(params, pools)
-
+    parts = ([(source_train.ids, source_train.X, source_train.y, ORIGIN_SOURCE)]
+             + [(m.ids, m.inputs, m.labels, origin_memory(m.domain_index))
+                for m in memories]
+             + [(target_train.ids, target_train.X,
+                 np.full(len(target_train), -1), ORIGIN_TARGET)])
+    fbank = bank_mod.init_bank(params, [(ids, X, origin)
+                                        for ids, X, _, origin in parts])
+    pool, sizes = _batch_pool(parts)
     counts = _compose_counts(plan, len(memories) > 0)
-    ccfg = contrastive_mod.ContrastiveConfig(
-        temperature=plan.temperature, negatives=plan.negatives)
     iters = math.ceil(len(target_train) / counts[2])
     total = plan.epochs_per_domain * iters
 
     step = 0
     for epoch in range(plan.epochs_per_domain):
         for _ in range(iters):
-            batch, src_sel, mem_sel = _compose_batch(
-                source_train, memories, target_train, counts, batch_rng)
+            batch, src_sel, mem_sel = _compose_batch(pool, sizes, counts,
+                                                     batch_rng)
             fw = model_mod.forward(params, batch.inputs)
             loss_con, g_t = contrastive_mod.contrastive_grad(
-                params, fw, batch.ids, fbank, ccfg, neg_rng)
+                params, fw, batch.ids, fbank, plan.temperature, plan.negatives,
+                neg_rng)
             loss_src, g_s = model_mod.ce_grad(
                 params, fw.rows(src_sel), batch.labels[src_sel])
             g_mem = None

@@ -8,7 +8,7 @@ The benchmark-level checks (forgetting margins, ablation ordering, source
 preservation) share a module-scoped set of runs: every strategy plus a
 grid of fixed-weight baselines, on the reference preset, over five seeds
 that were never used while tuning plan defaults. Expect the full module
-to take about seven minutes on one core.
+to take six to seven minutes on one core.
 """
 
 import json
@@ -210,16 +210,14 @@ def test_analytic_gradients_match_finite_differences():
             fbank = FeatureBank(embed_dim=config.embed_dim, ids=list(ids),
                                 keys=keys.copy(),
                                 origins=["target"] * n)
-            cfg = contrastive.ContrastiveConfig(temperature=0.2,
-                                                use_full_bank=True)
 
             def loss_fn(p):
                 return contrastive.contrastive_grad(
-                    p, model_mod.forward(p, X), ids, fbank, cfg,
+                    p, model_mod.forward(p, X), ids, fbank, 0.2, n - 1,
                     np.random.default_rng(0))[0]
 
             grad = contrastive.contrastive_grad(
-                params, model_mod.forward(params, X), ids, fbank, cfg,
+                params, model_mod.forward(params, X), ids, fbank, 0.2, n - 1,
                 np.random.default_rng(0))[1].flatten()
         coords = rng.choice(len(grad), size=64, replace=False)
         fd = _fd_loss(loss_fn, params, coords)

@@ -88,6 +88,10 @@ def test_validate_config_rejects_bad_plan_settings():
     with pytest.raises(cli.ConfigError, match="invalid plan settings"):
         cli.validate_config({**ok, "ratio_source": 0.9, "ratio_memory": 0.9,
                              "ratio_target": 0.2})
+    for bad in ({"temperature": -0.2}, {"temperature": 0}, {"negatives": -1},
+                {"memory_capacity": 0}, {"bank_momentum": 1.5}):
+        with pytest.raises(cli.ConfigError, match="invalid plan settings"):
+            cli.validate_config({**ok, **bad})
 
 
 def test_derive_seeds_deterministic_and_distinct():

@@ -7,16 +7,6 @@ from contda import bank, contrastive, model
 from contda.errors import DimensionError
 
 
-def unit(v):
-    v = np.asarray(v, dtype=np.float64)
-    return v / np.linalg.norm(v)
-
-
-def unit_rows(rng, n, d):
-    M = rng.standard_normal((n, d))
-    return M / np.linalg.norm(M, axis=1, keepdims=True)
-
-
 def nce_direct(query, positive, negatives, tau):
     """Route through explicit exponentials with fsum, no shared code."""
     sims = [float(positive @ query) / tau] + [float(k @ query) / tau
@@ -24,54 +14,6 @@ def nce_direct(query, positive, negatives, tau):
     m = max(sims)
     z = math.fsum(math.exp(s - m) for s in sims)
     return -(sims[0] - m - math.log(z))
-
-
-def test_nce_matches_direct_formula():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        d = rng.integers(2, 8)
-        q = unit(rng.standard_normal(d))
-        pos = unit(rng.standard_normal(d))
-        negs = unit_rows(rng, rng.integers(1, 12), d)
-        tau = float(rng.uniform(0.03, 1.0))
-        got = contrastive.nce_loss(q, pos, negs, tau)
-        assert abs(got - nce_direct(q, pos, negs, tau)) < 1e-12
-
-
-def test_nce_zero_without_negatives():
-    rng = np.random.default_rng(1)
-    q = unit(rng.standard_normal(5))
-    assert contrastive.nce_loss(q, unit(rng.standard_normal(5)),
-                                np.zeros((0, 5))) == 0.0
-    assert contrastive.nce_loss(q, q, []) == 0.0
-
-
-def test_nce_perfect_positive_bound():
-    # with q == positive the loss is at most log(1 + n_neg) and decreasing in tau
-    rng = np.random.default_rng(2)
-    q = unit(rng.standard_normal(4))
-    negs = unit_rows(rng, 6, 4)
-    loss = contrastive.nce_loss(q, q, negs, 0.07)
-    assert 0.0 < loss < math.log(7.0)
-
-
-def test_nce_temperature_sharpens():
-    rng = np.random.default_rng(3)
-    q = unit(rng.standard_normal(4))
-    pos = unit(q + 0.1 * rng.standard_normal(4))
-    negs = unit_rows(rng, 8, 4)
-    # closer positive than negatives: smaller tau concentrates mass on it
-    losses = [contrastive.nce_loss(q, pos, negs, t) for t in (0.5, 0.2, 0.05)]
-    assert losses[0] > losses[1] > losses[2]
-
-
-def test_nce_validates_shapes():
-    with pytest.raises(DimensionError):
-        contrastive.nce_loss(np.zeros(3), np.zeros(4), np.zeros((1, 3)))
-    with pytest.raises(DimensionError):
-        contrastive.nce_loss(np.zeros(3), np.zeros(3), np.zeros((1, 4)))
-    with pytest.raises(DimensionError):
-        contrastive.nce_loss(np.zeros(3), np.zeros(3), np.zeros((1, 3)), 0.0)
 
 
 def fw(params, batch):
@@ -94,35 +36,135 @@ def make_setup(seed, n=5):
     return params, batch, fbank
 
 
+def reference_draw(rng, n_bank, own, count):
+    """Reference draw: choose among the bank's rows with own deleted."""
+    return rng.choice(np.delete(np.arange(n_bank), own), size=count,
+                      replace=False)
+
+
+def test_nce_matches_direct_formula():
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        params, batch, fbank = make_setup(int(rng.integers(1000)),
+                                          n=int(rng.integers(1, 6)))
+        count = int(rng.integers(0, len(fbank)))
+        tau = float(rng.uniform(0.03, 1.0))
+        seed = int(rng.integers(1000))
+        loss, _ = contrastive.contrastive_grad(
+            params, fw(params, batch), batch.ids, fbank, tau, count,
+            np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        Q = model.encode_project_batch(params, batch.inputs)
+        want = [nce_direct(Q[i], fbank.keys[i],
+                           fbank.keys[reference_draw(twin, len(fbank), i, count)],
+                           tau)
+                for i in range(len(batch))]
+        assert abs(loss - math.fsum(want) / len(want)) < 1e-12
+
+
+def test_contrastive_grad_matches_per_row_oracle(monkeypatch):
+    # sampled negatives: the draw is rebuilt from a twin generator, and the
+    # gradient w.r.t. each query is sum_j p_j k_j - k_pos, over tau and n
+    seen = []
+    real = model.embedding_grad
+    monkeypatch.setattr(model, "embedding_grad",
+                        lambda p, f, dQ: seen.append(dQ) or real(p, f, dQ))
+    tau, count = 0.2, 5
+    for seed in range(5):
+        params, batch, fbank = make_setup(80 + seed, n=6)
+        forward = fw(params, batch)
+        loss, g = contrastive.contrastive_grad(params, forward, batch.ids, fbank,
+                                               tau, count,
+                                               np.random.default_rng(seed))
+        dQ = seen.pop()
+        twin = np.random.default_rng(seed)
+        Q = forward.embeddings()
+        n = len(batch)
+        losses, want = [], np.zeros_like(Q)
+        for i in range(n):
+            keys = fbank.keys[np.concatenate(
+                ([i], reference_draw(twin, len(fbank), i, count)))]
+            losses.append(nce_direct(Q[i], keys[0], keys[1:], tau))
+            sims = [float(k @ Q[i]) / tau for k in keys]
+            m = max(sims)
+            z = math.fsum(math.exp(v - m) for v in sims)
+            p = np.array([math.exp(v - m) / z for v in sims])
+            want[i] = (p @ keys - keys[0]) / (tau * n)
+        assert abs(loss - math.fsum(losses) / n) < 1e-12
+        np.testing.assert_allclose(dQ, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g, real(params, forward, want),
+                                   rtol=0, atol=1e-12)
+
+
+def test_nce_zero_without_negatives():
+    params, batch, fbank = make_setup(1)
+    loss, g = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                           fbank, 0.2, 0,
+                                           np.random.default_rng(0))
+    assert loss == 0.0
+    assert np.all(g == 0.0)
+
+
+def test_nce_perfect_positive_bound():
+    # a bank built from the same parameters holds key == query, so the loss
+    # is positive and at most log(1 + negatives)
+    params, batch, fbank = make_setup(2)
+    loss, _ = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                           fbank, 0.07, 6,
+                                           np.random.default_rng(0))
+    assert 0.0 < loss < math.log(7.0)
+
+
+def test_nce_temperature_sharpens():
+    # the positive (key == query) beats every negative, so a smaller tau
+    # concentrates mass on it
+    params, batch, fbank = make_setup(3)
+    losses = [contrastive.contrastive_grad(
+        params, fw(params, batch), batch.ids, fbank, t, len(fbank) - 1,
+        np.random.default_rng(0))[0] for t in (0.5, 0.2, 0.05)]
+    assert losses[0] > losses[1] > losses[2]
+
+
+def test_nce_validates_shapes():
+    params, batch, fbank = make_setup(4)
+    narrow = bank.FeatureBank(embed_dim=3, ids=list(fbank.ids),
+                              keys=fbank.keys[:, :3], origins=list(fbank.origins))
+    with pytest.raises(DimensionError):
+        contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
+                                     narrow, 0.2, 3, np.random.default_rng(0))
+
+
 def test_contrastive_loss_matches_per_sample_mean():
     params, batch, fbank = make_setup(10)
-    cfg = contrastive.ContrastiveConfig(temperature=0.2, use_full_bank=True)
     loss, _ = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
-                                           fbank, cfg, np.random.default_rng(0))
+                                           fbank, 0.2, len(fbank) - 1,
+                                           np.random.default_rng(0))
     Q = model.encode_project_batch(params, batch.inputs)
     want = 0.0
     for i, sid in enumerate(batch.ids):
-        want += nce_direct(Q[i], fbank.key(sid),
-                           bank.negatives_full(fbank, sid), 0.2)
+        row = fbank.row_of(sid)
+        want += nce_direct(Q[i], fbank.keys[row],
+                           np.delete(fbank.keys, row, axis=0), 0.2)
     np.testing.assert_allclose(loss, want / len(batch), atol=1e-12)
 
 
 def test_contrastive_grad_matches_finite_differences():
-    # full-bank negatives make the loss a deterministic function of params
+    # full-bank negatives make the loss a deterministic function of params,
+    # up to the order in which the draw lists them
     for trial in range(4):
         params, batch, fbank = make_setup(20 + trial, n=4)
-        cfg = contrastive.ContrastiveConfig(temperature=0.15, use_full_bank=True)
-        rng = np.random.default_rng(99)
+        every = len(fbank) - 1
 
         def loss_at(flat):
             moved = model.ModelParams(params.config, flat)
             l, _ = contrastive.contrastive_grad(
                 moved, model.forward(moved, batch.inputs), batch.ids, fbank,
-                cfg, rng)
+                0.15, every, np.random.default_rng(99))
             return l
 
         _, g = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
-                                            fbank, cfg, rng)
+                                            fbank, 0.15, every,
+                                            np.random.default_rng(99))
         flat = params.flat.copy()
         coords = np.random.default_rng(trial).choice(params.num_params,
                                                      size=40, replace=False)
@@ -136,9 +178,9 @@ def test_contrastive_grad_matches_finite_differences():
 
 def test_contrastive_grad_classifier_blocks_zero():
     params, batch, fbank = make_setup(30)
-    cfg = contrastive.ContrastiveConfig(use_full_bank=True)
     _, g = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
-                                        fbank, cfg, np.random.default_rng(0))
+                                        fbank, 0.07, len(fbank) - 1,
+                                        np.random.default_rng(0))
     slices = params.block_slices()
     assert np.all(g[slices["cls_w"]] == 0.0)
     assert np.all(g[slices["cls_b"]] == 0.0)
@@ -150,27 +192,27 @@ def test_bank_keys_receive_no_gradient():
     # the gradient only depends on keys as constants, so two calls with
     # identical keys but different array objects agree exactly
     params, batch, fbank = make_setup(40)
-    cfg = contrastive.ContrastiveConfig(use_full_bank=True)
     _, g1 = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
-                                         fbank, cfg, np.random.default_rng(0))
+                                         fbank, 0.07, len(fbank) - 1,
+                                         np.random.default_rng(0))
     clone = bank.FeatureBank(embed_dim=fbank.embed_dim, ids=list(fbank.ids),
                              keys=fbank.keys.copy(), origins=list(fbank.origins))
     _, g2 = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
-                                         clone, cfg, np.random.default_rng(0))
+                                         clone, 0.07, len(clone) - 1,
+                                         np.random.default_rng(0))
     np.testing.assert_array_equal(g1, g2)
 
 
 def test_sampled_negatives_use_rng_stream():
     params, batch, fbank = make_setup(50)
-    cfg = contrastive.ContrastiveConfig(temperature=0.2, negatives=5)
     l1, g1 = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
-                                          fbank, cfg, np.random.default_rng(7))
+                                          fbank, 0.2, 5, np.random.default_rng(7))
     l2, g2 = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
-                                          fbank, cfg, np.random.default_rng(7))
+                                          fbank, 0.2, 5, np.random.default_rng(7))
     assert l1 == l2
     np.testing.assert_array_equal(g1, g2)
     l3, _ = contrastive.contrastive_grad(params, fw(params, batch), batch.ids,
-                                         fbank, cfg, np.random.default_rng(8))
+                                         fbank, 0.2, 5, np.random.default_rng(8))
     assert l1 != l3
 
 
@@ -180,8 +222,7 @@ def test_empty_batch_rejected():
                         labels=np.zeros(0, dtype=np.int64), origins=[])
     with pytest.raises(DimensionError):
         contrastive.contrastive_grad(params, model.forward(params, empty.inputs),
-                                     empty.ids, fbank,
-                                     contrastive.ContrastiveConfig(),
+                                     empty.ids, fbank, 0.2, 5,
                                      np.random.default_rng(0))
 
 
@@ -189,5 +230,4 @@ def test_ids_must_match_forward_rows():
     params, batch, fbank = make_setup(70)
     with pytest.raises(DimensionError):
         contrastive.contrastive_grad(params, fw(params, batch), batch.ids[:-1],
-                                     fbank, contrastive.ContrastiveConfig(),
-                                     np.random.default_rng(0))
+                                     fbank, 0.2, 5, np.random.default_rng(0))

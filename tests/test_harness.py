@@ -45,6 +45,11 @@ def test_plan_validation():
         tiny_plan(harness.GRCL, batch_size=2)
     with pytest.raises(ContractViolationError):
         tiny_plan(harness.GRCL, lr=0.0)
+    for bad in ({"temperature": -0.2}, {"temperature": 0.0}, {"negatives": -1},
+                {"bank_momentum": 1.5}, {"bank_momentum": -0.1},
+                {"memory_capacity": 0}):
+        with pytest.raises(ContractViolationError):
+            tiny_plan(harness.GRCL, **bad)
 
 
 def test_accuracy_matrix_contract():
@@ -365,10 +370,9 @@ def test_warm_projector_improves_objective_without_losing_source():
     def source_nce(p):
         """Warm-phase objective against the embeddings' own snapshot bank."""
         fb = bank.init_bank(p, [(src.ids, src.X, model.ORIGIN_SOURCE)])
-        ccfg = contrastive.ContrastiveConfig(temperature=plan.temperature,
-                                             use_full_bank=True)
         loss, _ = contrastive.contrastive_grad(p, model.forward(p, src.X), src.ids,
-                                               fb, ccfg, np.random.default_rng(0))
+                                               fb, plan.temperature, len(fb) - 1,
+                                               np.random.default_rng(0))
         return loss
 
     assert source_nce(warmed) < source_nce(params)
