@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 
 from .errors import (ContdaError, ContractViolationError, DegenerateInputError,
                      DimensionError, InsufficientNegativesError,
-                     MissingEntryError, NumericError)
+                     NumericError)
 
 __all__ = [
     "__version__",
     "ContdaError", "ContractViolationError", "DegenerateInputError",
-    "DimensionError", "InsufficientNegativesError", "MissingEntryError",
-    "NumericError",
+    "DimensionError", "InsufficientNegativesError", "NumericError",
 ]

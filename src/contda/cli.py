@@ -7,6 +7,7 @@ numeric failure.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -22,17 +23,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_PLAN_FIELDS = {
-    "strategy": str,
-    "lambda_source": float, "lambda_memory": float,
-    "pretrain_epochs": int, "warm_epochs": int, "epochs_per_domain": int,
-    "batch_size": int,
-    "ratio_source": float, "ratio_memory": float, "ratio_target": float,
-    "lr": float, "pretrain_lr": float,
-    "hidden_dim": int, "proj_hidden_dim": int, "embed_dim": int,
-    "temperature": float, "negatives": int,
-    "bank_momentum": float, "memory_capacity": int,
-}
+# every plan field but the seed, which each run derives from its root seed
+_PLAN_FIELDS = {f.name: f.type for f in dataclasses.fields(harness.AdaptationPlan)
+                if f.name != "seed"}
 _TOP_FIELDS = {"preset": str, "dataset": str, "output_dir": str,
                "seed": int, "seeds": list, "diagnostics": str}
 _REQUIRED = ("strategy", "output_dir")
@@ -288,20 +281,30 @@ def export_dataset(preset: str, seed: int, out_dir: str) -> None:
 
 
 def import_dataset(path):
+    """Domains of a directory written by export_dataset; a file there that
+    cannot be read or parsed is a ConfigError."""
     try:
         with open(os.path.join(path, "data_manifest.json")) as fh:
             meta = json.load(fh)
+        specs = [datagen.DomainSpec(kind=s["kind"], n_classes=s["n_classes"],
+                                    per_class=s["per_class"],
+                                    rotation_deg=s["rotation_deg"],
+                                    scale=s["scale"],
+                                    translation=tuple(s["translation"]),
+                                    radius=s["radius"], std=s["std"])
+                 for s in meta["specs"]]
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
+    # invalid JSON, a missing field or a spec the data cannot have
+    except (ValueError, KeyError, TypeError, ContdaError) as exc:
+        raise ConfigError(f"malformed dataset manifest: {exc!r}") from exc
     domains = []
-    for i, s in enumerate(meta["specs"]):
-        spec = datagen.DomainSpec(kind=s["kind"], n_classes=s["n_classes"],
-                                  per_class=s["per_class"],
-                                  rotation_deg=s["rotation_deg"], scale=s["scale"],
-                                  translation=tuple(s["translation"]),
-                                  radius=s["radius"], std=s["std"])
-        domains.append(datagen.import_domain_csv(
-            os.path.join(path, f"domain_{i}.csv"), i, spec))
+    for i, spec in enumerate(specs):
+        csv_path = os.path.join(path, f"domain_{i}.csv")
+        try:
+            domains.append(datagen.import_domain_csv(csv_path, i, spec))
+        except (OSError, ValueError, IndexError, csv.Error, ContdaError) as exc:
+            raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
     return domains
 
 

@@ -171,7 +171,7 @@ def import_domain_csv(path, index: int, spec: DomainSpec) -> Domain:
     rows = {"train": ([], [], []), "holdout": ([], [], [])}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["id", "split", "label"]:
             raise DimensionError(f"unexpected domain csv header {header}")
         for row in reader:

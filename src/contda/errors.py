@@ -13,16 +13,12 @@ class DegenerateInputError(ContdaError):
     """Input is structurally valid but degenerate (zero vector, empty set, ...)."""
 
 
-class MissingEntryError(ContdaError):
-    """A requested sample id is not present in the feature bank."""
-
-
 class InsufficientNegativesError(ContdaError):
     """The feature bank is too small for the requested number of negatives."""
 
 
 class ContractViolationError(ContdaError):
-    """A caller-side contract was broken (missing labels, duplicate ids, ...)."""
+    """A caller-side contract was broken (missing labels, bad ratios, ...)."""
 
 
 class NumericError(ContdaError):

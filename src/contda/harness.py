@@ -10,7 +10,9 @@ target domain.  The projector warm-up, crt_sdc and GRCL all take their step
 from project_step, one KKT-guarded call of gradproject.project_n.  Every
 iteration runs two forward passes: one before the step, whose activations
 feed the contrastive gradient and each cross-entropy gradient on its own
-rows, and one after it, whose embeddings refresh the bank.
+rows, and one after it, whose embeddings refresh the bank.  A domain's bank
+and batch pool are built from the same parts in the same order, so a batch's
+pool rows are its bank rows; each pool row carries an integer part code.
 """
 
 import math
@@ -24,7 +26,7 @@ from . import gradproject
 from . import memory as memory_mod
 from . import model as model_mod
 from .errors import ContractViolationError, DegenerateInputError
-from .model import Batch, ModelConfig, ORIGIN_SOURCE, ORIGIN_TARGET, origin_memory
+from .model import Batch, ModelConfig, PART_SOURCE, PART_TARGET
 
 SRC_ONLY = "src_only"
 MULTITASK = "multitask"
@@ -192,10 +194,8 @@ def pretrain_source(params, source_train, plan, rng):
         order = rng.permutation(n)
         for i in range(iters):
             idx = order[i * plan.batch_size:(i + 1) * plan.batch_size]
-            batch = Batch(ids=[source_train.ids[j] for j in idx],
-                          inputs=source_train.X[idx],
-                          labels=source_train.y[idx],
-                          origins=[ORIGIN_SOURCE] * idx.size)
+            batch = Batch(inputs=source_train.X[idx], labels=source_train.y[idx],
+                          parts=np.full(idx.size, PART_SOURCE))
             _, grad = model_mod.ce_loss_and_grad(params, batch)
             params = model_mod.sgd_step(
                 params, grad, _cosine_lr(plan.pretrain_lr, step, total))
@@ -213,8 +213,8 @@ def warm_projector(params, source_train, plan, rng):
     arrives, while the projection keeps source cross-entropy from rising.
     """
     n = len(source_train)
-    fbank = bank_mod.init_bank(
-        params, [(source_train.ids, source_train.X, ORIGIN_SOURCE)])
+    # bank row i holds source sample i, so a batch's indices are its rows
+    fbank = bank_mod.init_bank(params, [source_train.X])
     iters = math.ceil(n / plan.batch_size)
     total = plan.warm_epochs * iters
     step = 0
@@ -222,20 +222,15 @@ def warm_projector(params, source_train, plan, rng):
         order = rng.permutation(n)
         for i in range(iters):
             idx = order[i * plan.batch_size:(i + 1) * plan.batch_size]
-            batch = Batch(ids=[source_train.ids[j] for j in idx],
-                          inputs=source_train.X[idx],
-                          labels=source_train.y[idx],
-                          origins=[ORIGIN_SOURCE] * idx.size)
-            fw = model_mod.forward(params, batch.inputs)
+            fw = model_mod.forward(params, source_train.X[idx])
             _, g_t = contrastive_mod.contrastive_grad(
-                params, fw, batch.ids, fbank, plan.temperature, plan.negatives,
-                rng)
-            _, g_s = model_mod.ce_grad(params, fw, batch.labels)
+                params, fw, idx, fbank, plan.temperature, plan.negatives, rng)
+            _, g_s = model_mod.ce_grad(params, fw, source_train.y[idx])
             w, _, _ = project_step(g_t, g_s)
             params = model_mod.sgd_step(params, w,
                                         _cosine_lr(plan.lr, step, total))
-            fresh = model_mod.encode_project_batch(params, batch.inputs)
-            bank_mod.momentum_update(fbank, batch.ids, fresh, plan.bank_momentum)
+            fresh = model_mod.encode_project_batch(params, fw.X)
+            bank_mod.momentum_update(fbank, idx, fresh, plan.bank_momentum)
             step += 1
     return params
 
@@ -264,30 +259,26 @@ def _draw(rng, pool_size, count):
 
 
 def _batch_pool(parts):
-    """Concatenate (ids, inputs, labels, origin) parts, the source first,
-    then each memory, then the target, into the (ids, inputs, labels,
-    origins) arrays a batch is gathered from.  Returns them with the sizes
-    of the source, all memories together and the target."""
+    """Concatenate (inputs, labels, part code) parts, source first, then each
+    memory, then the target, into the arrays a batch is gathered from; a bank
+    built from the same parts holds pool row i at bank row i.  Returns them
+    with the sizes of the source, all memories together and the target."""
     lengths = [len(p[0]) for p in parts]
-    pool = (np.array([sid for p in parts for sid in p[0]], dtype=object),
+    pool = (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-            np.repeat(np.array([p[3] for p in parts], dtype=object), lengths))
+            np.repeat([p[2] for p in parts], lengths))
     return pool, (lengths[0], sum(lengths[1:-1]), lengths[-1])
 
 
 def _compose_batch(pool, sizes, counts, rng):
     """Draw counts[i] samples from part i of the pool (source, memories,
-    target); returns the batch and the batch rows of its source and memory
-    samples."""
-    ids, inputs, labels, origins = pool
+    target), in that order; returns their pool rows and the batch."""
+    inputs, labels, parts = pool
     starts = np.cumsum((0,) + sizes[:-1])
-    idx = np.concatenate([start + _draw(rng, size, count)
-                          for start, size, count in zip(starts, sizes, counts)])
-    batch = Batch(ids=ids[idx].tolist(), inputs=inputs[idx],
-                  labels=labels[idx], origins=origins[idx].tolist())
-    n_s, n_m, _ = counts
-    return batch, list(range(n_s)), list(range(n_s, n_s + n_m))
+    rows = np.concatenate([start + _draw(rng, size, count)
+                           for start, size, count in zip(starts, sizes, counts)])
+    return rows, Batch(inputs=inputs[rows], labels=labels[rows],
+                       parts=parts[rows])
 
 
 def _memory_grads(params, fw, batch, mem_sel):
@@ -296,14 +287,15 @@ def _memory_grads(params, fw, batch, mem_sel):
 
     Returns the pooled loss and gradient (the size-weighted mix of the
     per-domain terms, equal to the cross-entropy over all memory rows) and
-    the per-domain gradients stacked one row per domain.
+    the per-domain gradients stacked one row per domain, in domain order.
     """
-    groups = {}
-    for i in mem_sel:
-        groups.setdefault(batch.origins[i], []).append(i)
-    shares = np.array([len(sel) / len(mem_sel) for sel in groups.values()])
+    mem_rows = np.arange(len(batch))[mem_sel]
+    _, group, sizes = np.unique(batch.parts[mem_rows], return_inverse=True,
+                                return_counts=True)
+    shares = sizes / mem_rows.size
+    sels = [mem_rows[group == g] for g in range(sizes.size)]
     losses, rows = zip(*(model_mod.ce_grad(params, fw.rows(sel), batch.labels[sel])
-                         for sel in groups.values()))
+                         for sel in sels))
     g_mem = np.stack(rows)
     return float(shares @ np.array(losses)), shares @ g_mem, g_mem
 
@@ -352,31 +344,29 @@ def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
     target_train = domains[t].train
     batch_rng, neg_rng, kmeans_rng = streams
 
-    parts = ([(source_train.ids, source_train.X, source_train.y, ORIGIN_SOURCE)]
-             + [(m.ids, m.inputs, m.labels, origin_memory(m.domain_index))
-                for m in memories]
-             + [(target_train.ids, target_train.X,
-                 np.full(len(target_train), -1), ORIGIN_TARGET)])
-    fbank = bank_mod.init_bank(params, [(ids, X, origin)
-                                        for ids, X, _, origin in parts])
+    parts = ([(source_train.X, source_train.y, PART_SOURCE)]
+             + [(m.inputs, m.labels, m.domain_index) for m in memories]
+             + [(target_train.X, np.full(len(target_train), -1), PART_TARGET)])
+    fbank = bank_mod.init_bank(params, [X for X, _, _ in parts])
     pool, sizes = _batch_pool(parts)
     counts = _compose_counts(plan, len(memories) > 0)
+    n_s, n_m, _ = counts
+    src_sel, mem_sel = slice(0, n_s), slice(n_s, n_s + n_m)
     iters = math.ceil(len(target_train) / counts[2])
     total = plan.epochs_per_domain * iters
 
     step = 0
     for epoch in range(plan.epochs_per_domain):
         for _ in range(iters):
-            batch, src_sel, mem_sel = _compose_batch(pool, sizes, counts,
-                                                     batch_rng)
+            rows, batch = _compose_batch(pool, sizes, counts, batch_rng)
             fw = model_mod.forward(params, batch.inputs)
             loss_con, g_t = contrastive_mod.contrastive_grad(
-                params, fw, batch.ids, fbank, plan.temperature, plan.negatives,
+                params, fw, rows, fbank, plan.temperature, plan.negatives,
                 neg_rng)
             loss_src, g_s = model_mod.ce_grad(
                 params, fw.rows(src_sel), batch.labels[src_sel])
             g_mem = None
-            if not mem_sel:
+            if n_m == 0:
                 loss_mem, g_dm = float("nan"), None
             elif plan.strategy == GRCL:
                 loss_mem, g_dm, g_mem = _memory_grads(params, fw, batch, mem_sel)
@@ -391,7 +381,7 @@ def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
             lr = _cosine_lr(plan.lr, step, total)
             params = model_mod.sgd_step(params, w, lr)
             fresh = model_mod.encode_project_batch(params, batch.inputs)
-            bank_mod.momentum_update(fbank, batch.ids, fresh, plan.bank_momentum)
+            bank_mod.momentum_update(fbank, rows, fresh, plan.bank_momentum)
 
             diagnostics.append({
                 "domain": t, "epoch": epoch, "iteration": step, "lr": lr,

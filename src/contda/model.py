@@ -19,13 +19,10 @@ import numpy as np
 from .errors import ContractViolationError, DegenerateInputError, DimensionError
 from .numerics import log_softmax_rows
 
-# origin tags carried by batch samples
-ORIGIN_SOURCE = "source"
-ORIGIN_TARGET = "target"
-
-
-def origin_memory(domain_index: int) -> str:
-    return f"memory:{domain_index}"
+# part codes carried by batch samples: a sample from the episodic memory of
+# target domain t carries code t >= 1
+PART_SOURCE = 0
+PART_TARGET = -1
 
 
 @dataclass(frozen=True)
@@ -117,28 +114,27 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
 
 @dataclass
 class Batch:
-    """A mini-batch: inputs with per-sample ids, origin tags and optional labels.
+    """A mini-batch: inputs, labels (-1 for "absent") and one part code per
+    sample.
 
-    labels uses -1 for "absent"; source- and memory-tagged samples must be
-    labeled, target-tagged samples must not be.
+    Target samples (PART_TARGET) must be unlabeled, and source and memory
+    samples labeled.
     """
 
-    ids: list
     inputs: np.ndarray
     labels: np.ndarray
-    origins: list
+    parts: np.ndarray
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.parts = np.asarray(self.parts, dtype=np.int64)
         n = self.inputs.shape[0]
-        if not (len(self.ids) == n == self.labels.shape[0] == len(self.origins)):
+        if not n == self.labels.shape[0] == self.parts.shape[0]:
             raise DimensionError("batch fields disagree on sample count")
-        for label, origin in zip(self.labels, self.origins):
-            if origin == ORIGIN_TARGET and label >= 0:
-                raise ContractViolationError("target-tagged sample carries a label")
-            if origin != ORIGIN_TARGET and label < 0:
-                raise ContractViolationError(f"{origin}-tagged sample lacks a label")
+        if np.any((self.labels >= 0) == (self.parts == PART_TARGET)):
+            raise ContractViolationError(
+                "target samples must be unlabeled and all others labeled")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]

@@ -8,7 +8,7 @@ The benchmark-level checks (forgetting margins, ablation ordering, source
 preservation) share a module-scoped set of runs: every strategy plus a
 grid of fixed-weight baselines, on the reference preset, over five seeds
 that were never used while tuning plan defaults. Expect the full module
-to take six to seven minutes on one core.
+to take about three minutes on one core.
 """
 
 import json
@@ -196,28 +196,25 @@ def test_analytic_gradients_match_finite_differences():
         X = rng.normal(size=(n, config.input_dim))
         if trial % 2 == 0:
             y = rng.integers(0, config.n_classes, size=n)
-            batch = model_mod.Batch(ids=[f"s{i}" for i in range(n)],
-                                    inputs=X, labels=y,
-                                    origins=["source"] * n)
+            batch = model_mod.Batch(inputs=X, labels=y,
+                                    parts=np.full(n, model_mod.PART_SOURCE))
 
             def loss_fn(p):
                 return model_mod.ce_loss_and_grad(p, batch)[0]
 
             grad = model_mod.ce_loss_and_grad(params, batch)[1].flatten()
         else:
-            ids = [f"s{i}" for i in range(n)]
+            rows = np.arange(n)
             keys = model_mod.encode_project_batch(params, X)
-            fbank = FeatureBank(embed_dim=config.embed_dim, ids=list(ids),
-                                keys=keys.copy(),
-                                origins=["target"] * n)
+            fbank = FeatureBank(embed_dim=config.embed_dim, keys=keys.copy())
 
             def loss_fn(p):
                 return contrastive.contrastive_grad(
-                    p, model_mod.forward(p, X), ids, fbank, 0.2, n - 1,
+                    p, model_mod.forward(p, X), rows, fbank, 0.2, n - 1,
                     np.random.default_rng(0))[0]
 
             grad = contrastive.contrastive_grad(
-                params, model_mod.forward(params, X), ids, fbank, 0.2, n - 1,
+                params, model_mod.forward(params, X), rows, fbank, 0.2, n - 1,
                 np.random.default_rng(0))[1].flatten()
         coords = rng.choice(len(grad), size=64, replace=False)
         fd = _fd_loss(loss_fn, params, coords)

@@ -1,11 +1,9 @@
-import csv
-
 import numpy as np
 import pytest
 
 from contda import bank, model
 from contda.errors import (DegenerateInputError, DimensionError,
-                           InsufficientNegativesError, MissingEntryError)
+                           InsufficientNegativesError)
 
 
 def unit_rows(rng, n, d):
@@ -14,23 +12,21 @@ def unit_rows(rng, n, d):
 
 
 def make_bank(rng, n=10, d=4):
-    return bank.FeatureBank(embed_dim=d, ids=[f"x{i}" for i in range(n)],
-                            keys=unit_rows(rng, n, d), origins=["target"] * n)
+    return bank.FeatureBank(embed_dim=d, keys=unit_rows(rng, n, d))
 
 
 def test_lookup_and_shape_validation():
     rng = np.random.default_rng(0)
     b = make_bank(rng, n=5, d=3)
     assert len(b) == 5
-    assert b.row_of("x3") == 3
-    with pytest.raises(MissingEntryError):
-        b.row_of("nope")
+    np.testing.assert_array_equal(b.check_rows([3, 0]), [3, 0])
+    for bad in ([5], [-1], [[0, 1]]):
+        with pytest.raises(DimensionError):
+            b.check_rows(bad)
     with pytest.raises(DimensionError):
-        bank.FeatureBank(embed_dim=3, ids=["a"], keys=np.zeros((1, 2)),
-                         origins=["target"])
+        bank.FeatureBank(embed_dim=3, keys=np.zeros((1, 2)))
     with pytest.raises(DimensionError):
-        bank.FeatureBank(embed_dim=2, ids=["a", "a"], keys=np.zeros((2, 2)),
-                         origins=["target", "target"])
+        bank.momentum_update(b, [5], unit_rows(rng, 1, 3))
 
 
 def test_init_bank_uses_frozen_snapshot_embeddings():
@@ -40,13 +36,13 @@ def test_init_bank_uses_frozen_snapshot_embeddings():
     rng = np.random.default_rng(3)
     Xs = rng.standard_normal((4, 2))
     Xt = rng.standard_normal((6, 2))
-    pools = [([f"s{i}" for i in range(4)], Xs, model.ORIGIN_SOURCE),
-             ([f"t{i}" for i in range(6)], Xt, model.ORIGIN_TARGET)]
-    b = bank.init_bank(params, pools)
+    b = bank.init_bank(params, [Xs, Xt])
     assert len(b) == 10
-    assert b.origins[:4] == [model.ORIGIN_SOURCE] * 4
+    # the blocks' rows follow each other in order
     np.testing.assert_allclose(b.keys[:4],
                                model.encode_project_batch(params, Xs), atol=1e-15)
+    np.testing.assert_allclose(b.keys[4:],
+                               model.encode_project_batch(params, Xt), atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(b.keys, axis=1), 1.0, atol=1e-12)
 
 
@@ -54,9 +50,12 @@ def test_init_bank_skips_empty_pools():
     cfg = model.ModelConfig(input_dim=2, n_classes=2, hidden_dim=4,
                             proj_hidden_dim=4, embed_dim=2)
     params = model.init_params(cfg, np.random.default_rng(4))
-    b = bank.init_bank(params, [([], np.zeros((0, 2)), "memory:1"),
-                                (["t0"], np.ones((1, 2)), model.ORIGIN_TARGET)])
-    assert b.ids == ["t0"]
+    b = bank.init_bank(params, [np.zeros((0, 2)), np.ones((1, 2))])
+    assert len(b) == 1
+    np.testing.assert_allclose(
+        b.keys, model.encode_project_batch(params, np.ones((1, 2))), atol=1e-15)
+    with pytest.raises(InsufficientNegativesError):
+        bank.negative_rows(b, [0], 1, np.random.default_rng(0))
 
 
 def test_momentum_update_halfway_blend():
@@ -64,7 +63,7 @@ def test_momentum_update_halfway_blend():
     b = make_bank(rng, n=6, d=4)
     old = b.keys.copy()
     fresh = unit_rows(rng, 2, 4)
-    bank.momentum_update(b, ["x1", "x4"], fresh, momentum=0.5)
+    bank.momentum_update(b, [1, 4], fresh, momentum=0.5)
     for row, q in ((1, fresh[0]), (4, fresh[1])):
         blend = 0.5 * old[row] + 0.5 * q
         np.testing.assert_allclose(b.keys[row], blend / np.linalg.norm(blend),
@@ -79,66 +78,86 @@ def test_momentum_update_edge_coefficients():
     b = make_bank(rng, n=3, d=4)
     old = b.keys.copy()
     fresh = unit_rows(rng, 1, 4)
-    bank.momentum_update(b, ["x0"], fresh, momentum=1.0)
+    bank.momentum_update(b, [0], fresh, momentum=1.0)
     np.testing.assert_allclose(b.keys[0], old[0], atol=1e-12)
-    bank.momentum_update(b, ["x1"], fresh, momentum=0.0)
+    bank.momentum_update(b, [1], fresh, momentum=0.0)
     np.testing.assert_allclose(b.keys[1], fresh[0], atol=1e-12)
     with pytest.raises(DegenerateInputError):
-        bank.momentum_update(b, ["x2"], fresh, momentum=1.5)
+        bank.momentum_update(b, [2], fresh, momentum=1.5)
+    with pytest.raises(DimensionError):
+        bank.momentum_update(b, [0, 1], fresh)
 
 
 def test_momentum_update_antipodal_blend_raises():
     rng = np.random.default_rng(7)
     b = make_bank(rng, n=2, d=3)
     with pytest.raises(DegenerateInputError):
-        bank.momentum_update(b, ["x0"], -b.keys[[0]], momentum=0.5)
+        bank.momentum_update(b, [0], -b.keys[[0]], momentum=0.5)
+
+
+# (bank size, negatives) on each side of the fill-ratio predicate
+SPARSE_SHAPES = ((3600, 64), (200, 10))
+DENSE_SHAPES = ((12, 7), (1300, 512))
+
+
+def test_fill_ratio_predicate_sides():
+    for n, count in SPARSE_SHAPES:
+        assert bank.is_sparse(n, count)
+    for n, count in DENSE_SHAPES:
+        assert not bank.is_sparse(n, count)
 
 
 def test_draw_negatives_excludes_own_key_and_is_distinct():
-    rng = np.random.default_rng(8)
-    b = make_bank(rng, n=12, d=3)
-    own = np.array([5, 0, 11, 5])
-    rows = bank.negative_rows(b, own, 7, np.random.default_rng(9))
-    assert rows.shape == (4, 7)
-    for r, o in zip(rows, own):
-        assert o not in r
-        assert len(set(r)) == 7
-        assert r.min() >= 0 and r.max() < 12
+    for n, count in SPARSE_SHAPES + DENSE_SHAPES:
+        b = make_bank(np.random.default_rng(8), n=n, d=2)
+        own = np.array([5, 0, n - 1, 5, n // 2, 1] * 11)
+        rows = bank.negative_rows(b, own, count, np.random.default_rng(9))
+        assert rows.shape == (own.size, count)
+        assert rows.dtype == np.int64
+        assert rows.min() >= 0 and rows.max() < n
+        assert not np.any(rows == own[:, None])
+        for r in rows:
+            assert len(set(r.tolist())) == count
 
 
 def test_draw_negatives_exhausts_bank():
-    rng = np.random.default_rng(10)
-    b = make_bank(rng, n=4, d=3)
-    rows = bank.negative_rows(b, np.array([2]), 3, np.random.default_rng(11))
-    assert sorted(rows[0]) == [0, 1, 3]
-    with pytest.raises(InsufficientNegativesError):
-        bank.negative_rows(b, np.array([2]), 4, np.random.default_rng(12))
+    # K = N - 1 takes every other row, K = 0 takes none, K >= N raises
+    for n in (4, 9, 40):
+        b = make_bank(np.random.default_rng(10), n=n, d=3)
+        own = np.arange(n)
+        rows = bank.negative_rows(b, own, n - 1, np.random.default_rng(11))
+        for o, r in zip(own, rows):
+            assert sorted(r.tolist()) == [j for j in range(n) if j != o]
+        none = bank.negative_rows(b, own, 0, np.random.default_rng(11))
+        assert none.shape == (n, 0)
+        for count in (n, n + 5):
+            with pytest.raises(InsufficientNegativesError):
+                bank.negative_rows(b, np.array([2]), count,
+                                   np.random.default_rng(12))
 
 
-def test_negative_rows_match_draw_from_deleted_bank():
-    # a shifted draw over N-1 indices consumes the generator exactly like a
-    # draw among the bank's rows with the own row deleted
-    for n in (5, 12, 1300, 3600):
-        b = make_bank(np.random.default_rng(n), n=n, d=2)
-        own = np.array([0, n - 1, n // 2, 1, n - 2, 0])
-        count = min(64, n - 1)
-        gen = np.random.default_rng(n + 1)
-        rows = bank.negative_rows(b, own, count, gen)
-        twin = np.random.default_rng(n + 1)
-        want = [twin.choice(np.delete(np.arange(n), o), size=count, replace=False)
-                for o in own]
-        np.testing.assert_array_equal(rows, np.stack(want))
-        # both generators end in the same state, so later draws agree too
-        assert gen.random() == twin.random()
+def test_negative_columns_are_uniform():
+    # every other row is drawn equally often: no column's count strays more
+    # than 5 binomial standard deviations from its mean over 20,000 queries,
+    # and the own row is never drawn
+    draws = 20_000
+    for n, count in ((3600, 64), (60, 5), (60, 30)):
+        b = make_bank(np.random.default_rng(13), n=n, d=2)
+        own = np.full(draws, n // 3)
+        rows = bank.negative_rows(b, own, count, np.random.default_rng(14))
+        freq = np.bincount(rows.ravel(), minlength=n)
+        assert freq[n // 3] == 0
+        p = count / (n - 1)
+        mean, sd = draws * p, np.sqrt(draws * p * (1 - p))
+        assert np.abs(np.delete(freq, n // 3) - mean).max() < 5 * sd, (n, count)
 
 
-def test_export_csv_roundtrips_exact_floats(tmp_path):
-    rng = np.random.default_rng(14)
-    b = make_bank(rng, n=4, d=3)
-    path = tmp_path / "bank.csv"
-    bank.export_bank_csv(b, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["id", "origin", "k0", "k1", "k2"]
-    got = np.array([[float(v) for v in r[2:]] for r in rows[1:]])
-    np.testing.assert_array_equal(got, b.keys)
+def test_negative_rows_follow_the_generator():
+    b = make_bank(np.random.default_rng(15), n=300, d=2)
+    own = np.arange(0, 300, 7)
+    for count in (10, 200):
+        a = bank.negative_rows(b, own, count, np.random.default_rng(16))
+        c = bank.negative_rows(b, own, count, np.random.default_rng(16))
+        np.testing.assert_array_equal(a, c)
+        d = bank.negative_rows(b, own, count, np.random.default_rng(17))
+        assert not np.array_equal(np.sort(a, axis=1), np.sort(d, axis=1))

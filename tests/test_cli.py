@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -92,6 +93,26 @@ def test_validate_config_rejects_bad_plan_settings():
                 {"memory_capacity": 0}, {"bank_momentum": 1.5}):
         with pytest.raises(cli.ConfigError, match="invalid plan settings"):
             cli.validate_config({**ok, **bad})
+
+
+def test_validate_config_accepts_every_plan_field():
+    # every AdaptationPlan field except the seed is a config key of its
+    # declared type; a value of another type is rejected
+    ok = {"strategy": "grcl", "output_dir": "o", "preset": "rot-blobs-5",
+          "seed": 1}
+    defaults = harness.AdaptationPlan(strategy="grcl")
+    fields = [f for f in dataclasses.fields(harness.AdaptationPlan)
+              if f.name != "seed"]
+    assert sorted(cli._PLAN_FIELDS) == sorted(f.name for f in fields)
+    for f in fields:
+        value = getattr(defaults, f.name)
+        assert type(value) is f.type
+        cfg = cli.validate_config({**ok, f.name: value})
+        assert cfg[f.name] == value and type(cfg[f.name]) is f.type
+        with pytest.raises(cli.ConfigError, match="must be"):
+            cli.validate_config({**ok, f.name: [value]})
+    with pytest.raises(cli.ConfigError, match="unknown config keys"):
+        cli.validate_config({**ok, "seed": 1, "plan_seed": 2})
 
 
 def test_derive_seeds_deterministic_and_distinct():
@@ -205,6 +226,40 @@ def test_run_exit_codes(tmp_path):
     cfg_path = write_cfg(tmp_path / "nodata.json",
                          tiny_cfg(tmp_path / "nope", tmp_path / "o2"))
     assert cli.main(["run", cfg_path]) == 2
+
+
+def test_run_exit_code_malformed_dataset(tmp_path):
+    # a dataset directory that cannot be read is a config error, exit 2
+    def run_on(name, damage):
+        root = write_tiny_dataset(tmp_path / name)
+        damage(os.path.join(root, "data_manifest.json"), root)
+        cfg_path = write_cfg(tmp_path / f"{name}.json",
+                             tiny_cfg(root, tmp_path / f"o_{name}"))
+        return cli.main(["run", cfg_path])
+
+    def rewrite(path, edit):
+        with open(path) as fh:
+            meta = json.load(fh)
+        edit(meta)
+        with open(path, "w") as fh:
+            json.dump(meta, fh)
+
+    def write(path, text):
+        with open(path, "w") as fh:
+            fh.write(text)
+
+    cases = {
+        "bad_json": lambda m, root: write(m, "{not json"),
+        "no_specs": lambda m, root: rewrite(m, lambda meta: meta.pop("specs")),
+        "no_spec_key": lambda m, root: rewrite(
+            m, lambda meta: meta["specs"][1].pop("std")),
+        "missing_csv": lambda m, root: os.remove(os.path.join(root, "domain_2.csv")),
+        "garbled_csv": lambda m, root: write(os.path.join(root, "domain_1.csv"),
+                                             "id,split,label,x0\nd1:0,train,one,0.5\n"),
+        "empty_csv": lambda m, root: write(os.path.join(root, "domain_0.csv"), ""),
+    }
+    for name, damage in cases.items():
+        assert run_on(name, damage) == 2, name
 
 
 def test_run_exit_code_numeric_failure(tmp_path):

@@ -286,9 +286,8 @@ def test_memory_grads_mix_to_pooled_cross_entropy():
                             proj_hidden_dim=8, embed_dim=4)
     params = model.init_params(cfg, np.random.default_rng(0))
     X = domains[1].train.X[:7]
-    origins = [model.origin_memory(d) for d in (1, 2, 1, 1, 2, 1, 2)]
-    batch = model.Batch(ids=[f"m{i}" for i in range(7)], inputs=X,
-                        labels=domains[1].train.y[:7], origins=origins)
+    parts = np.array([1, 2, 1, 1, 2, 1, 2])
+    batch = model.Batch(inputs=X, labels=domains[1].train.y[:7], parts=parts)
     mem_sel = list(range(7))
     loss, g_dm, g_mem = harness._memory_grads(params, model.forward(params, X),
                                               batch, mem_sel)
@@ -297,10 +296,9 @@ def test_memory_grads_mix_to_pooled_cross_entropy():
     np.testing.assert_allclose(loss, want_loss, rtol=1e-12)
     np.testing.assert_allclose(g_dm, want_g, rtol=1e-10, atol=1e-14)
     for row, d in zip(g_mem, (1, 2)):
-        sel = [i for i in mem_sel if origins[i] == model.origin_memory(d)]
-        sub = model.Batch(ids=[batch.ids[i] for i in sel], inputs=X[sel],
-                          labels=batch.labels[sel],
-                          origins=[origins[i] for i in sel])
+        sel = [i for i in mem_sel if parts[i] == d]
+        sub = model.Batch(inputs=X[sel], labels=batch.labels[sel],
+                          parts=parts[sel])
         _, g_d = model.ce_loss_and_grad(params, sub)
         np.testing.assert_array_equal(row, g_d)
 
@@ -369,8 +367,9 @@ def test_warm_projector_improves_objective_without_losing_source():
 
     def source_nce(p):
         """Warm-phase objective against the embeddings' own snapshot bank."""
-        fb = bank.init_bank(p, [(src.ids, src.X, model.ORIGIN_SOURCE)])
-        loss, _ = contrastive.contrastive_grad(p, model.forward(p, src.X), src.ids,
+        fb = bank.init_bank(p, [src.X])
+        loss, _ = contrastive.contrastive_grad(p, model.forward(p, src.X),
+                                               np.arange(len(src)),
                                                fb, plan.temperature, len(fb) - 1,
                                                np.random.default_rng(0))
         return loss

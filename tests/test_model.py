@@ -19,10 +19,9 @@ def make_params(seed=0, config=None):
 def labeled_batch(rng, params, n=6):
     d = params.config.input_dim
     c = params.config.n_classes
-    return model.Batch(ids=[f"s{i}" for i in range(n)],
-                       inputs=rng.standard_normal((n, d)),
+    return model.Batch(inputs=rng.standard_normal((n, d)),
                        labels=rng.integers(0, c, size=n),
-                       origins=[model.ORIGIN_SOURCE] * n)
+                       parts=np.full(n, model.PART_SOURCE))
 
 
 def test_param_shapes_and_count():
@@ -79,17 +78,18 @@ def test_init_bounds_and_zero_biases():
 def test_batch_rejects_labeled_target_and_unlabeled_source():
     X = np.zeros((1, 2))
     with pytest.raises(ContractViolationError):
-        model.Batch(ids=["a"], inputs=X, labels=np.array([2]),
-                    origins=[model.ORIGIN_TARGET])
+        model.Batch(inputs=X, labels=np.array([2]), parts=[model.PART_TARGET])
     with pytest.raises(ContractViolationError):
-        model.Batch(ids=["a"], inputs=X, labels=np.array([-1]),
-                    origins=[model.ORIGIN_SOURCE])
+        model.Batch(inputs=X, labels=np.array([-1]), parts=[model.PART_SOURCE])
+    # a memory sample of target domain 2
     with pytest.raises(ContractViolationError):
-        model.Batch(ids=["a"], inputs=X, labels=np.array([-1]),
-                    origins=[model.origin_memory(2)])
+        model.Batch(inputs=X, labels=np.array([-1]), parts=[2])
     with pytest.raises(DimensionError):
-        model.Batch(ids=["a", "b"], inputs=X, labels=np.array([-1]),
-                    origins=[model.ORIGIN_TARGET])
+        model.Batch(inputs=X, labels=np.array([-1]),
+                    parts=[model.PART_TARGET] * 2)
+    mixed = model.Batch(inputs=np.zeros((3, 2)), labels=np.array([1, -1, 0]),
+                        parts=[model.PART_SOURCE, model.PART_TARGET, 2])
+    assert len(mixed) == 3
 
 
 def test_embeddings_are_unit_norm():
@@ -128,8 +128,8 @@ def test_ce_loss_matches_direct_formula():
 def test_ce_rejects_unlabeled_and_out_of_range():
     p = make_params()
     rng = np.random.default_rng(1)
-    bad = model.Batch(ids=["a"], inputs=rng.standard_normal((1, 2)),
-                      labels=np.array([7]), origins=[model.ORIGIN_SOURCE])
+    bad = model.Batch(inputs=rng.standard_normal((1, 2)), labels=np.array([7]),
+                      parts=[model.PART_SOURCE])
     with pytest.raises(ContractViolationError):
         model.ce_loss_and_grad(p, bad)
 
@@ -241,9 +241,8 @@ def test_ce_grad_on_row_subset_matches_sub_batch():
         fw = model.forward(p, batch.inputs)
         sel = np.sort(rng.choice(12, size=int(rng.integers(1, 12)), replace=False))
         loss, g = model.ce_grad(p, fw.rows(sel), batch.labels[sel])
-        sub = model.Batch(ids=[batch.ids[i] for i in sel], inputs=batch.inputs[sel],
-                          labels=batch.labels[sel],
-                          origins=[batch.origins[i] for i in sel])
+        sub = model.Batch(inputs=batch.inputs[sel], labels=batch.labels[sel],
+                          parts=batch.parts[sel])
         want_loss, want_g = model.ce_loss_and_grad(p, sub)
         assert abs(loss - want_loss) <= 1e-12
         np.testing.assert_allclose(g, want_g, rtol=0, atol=1e-12)
