@@ -19,7 +19,8 @@ from . import model as model_mod
 
 DEFAULT_MOMENTUM = 0.5
 # measured crossover of draw plus kernel cost (64 queries, embed_dim 16): the
-# rejection draw and gathered kernel win below fill 0.10-0.15 at N 300-3,600
+# rejection draw and gathered kernel win below fill 0.13-0.15 at N 1,300-3,600
+# and about 0.18 at N 300, so 1/8 stays on the sparse side's safe margin
 SPARSE_FILL = 0.125
 
 

@@ -36,6 +36,7 @@ import tracer as tracer_mod  # noqa: E402
 from contda import cli  # noqa: E402
 
 REFERENCE = {"preset": "rot-blobs-5", "strategy": "grcl", "seed": 11}
+RUNS = 3  # untraced reference runs behind the median wall time
 ADAPT = "harness.adapt_domain"
 # encoder passes for k-means and class means, once per domain
 PER_DOMAIN_ENCODE = "model.encode_batch"
@@ -116,15 +117,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True,
                         help="names the output file BENCH_<label>.json")
-    parser.add_argument("--runs", type=int, default=3,
-                        help="untraced reference runs behind the median")
     parser.add_argument("--output-dir", default=ROOT,
                         help="directory of the output file")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
         walls = [run_reference(os.path.join(tmp, f"run{i}"))
-                 for i in range(args.runs)]
+                 for i in range(RUNS)]
         tracer = tracer_mod.Tracer(points=wrap_points())
         with tracer.installed():
             traced = run_reference(os.path.join(tmp, "traced"))
