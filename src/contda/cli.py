@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import datagen, harness
-from .errors import ContdaError, ContractViolationError
+from .errors import ContdaError, ContractViolationError, InsufficientNegativesError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,7 +179,11 @@ def run_config(cfg: dict) -> list:
     for seed in seeds:
         domains = load_domains(cfg, seed)
         plan = build_plan(cfg, seed)
-        result = harness.run_plan(domains, plan)
+        try:
+            result = harness.run_plan(domains, plan)
+        except InsufficientNegativesError as exc:
+            # the bank size is known only once the domains are loaded
+            raise ConfigError(f"invalid plan settings: {exc}") from exc
         seed_dir = os.path.join(out_dir, f"seed_{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         write_matrix_csv(result.matrix, os.path.join(seed_dir, "rmatrix.csv"))

@@ -11,13 +11,12 @@ Stationarity gives w = g + sum_i u_i c_i with multipliers u >= 0, so inactive
 constraints leave g untouched and active ones add just enough of the
 constraint gradient to zero the violated slack.
 
-project_n is the one solver, for any number of rows: it enumerates active
-sets on the small Gram matrix of the rows (projected dual ascent above eight
-rows).  kkt_check judges a solution, and brute_force_project is an
-independent oracle for the tests.
+project_n is the one solver, for any number of rows: Lawson-Hanson on the
+non-negative dual, the QP that GEM also solves (Lopez-Paz & Ranzato 2017),
+which lives on the small Gram matrix of the rows.  kkt_check judges a
+solution, and brute_force_project is an independent oracle for the tests.
 """
 
-import functools
 import itertools
 
 import numpy as np
@@ -37,36 +36,32 @@ def tolerance(g, constraints) -> float:
 
 def kkt_check(w, u, g, constraints, eps) -> dict:
     """Boolean KKT diagnostics plus the residuals they were judged on."""
-    slacks = np.array([c @ w for c in constraints])
-    stat = w - g
-    for ui, c in zip(u, constraints):
-        stat = stat - ui * c
-    comp = np.array([abs(ui * si) for ui, si in zip(u, slacks)])
-    comp_tol = np.array([eps * max(1.0, abs(ui)) for ui in u])
+    u = np.asarray(u, dtype=np.float64)
+    C = np.reshape(np.asarray(constraints, dtype=np.float64),
+                   (u.size, np.size(w)))
+    slacks = C @ w
+    stat = float(np.linalg.norm(w - g - u @ C))
     return {
-        "primal_feasible": bool(slacks.size == 0 or slacks.min() >= -eps),
-        "dual_feasible": bool(u.size == 0 or u.min() >= -eps),
-        "complementary": bool(comp.size == 0 or np.all(comp <= comp_tol)),
-        "stationary": bool(np.linalg.norm(stat) <= eps),
+        "primal_feasible": bool(slacks.min(initial=np.inf) >= -eps),
+        "dual_feasible": bool(u.min(initial=np.inf) >= -eps),
+        "complementary": bool(np.all(np.abs(u * slacks)
+                                     <= eps * np.maximum(1.0, np.abs(u)))),
+        "stationary": bool(stat <= eps),
         "slacks": slacks,
-        "stationarity_residual": float(np.linalg.norm(stat)),
+        "stationarity_residual": stat,
     }
-
-
-_SUBSET_LIMIT = 8
 
 
 def project_n(g, constraints):
     """Projection under n half-space constraints; returns (w, u).
 
     The rows enter only through the n x n Gram matrix C C^T and the products
-    C g, both formed once: multipliers u give the slacks C g + C C^T u and
-    the objective u^T C C^T u / 2 without any length-P work, and only the
-    chosen u is mapped back to w = g + C^T u.  Small n enumerates active
-    subsets on these matrices; larger n runs projected gradient ascent on
-    the dual (Lipschitz step from the Gram spectrum).  Zero rows are vacuous
-    and keep a zero multiplier.  Mismatched shapes raise DimensionError and
-    NaN or Inf entries raise NumericError.
+    C g, both formed once: multipliers u give the slacks C g + C C^T u
+    without any length-P work, and only the chosen u is mapped back to
+    w = g + C^T u.  The multipliers solve the non-negative dual by
+    Lawson-Hanson, one code path for every n.  Zero rows are vacuous and
+    keep a zero multiplier.  Mismatched shapes raise DimensionError and NaN
+    or Inf entries raise NumericError.
     """
     g = np.asarray(g, dtype=np.float64)
     C = np.asarray(constraints, dtype=np.float64)
@@ -76,76 +71,42 @@ def project_n(g, constraints):
         raise DimensionError(f"constraint matrix has shape {C.shape}")
     require_finite(g, "update gradient")
     require_finite(C, "constraint gradients")
-    gram = C @ C.T
-    live = np.flatnonzero(np.diag(gram) > 0.0)
-    eps = tolerance(g, C)
-    G = gram[np.ix_(live, live)]
-    b = (C @ g)[live]
-    u = np.zeros(C.shape[0])
-    if len(live) <= _SUBSET_LIMIT:
-        u[live] = _enumerate_active_sets(G, b, eps)
-    else:
-        u[live] = _dual_ascent(G, b)
+    u = _nnls(C @ C.T, C @ g, tolerance(g, C))
     return g + u @ C, u
 
 
-@functools.lru_cache(maxsize=_SUBSET_LIMIT + 1)
-def _subsets(m):
-    """Index arrays of every non-empty subset of range(m), one per size."""
-    return [np.array(list(itertools.combinations(range(m), k)), dtype=np.int64)
-            for k in range(1, m + 1)]
+def _nnls(G, b, eps):
+    """Lawson-Hanson for min over u >= 0 of u^T G u / 2 + b^T u.
 
-
-def _enumerate_active_sets(G, b, eps):
-    """Least-objective feasible multipliers over all active subsets.
-
-    u = 0 is taken when g is already feasible.  Otherwise every subset's
-    equality system G_SS u_S = -b_S is solved in one batched call per subset
-    size; candidates are the clipped solutions that pass a residual check,
-    and ties within eps^2 go to the smaller subset.
+    Each outer step moves the row with the most violated slack b + G u into
+    the passive set P and solves G_PP u_P = -b_P; while a passive multiplier
+    comes out <= 0 it steps back toward the previous u until one reaches
+    zero and leaves P.  It stops once every slack is >= -eps.  A row that
+    enters has nonzero slack while every passive row has zero slack, so it
+    is independent of P and G_PP stays regular; zero rows have slack 0 and
+    never enter.
     """
     m = b.shape[0]
-    if np.all(b >= -eps):
-        return np.zeros(m)
-    cands = []
-    for idx in _subsets(m):
-        rows = np.arange(idx.shape[0])[:, None]
-        u_sub = _solve_gram(G[idx[:, :, None], idx[:, None, :]], -b[idx])
-        u = np.zeros((idx.shape[0], m))
-        u[rows, idx] = np.maximum(u_sub, 0.0)
-        cands.append(u)
-    U = np.concatenate(cands)
-    GU = U @ G
-    feasible = (b + GU).min(axis=1, initial=np.inf) >= -eps  # NaN rows fail
-    if not feasible.any():
-        raise NumericError("no active set gives a feasible projection")
-    obj = np.where(feasible, 0.5 * np.einsum("ij,ij->i", GU, U), np.inf)
-    return U[np.argmax(obj <= obj.min() + eps * eps)]
-
-
-def _solve_gram(G, rhs):
-    """Batched solutions of G u = rhs; NaN rows where G is singular or the
-    solve fails its residual check."""
-    try:
-        u = np.linalg.solve(G, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        u = (np.linalg.pinv(G) @ rhs[..., None])[..., 0]
-    resid = np.linalg.norm((G @ u[..., None])[..., 0] - rhs, axis=1)
-    bad = ~(resid <= 1e-8 * np.maximum(1.0, np.linalg.norm(rhs, axis=1)))
-    u[bad] = np.nan
-    return u
-
-
-def _dual_ascent(G, b):
-    lam_max = float(np.linalg.eigvalsh(G)[-1])
-    step = 1.0 / max(lam_max, 1e-30)
-    u = np.zeros(b.shape[0])
-    for _ in range(200000):
-        u_new = np.maximum(u - step * (G @ u + b), 0.0)
-        if np.linalg.norm(u_new - u) <= 1e-12 * max(1.0, np.linalg.norm(u)):
-            return u_new
-        u = u_new
-    return u
+    u = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    for _ in range(3 * m + 1):
+        slack = b + G @ u
+        slack[passive] = 0.0
+        if slack.min(initial=0.0) >= -eps:
+            return u
+        passive[np.argmin(slack)] = True
+        while True:
+            z = np.zeros(m)
+            z[passive] = np.linalg.solve(G[np.ix_(passive, passive)], -b[passive])
+            if z[passive].min() > 0.0:
+                break
+            bad = np.flatnonzero(passive & (z <= 0.0))
+            step = u[bad] / np.maximum(u[bad] - z[bad], np.finfo(float).tiny)
+            u = u + step.min() * (z - u)
+            u[bad[np.argmin(step)]] = 0.0
+            passive &= u > 0.0
+        u = z
+    raise NumericError("projection multipliers did not converge")
 
 
 def brute_force_project(g, constraints):

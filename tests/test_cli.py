@@ -228,6 +228,15 @@ def test_run_exit_codes(tmp_path):
     assert cli.main(["run", cfg_path]) == 2
 
 
+def test_run_exit_code_negatives_above_bank_size(tmp_path):
+    # more negatives than the bank holds is a setting the run cannot use:
+    # a config error, found once the data is loaded
+    data = write_tiny_dataset(tmp_path / "data")
+    cfg_path = write_cfg(tmp_path / "run.json",
+                         tiny_cfg(data, tmp_path / "o", negatives=5000))
+    assert cli.main(["run", cfg_path]) == 2
+
+
 def test_run_exit_code_malformed_dataset(tmp_path):
     # a dataset directory that cannot be read is a config error, exit 2
     def run_on(name, damage):
