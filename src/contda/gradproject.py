@@ -11,13 +11,16 @@ Stationarity gives w = g + sum_i u_i c_i with multipliers u >= 0, so inactive
 constraints leave g untouched and active ones add just enough of the
 constraint gradient to zero the violated slack.
 
-project_n is the one solver, for any number of rows: Lawson-Hanson on the
-non-negative dual, the QP that GEM also solves (Lopez-Paz & Ranzato 2017),
-which lives on the small Gram matrix of the rows.  kkt_check judges a
-solution, and brute_force_project is an independent oracle for the tests.
+The step's gradients arrive as the rows of one matrix J, g first.  gram
+forms K = J J^T once, with the step's tolerance; project is the one solver,
+for any number of rows: Lawson-Hanson on the non-negative dual, the QP that
+GEM also solves (Lopez-Paz & Ranzato 2017), which lives on K.  kkt_check
+judges a solution on the stepped w itself, and brute_force_project is an
+independent oracle for the tests.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -52,27 +55,39 @@ def kkt_check(w, u, g, constraints, eps) -> dict:
     }
 
 
-def project_n(g, constraints):
-    """Projection under n half-space constraints; returns (w, u).
+def gram(J):
+    """Gram matrix K = J J^T of stacked gradient rows and the feasibility
+    tolerance scaled to the largest row norm, sqrt(max diag K).
 
-    The rows enter only through the n x n Gram matrix C C^T and the products
-    C g, both formed once: multipliers u give the slacks C g + C C^T u
-    without any length-P work, and only the chosen u is mapped back to
-    w = g + C^T u.  The multipliers solve the non-negative dual by
-    Lawson-Hanson, one code path for every n.  Zero rows are vacuous and
-    keep a zero multiplier.  Mismatched shapes raise DimensionError and NaN
-    or Inf entries raise NumericError.
+    A NaN or Inf in J shows in K, which raises NumericError; J must be a
+    2-D stack of at least one row (DimensionError).
     """
-    g = np.asarray(g, dtype=np.float64)
-    C = np.asarray(constraints, dtype=np.float64)
-    if g.ndim != 1:
-        raise DimensionError(f"update gradient has shape {g.shape}")
-    if C.ndim != 2 or C.shape[1] != g.shape[0]:
-        raise DimensionError(f"constraint matrix has shape {C.shape}")
-    require_finite(g, "update gradient")
-    require_finite(C, "constraint gradients")
-    u = _nnls(C @ C.T, C @ g, tolerance(g, C))
-    return g + u @ C, u
+    J = np.asarray(J, dtype=np.float64)
+    if J.ndim != 2 or J.shape[0] == 0:
+        raise DimensionError(f"gradient stack has shape {J.shape}")
+    # one matrix-vector product per row: BLAS runs J @ J.T at half the speed
+    K = np.array([J @ row for row in J])
+    require_finite(K, "gradient Gram matrix")
+    return K, EPS_SCALE * max(1.0, math.sqrt(K.diagonal().max()))
+
+
+def project(J, K, eps):
+    """Projection of J[0] onto the half-spaces of the constraint rows J[1:];
+    returns (w, u).
+
+    The rows enter only through the Gram matrix K = J J^T from gram: the
+    dual reads G = K[1:, 1:] and b = K[1:, 0], multipliers u give the
+    slacks b + G u without any length-P work, and only the chosen u is
+    mapped back to w = J[0] + u J[1:].  The multipliers solve the
+    non-negative dual by Lawson-Hanson, one code path for every row count.
+    Zero rows are vacuous and keep a zero multiplier.
+    """
+    J = np.asarray(J, dtype=np.float64)
+    if J.ndim != 2 or np.shape(K) != (J.shape[0], J.shape[0]):
+        raise DimensionError(f"Gram matrix of shape {np.shape(K)} for a "
+                             f"gradient stack of shape {J.shape}")
+    u = _nnls(K[1:, 1:], K[1:, 0], eps)
+    return J[0] + u @ J[1:], u
 
 
 def _nnls(G, b, eps):

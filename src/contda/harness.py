@@ -1,22 +1,24 @@
 """Continual adaptation protocol: source pretraining, per-domain loops that
-compose batches, measure the three gradients, choose a step direction by
+compose batches, measure the step's gradients, choose a step direction by
 strategy, and maintain the feature bank and episodic memories; evaluation
 into an accuracy matrix with the two summary metrics.
 
 Strategies mirror the ablation family: a frozen source model, fixed-weight
 multitask combinations, a source-constrained projection, and GRCL, which
 projects onto the source constraint plus one memory constraint per earlier
-target domain.  The projector warm-up, crt_sdc and GRCL all take their step
-from project_step, one KKT-guarded call of gradproject.project_n.  Every
-iteration runs two forward passes: one before the step, whose activations
-feed the contrastive gradient and each cross-entropy gradient on its own
-rows, and one after it, whose embeddings refresh the bank.  A domain's bank
-and batch pool are built from the same parts in the same order, so a batch's
-pool rows are its bank rows; each pool row carries an integer part code.
+target domain.  Every iteration runs two forward passes: one before the
+step, whose activations feed one model.backward call that stacks the
+contrastive, source and memory gradients as the rows of one matrix J, and
+one after it, whose embeddings refresh the bank.  gradproject.gram forms
+J J^T once per step; the fixed-weight strategies step along a weighted sum
+of J's rows, and the warm-up, crt_sdc and GRCL take project_step, one
+KKT-guarded projection on that Gram matrix.  A domain's bank and batch pool
+are built from the same parts in the same order, so a batch's pool rows are
+its bank rows; each pool row carries an integer part code.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,6 +75,11 @@ class AdaptationPlan:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN and Inf slip through the range checks' comparisons below
+        infinite = [f.name for f in fields(self) if f.type is float
+                    and not math.isfinite(getattr(self, f.name))]
+        if infinite:
+            raise ContractViolationError(f"plan values must be finite: {infinite}")
         if self.strategy not in STRATEGIES:
             raise ContractViolationError(f"unknown strategy {self.strategy!r}")
         ratios = (self.ratio_source, self.ratio_memory, self.ratio_target)
@@ -134,19 +141,6 @@ class RunResult:
     diagnostics: list
     params: model_mod.ModelParams
     memories: list
-
-
-def multitask_step_grad(g_t, g_s=None, g_dm=None, lambda_source: float = 0.0,
-                        lambda_memory: float = 0.0) -> np.ndarray:
-    """Fixed-weight combination w = g_t + l1*g_s + l2*g_dm."""
-    if lambda_source < 0.0 or lambda_memory < 0.0:
-        raise ContractViolationError("loss weights must be non-negative")
-    w = np.asarray(g_t, dtype=np.float64).copy()
-    if g_s is not None:
-        w += lambda_source * np.asarray(g_s, dtype=np.float64)
-    if g_dm is not None:
-        w += lambda_memory * np.asarray(g_dm, dtype=np.float64)
-    return w
 
 
 def evaluate(params, holdouts) -> np.ndarray:
@@ -223,10 +217,11 @@ def warm_projector(params, source_train, plan, rng):
         for i in range(iters):
             idx = order[i * plan.batch_size:(i + 1) * plan.batch_size]
             fw = model_mod.forward(params, source_train.X[idx])
-            _, g_t = contrastive_mod.contrastive_grad(
-                params, fw, idx, fbank, plan.temperature, plan.negatives, rng)
-            _, g_s = model_mod.ce_grad(params, fw, source_train.y[idx])
-            w, _, _ = project_step(g_t, g_s)
+            _, dQ = contrastive_mod.contrastive_grad(
+                fw, idx, fbank, plan.temperature, plan.negatives, rng)
+            _, J = model_mod.backward(params, fw, dQ, source_train.y[idx],
+                                      [np.arange(idx.size)])
+            w, _, _ = project_step(J, *gradproject.gram(J))
             params = model_mod.sgd_step(params, w,
                                         _cosine_lr(plan.lr, step, total))
             fresh = model_mod.encode_project_batch(params, fw.X)
@@ -281,40 +276,20 @@ def _compose_batch(pool, sizes, counts, rng):
                        parts=parts[rows])
 
 
-def _memory_grads(params, fw, batch, mem_sel):
-    """Memory cross-entropy per earlier target domain in the batch, from the
-    batch's forward pass fw.
-
-    Returns the pooled loss and gradient (the size-weighted mix of the
-    per-domain terms, equal to the cross-entropy over all memory rows) and
-    the per-domain gradients stacked one row per domain, in domain order.
-    """
-    mem_rows = np.arange(len(batch))[mem_sel]
-    _, group, sizes = np.unique(batch.parts[mem_rows], return_inverse=True,
-                                return_counts=True)
-    shares = sizes / mem_rows.size
-    sels = [mem_rows[group == g] for g in range(sizes.size)]
-    losses, rows = zip(*(model_mod.ce_grad(params, fw.rows(sel), batch.labels[sel])
-                         for sel in sels))
-    g_mem = np.stack(rows)
-    return float(shares @ np.array(losses)), shares @ g_mem, g_mem
-
-
 CASE_NAMES = {(): "interior", (0,): "source-active",
               (1,): "memory-active", (0, 1): "both-active"}
 
 
-def project_step(g_t, g_s, g_mem=None):
-    """Projection of g_t onto the source constraint g_s and one constraint
-    per row of g_mem, guarded by the KKT diagnostics.
+def project_step(J, K, eps):
+    """Projection of the update gradient J[0] onto the half-spaces of the
+    source row J[1] and of any further (memory) rows, from the Gram matrix
+    K = J J^T, guarded by the KKT diagnostics on the stepped w.
 
     Returns w, u_star = (source multiplier, sum of the memory multipliers)
     and the case name saying which of the two are positive.
     """
-    rows = [g_s] + ([] if g_mem is None else list(g_mem))
-    w, u = gradproject.project_n(g_t, rows)
-    diag = gradproject.kkt_check(w, u, g_t, rows,
-                                 gradproject.tolerance(g_t, rows))
+    w, u = gradproject.project(J, K, eps)
+    diag = gradproject.kkt_check(w, u, J[0], J[1:], eps)
     if not all(diag[k] for k in gradproject.KKT_FLAGS):
         raise ContractViolationError(
             f"projection failed KKT diagnostics: {diag}")
@@ -322,19 +297,21 @@ def project_step(g_t, g_s, g_mem=None):
     return w, u_star, CASE_NAMES[tuple(i for i in range(2) if u_star[i] > 0.0)]
 
 
-def _step_direction(plan, g_t, g_s, g_dm, g_mem=None):
+def _step_direction(plan, J, K, eps):
     """Strategy-resolved update direction plus projection bookkeeping.
 
-    g_dm is the pooled memory gradient that the fixed-weight strategies
-    weigh in; GRCL instead constrains the step by g_s and by each row of
-    g_mem, one per earlier target domain present in the batch, and crt_sdc
-    by g_s alone.
+    J stacks the contrastive, the source and the memory gradients, the
+    last being the pooled memory gradient, which the fixed-weight
+    strategies weigh in, or under GRCL one row per earlier target domain
+    in the batch, each a constraint; crt_sdc is constrained by the source
+    row alone.  K = J J^T and eps come from gradproject.gram.
     """
     if plan.strategy in _FIXED_WEIGHT:
         lam_m = plan.lambda_memory if plan.strategy != CRT_SRC else 0.0
-        w = multitask_step_grad(g_t, g_s, g_dm, plan.lambda_source, lam_m)
-        return w, np.zeros(2), "fixed-weight"
-    return project_step(g_t, g_s, g_mem if plan.strategy == GRCL else None)
+        weights = np.array([1.0, plan.lambda_source, lam_m])[:len(J)]
+        return weights @ J, np.zeros(2), "fixed-weight"
+    m = len(J) if plan.strategy == GRCL else 2
+    return project_step(J[:m], K[:m, :m], eps)
 
 
 def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
@@ -351,7 +328,7 @@ def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
     pool, sizes = _batch_pool(parts)
     counts = _compose_counts(plan, len(memories) > 0)
     n_s, n_m, _ = counts
-    src_sel, mem_sel = slice(0, n_s), slice(n_s, n_s + n_m)
+    src, mem = np.arange(n_s), np.arange(n_s, n_s + n_m)
     iters = math.ceil(len(target_train) / counts[2])
     total = plan.epochs_per_domain * iters
 
@@ -360,24 +337,18 @@ def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
         for _ in range(iters):
             rows, batch = _compose_batch(pool, sizes, counts, batch_rng)
             fw = model_mod.forward(params, batch.inputs)
-            loss_con, g_t = contrastive_mod.contrastive_grad(
-                params, fw, rows, fbank, plan.temperature, plan.negatives,
-                neg_rng)
-            loss_src, g_s = model_mod.ce_grad(
-                params, fw.rows(src_sel), batch.labels[src_sel])
-            g_mem = None
-            if n_m == 0:
-                loss_mem, g_dm = float("nan"), None
-            elif plan.strategy == GRCL:
-                loss_mem, g_dm, g_mem = _memory_grads(params, fw, batch, mem_sel)
-            else:
-                loss_mem, g_dm = model_mod.ce_grad(
-                    params, fw.rows(mem_sel), batch.labels[mem_sel])
-
-            w, u_star, case = _step_direction(plan, g_t, g_s, g_dm, g_mem)
-            refs = [g_s] + (list(g_mem) if g_mem is not None else
-                            [g_dm] if g_dm is not None else [])
-            eps = gradproject.tolerance(g_t, refs)
+            loss_con, dQ = contrastive_mod.contrastive_grad(
+                fw, rows, fbank, plan.temperature, plan.negatives, neg_rng)
+            key = batch.parts[mem] if plan.strategy == GRCL else np.ones(n_m)
+            groups = [src] + [mem[key == d] for d in np.unique(key)]
+            losses, J = model_mod.backward(params, fw, dQ, batch.labels,
+                                           groups)
+            K, eps = gradproject.gram(J)
+            w, u_star, case = _step_direction(plan, J, K, eps)
+            # the pooled memory loss and slack are the share-weighted mix
+            # of the per-group ones
+            shares = np.array([g.size for g in groups[1:]]) / n_m
+            slacks = J[1:] @ w
             lr = _cosine_lr(plan.lr, step, total)
             params = model_mod.sgd_step(params, w, lr)
             fresh = model_mod.encode_project_batch(params, batch.inputs)
@@ -385,9 +356,10 @@ def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
 
             diagnostics.append({
                 "domain": t, "epoch": epoch, "iteration": step, "lr": lr,
-                "loss_con": loss_con, "loss_src": loss_src, "loss_mem": loss_mem,
-                "slack_src": float(w @ g_s),
-                "slack_mem": float(w @ g_dm) if g_dm is not None else float("nan"),
+                "loss_con": loss_con, "loss_src": float(losses[0]),
+                "loss_mem": float(shares @ losses[1:]) if n_m else np.nan,
+                "slack_src": float(slacks[0]),
+                "slack_mem": float(shares @ slacks[1:]) if n_m else np.nan,
                 "u_src": float(u_star[0]), "u_mem": float(u_star[1]),
                 "case": case, "eps": eps,
             })

@@ -1,13 +1,13 @@
-"""Small MLP encoder / projector / classifier with hand-coded backward passes.
+"""Small MLP encoder / projector / classifier with a hand-coded backward pass.
 
 The encoder is two tanh layers, the projector one tanh hidden layer with a
 linear output that gets l2-normalized, and the classifier a linear head on the
 encoder features (it bypasses the projector).  All parameters live in a single
 flat float64 vector of length P, and every weight block is a view of it;
 gradients and update directions are expressed in that same space.  One
-forward pass keeps a batch's activations, and each gradient of that batch
-(cross-entropy on any subset of its rows, or the embedding gradient) is one
-backward pass from them.
+forward pass keeps a batch's activations, and one backward pass from them
+stacks every gradient of that batch (the embedding gradient, and the
+cross-entropy of each group of its rows) as the rows of one (r, P) matrix.
 """
 
 from dataclasses import dataclass
@@ -152,11 +152,6 @@ class Forward:
     P1: np.ndarray = None
     Z: np.ndarray = None
 
-    def rows(self, sel) -> "Forward":
-        """The same pass restricted to the rows in sel."""
-        return Forward(*(None if a is None else a[sel]
-                         for a in (self.X, self.H1, self.H2, self.P1, self.Z)))
-
     def embeddings(self) -> np.ndarray:
         """Unit-norm embeddings, one row per sample."""
         norms = np.linalg.norm(self.Z, axis=1, keepdims=True)
@@ -196,71 +191,86 @@ def classify_batch(params: ModelParams, X) -> np.ndarray:
     return forward(params, X, project=False).H2 @ params.cls_w.T + params.cls_b
 
 
-def _encoder_backward(params, fw, dH2, G):
-    dZ2 = dH2 * (1.0 - fw.H2 * fw.H2)
-    G["enc2_w"] += dZ2.T @ fw.H1
-    G["enc2_b"] += dZ2.sum(axis=0)
-    dZ1 = (dZ2 @ params.enc2_w) * (1.0 - fw.H1 * fw.H1)
-    G["enc1_w"] += dZ1.T @ fw.X
-    G["enc1_b"] += dZ1.sum(axis=0)
+def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
+             groups=()):
+    """Flat gradients of several losses on one forward pass, stacked as the
+    rows of J of shape (r, P); returns the cross-entropy losses and J.
 
-
-def ce_grad(params: ModelParams, fw: Forward, y):
-    """Mean softmax cross-entropy of labels y over the rows of fw and its
-    flat gradient.
-
-    The classifier path bypasses the projector, so the projector blocks of
-    the returned gradient are exactly zero.
+    Row 0 is the loss whose gradient w.r.t. fw's unit embeddings is dQ,
+    when dQ is given; then one row per entry of groups, the mean softmax
+    cross-entropy of labels over those rows of fw (NaN loss and a zero row
+    for an empty group).  The chain through the encoder runs once over
+    every stacked (row, sample) pair, and only the weight reductions are
+    taken per row.  Projector blocks of the cross-entropy rows and
+    classifier blocks of the embedding row are exactly zero.
     """
-    y = np.asarray(y, dtype=np.int64)
-    n = fw.H2.shape[0]
-    if y.shape != (n,):
-        raise DimensionError(f"{y.shape} labels for {n} rows")
-    if np.any(y < 0):
-        raise ContractViolationError("cross-entropy requires labels on every sample")
-    if np.any(y >= params.config.n_classes):
-        raise ContractViolationError("label outside the model's class range")
+    n = fw.X.shape[0]
+    lead = 0 if dQ is None else 1
+    counts = [n] * lead + [len(g) for g in groups]
+    S = params.block_slices()
+    J = np.zeros((len(counts), params.num_params))
+    pairs, dH2, losses = [np.arange(n)] * lead, [], []
+    if lead:
+        norms = np.linalg.norm(fw.Z, axis=1, keepdims=True)
+        Q = fw.Z / norms
+        # through q = z/||z||:  dz = (dq - (dq.q) q) / ||z||
+        dZ = (dQ - (dQ * Q).sum(axis=1, keepdims=True) * Q) / norms
+        J[0, S["proj2_w"]] = (dZ.T @ fw.P1).ravel()
+        J[0, S["proj2_b"]] = dZ.sum(axis=0)
+        dZ3 = dZ @ params.proj2_w
+        dZ3 *= 1.0 - fw.P1 * fw.P1
+        J[0, S["proj1_w"]] = (dZ3.T @ fw.H2).ravel()
+        J[0, S["proj1_b"]] = dZ3.sum(axis=0)
+        dH2.append(dZ3 @ params.proj1_w)
+    if groups:
+        y = np.asarray(labels, dtype=np.int64)
+        if y.shape != (n,):
+            raise DimensionError(f"{y.shape} labels for {n} rows")
+        pairs.append(np.concatenate([np.asarray(g, dtype=np.int64) for g in groups]))
+        y, Hc = y[pairs[-1]], fw.H2[pairs[-1]]
+        if np.any((y < 0) | (y >= params.config.n_classes)):
+            raise ContractViolationError("cross-entropy needs a label in the "
+                                         "model's class range on every sample")
+        logp = log_softmax_rows(Hc @ params.cls_w.T + params.cls_b)
+        at = np.arange(y.size)
+        nll = -logp[at, y]
+        dlogits = np.exp(logp)
+        dlogits[at, y] -= 1.0
+        sizes = np.array(counts[lead:])
+        dlogits /= sizes.repeat(sizes)[:, None]
+        dH2.append(dlogits @ params.cls_w)
 
-    logits = fw.H2 @ params.cls_w.T + params.cls_b
-    logp = log_softmax_rows(logits)
-    loss = float(-logp[np.arange(n), y].mean())
-
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-
-    grad = np.zeros(params.num_params)
-    G = _blocks(params.config, grad)
-    G["cls_w"][...] = dlogits.T @ fw.H2
-    G["cls_b"][...] = dlogits.sum(axis=0)
-    _encoder_backward(params, fw, dlogits @ params.cls_w, G)
-    return loss, grad
+    idx = np.concatenate(pairs) if len(pairs) > 1 else pairs[0]
+    X, H1, H2 = fw.X[idx], fw.H1[idx], fw.H2[idx]
+    dZ2 = np.concatenate(dH2) if len(dH2) > 1 else dH2[0]
+    dZ2 *= 1.0 - H2 * H2
+    dZ1 = dZ2 @ params.enc2_w
+    dZ1 *= 1.0 - H1 * H1
+    # bias gradients sum each row's segment of pairs: one product for all rows
+    seg = np.repeat(np.eye(len(counts)), counts, axis=1)
+    J[:, S["enc2_b"]] = seg @ dZ2
+    J[:, S["enc1_b"]] = seg @ dZ1
+    if groups:
+        J[lead:, S["cls_b"]] = seg[lead:, lead * n:] @ dlogits
+    a = 0
+    for r, count in enumerate(counts):
+        b = a + count
+        J[r, S["enc2_w"]] = (dZ2[a:b].T @ H1[a:b]).ravel()
+        J[r, S["enc1_w"]] = (dZ1[a:b].T @ X[a:b]).ravel()
+        if r >= lead:
+            c = slice(a - lead * n, b - lead * n)
+            J[r, S["cls_w"]] = (dlogits[c].T @ Hc[c]).ravel()
+            losses.append(nll[c].sum() / count if count else np.nan)
+        a = b
+    return np.array(losses), J
 
 
 def ce_loss_and_grad(params: ModelParams, batch: Batch):
-    """ce_grad over a fully labeled batch, from its own encoder pass."""
-    return ce_grad(params, forward(params, batch.inputs, project=False),
-                   batch.labels)
-
-
-def embedding_grad(params: ModelParams, fw: Forward, dQ: np.ndarray) -> np.ndarray:
-    """Flat gradient of a scalar loss given its gradient dQ w.r.t. the unit
-    embeddings of fw's rows.  Classifier blocks are exactly zero."""
-    norms = np.linalg.norm(fw.Z, axis=1, keepdims=True)
-    Q = fw.Z / norms
-
-    # through q = z/||z||:  dz = (dq - (dq.q) q) / ||z||
-    dZ = (dQ - (dQ * Q).sum(axis=1, keepdims=True) * Q) / norms
-
-    grad = np.zeros(params.num_params)
-    G = _blocks(params.config, grad)
-    G["proj2_w"][...] = dZ.T @ fw.P1
-    G["proj2_b"][...] = dZ.sum(axis=0)
-    dZ3 = (dZ @ params.proj2_w) * (1.0 - fw.P1 * fw.P1)
-    G["proj1_w"][...] = dZ3.T @ fw.H2
-    G["proj1_b"][...] = dZ3.sum(axis=0)
-    _encoder_backward(params, fw, dZ3 @ params.proj1_w, G)
-    return grad
+    """Mean cross-entropy of a fully labeled batch and its flat gradient,
+    from the batch's own encoder pass."""
+    losses, J = backward(params, forward(params, batch.inputs, project=False),
+                         labels=batch.labels, groups=[np.arange(len(batch))])
+    return float(losses[0]), J[0]
 
 
 def sgd_step(params: ModelParams, w: np.ndarray, lr: float) -> ModelParams:

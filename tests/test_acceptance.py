@@ -108,15 +108,15 @@ def test_projection_matches_brute_force_oracle():
     for i in range(1000):
         dim = int(rng.integers(3, 51))
         g_t, g_s, g_dm = _rand_projection_instance(rng, dim, patterns[i % 5])
-        rows = [g_s, g_dm]
-        w, u = gradproject.project_n(g_t, rows)
-        ref_w = gradproject.brute_force_project(g_t, np.stack(rows))
+        J = np.stack([g_t, g_s, g_dm])
+        K, eps = gradproject.gram(J)
+        w, u = gradproject.project(J, K, eps)
+        ref_w = gradproject.brute_force_project(g_t, J[1:])
         obj = 0.5 * float(np.sum((w - g_t) ** 2))
         ref_obj = 0.5 * float(np.sum((ref_w - g_t) ** 2))
         worst_obj = max(worst_obj, abs(obj - ref_obj))
         worst_w = max(worst_w, float(np.max(np.abs(w - ref_w))))
-        diag = gradproject.kkt_check(w, u, g_t, rows,
-                                     gradproject.tolerance(g_t, rows))
+        diag = gradproject.kkt_check(w, u, g_t, J[1:], eps)
         assert all(diag[k] for k in gradproject.KKT_FLAGS), \
             f"instance {i}: KKT diagnostics failed"
     elapsed = time.perf_counter() - start
@@ -210,12 +210,13 @@ def test_analytic_gradients_match_finite_differences():
 
             def loss_fn(p):
                 return contrastive.contrastive_grad(
-                    p, model_mod.forward(p, X), rows, fbank, 0.2, n - 1,
+                    model_mod.forward(p, X), rows, fbank, 0.2, n - 1,
                     np.random.default_rng(0))[0]
 
-            grad = contrastive.contrastive_grad(
-                params, model_mod.forward(params, X), rows, fbank, 0.2, n - 1,
-                np.random.default_rng(0))[1].flatten()
+            fw = model_mod.forward(params, X)
+            _, dQ = contrastive.contrastive_grad(
+                fw, rows, fbank, 0.2, n - 1, np.random.default_rng(0))
+            grad = model_mod.backward(params, fw, dQ)[1][0]
         coords = rng.choice(len(grad), size=64, replace=False)
         fd = _fd_loss(loss_fn, params, coords)
         rel = np.abs(grad[coords] - fd) / np.maximum(np.abs(fd), 1e-3)

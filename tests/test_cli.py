@@ -93,6 +93,13 @@ def test_validate_config_rejects_bad_plan_settings():
                 {"memory_capacity": 0}, {"bank_momentum": 1.5}):
         with pytest.raises(cli.ConfigError, match="invalid plan settings"):
             cli.validate_config({**ok, **bad})
+    # JSON's NaN and Infinity parse to floats the range checks cannot see
+    for name in ("lr", "pretrain_lr", "lambda_source", "lambda_memory",
+                 "ratio_source", "ratio_memory", "ratio_target"):
+        for text in ("NaN", "Infinity", "-Infinity"):
+            raw = json.loads(json.dumps(ok)[:-1] + f', "{name}": {text}}}')
+            with pytest.raises(cli.ConfigError, match="must be finite"):
+                cli.validate_config(raw)
 
 
 def test_validate_config_accepts_every_plan_field():

@@ -63,7 +63,7 @@ def test_nce_matches_direct_formula(monkeypatch):
         count = int(rng.integers(0, len(fbank)))
         tau = float(rng.uniform(0.03, 1.0))
         loss, _ = contrastive.contrastive_grad(
-            params, fw(params, batch), rows_of(batch), fbank, tau, count,
+            fw(params, batch), rows_of(batch), fbank, tau, count,
             np.random.default_rng(int(rng.integers(1000))))
         neg = draws.pop()
         Q = model.encode_project_batch(params, batch.inputs)
@@ -75,20 +75,15 @@ def test_nce_matches_direct_formula(monkeypatch):
 def test_contrastive_grad_matches_per_row_oracle(monkeypatch):
     # sampled negatives: the draw is recorded, and the gradient w.r.t. each
     # query is sum_j p_j k_j - k_pos, over tau and n
-    seen = []
-    real = model.embedding_grad
-    monkeypatch.setattr(model, "embedding_grad",
-                        lambda p, f, dQ: seen.append(dQ) or real(p, f, dQ))
     draws = recorded_draws(monkeypatch)
     tau, count = 0.2, 5
     for seed in range(6):
         force_side(monkeypatch, seed % 2 == 0)
         params, batch, fbank = make_setup(80 + seed, n=6)
         forward = fw(params, batch)
-        loss, g = contrastive.contrastive_grad(params, forward, rows_of(batch),
-                                               fbank, tau, count,
-                                               np.random.default_rng(seed))
-        dQ = seen.pop()
+        loss, dQ = contrastive.contrastive_grad(forward, rows_of(batch), fbank,
+                                                tau, count,
+                                                np.random.default_rng(seed))
         neg = draws.pop()
         Q = forward.embeddings()
         n = len(batch)
@@ -103,24 +98,22 @@ def test_contrastive_grad_matches_per_row_oracle(monkeypatch):
             want[i] = (p @ keys - keys[0]) / (tau * n)
         assert abs(loss - math.fsum(losses) / n) < 1e-12
         np.testing.assert_allclose(dQ, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(g, real(params, forward, want),
-                                   rtol=0, atol=1e-12)
 
 
 def test_nce_zero_without_negatives():
     params, batch, fbank = make_setup(1)
-    loss, g = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
-                                           fbank, 0.2, 0,
-                                           np.random.default_rng(0))
+    loss, dQ = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
+                                            fbank, 0.2, 0,
+                                            np.random.default_rng(0))
     assert loss == 0.0
-    assert np.all(g == 0.0)
+    assert np.all(dQ == 0.0)
 
 
 def test_nce_perfect_positive_bound():
     # a bank built from the same parameters holds key == query, so the loss
     # is positive and at most log(1 + negatives)
     params, batch, fbank = make_setup(2)
-    loss, _ = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
+    loss, _ = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
                                            fbank, 0.07, 6,
                                            np.random.default_rng(0))
     assert 0.0 < loss < math.log(7.0)
@@ -131,7 +124,7 @@ def test_nce_temperature_sharpens():
     # concentrates mass on it
     params, batch, fbank = make_setup(3)
     losses = [contrastive.contrastive_grad(
-        params, fw(params, batch), rows_of(batch), fbank, t, len(fbank) - 1,
+        fw(params, batch), rows_of(batch), fbank, t, len(fbank) - 1,
         np.random.default_rng(0))[0] for t in (0.5, 0.2, 0.05)]
     assert losses[0] > losses[1] > losses[2]
 
@@ -140,17 +133,17 @@ def test_nce_validates_shapes():
     params, batch, fbank = make_setup(4)
     narrow = bank.FeatureBank(embed_dim=3, keys=fbank.keys[:, :3])
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
+        contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
                                      narrow, 0.2, 3, np.random.default_rng(0))
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(params, fw(params, batch),
+        contrastive.contrastive_grad(fw(params, batch),
                                      rows_of(batch) + len(fbank), fbank, 0.2, 3,
                                      np.random.default_rng(0))
 
 
 def test_contrastive_loss_matches_per_sample_mean():
     params, batch, fbank = make_setup(10)
-    loss, _ = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
+    loss, _ = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
                                            fbank, 0.2, len(fbank) - 1,
                                            np.random.default_rng(0))
     Q = model.encode_project_batch(params, batch.inputs)
@@ -163,7 +156,8 @@ def test_contrastive_loss_matches_per_sample_mean():
 
 def test_contrastive_grad_matches_finite_differences(monkeypatch):
     # full-bank negatives make the loss a deterministic function of params,
-    # up to the order in which the draw lists them
+    # up to the order in which the draw lists them; the parameter gradient
+    # is the embedding row of model.backward
     for trial in range(4):
         force_side(monkeypatch, trial % 2 == 0)
         params, batch, fbank = make_setup(20 + trial, n=4)
@@ -172,13 +166,15 @@ def test_contrastive_grad_matches_finite_differences(monkeypatch):
         def loss_at(flat):
             moved = model.ModelParams(params.config, flat)
             l, _ = contrastive.contrastive_grad(
-                moved, model.forward(moved, batch.inputs), rows_of(batch), fbank,
+                model.forward(moved, batch.inputs), rows_of(batch), fbank,
                 0.15, every, np.random.default_rng(99))
             return l
 
-        _, g = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
-                                            fbank, 0.15, every,
-                                            np.random.default_rng(99))
+        forward = fw(params, batch)
+        _, dQ = contrastive.contrastive_grad(forward, rows_of(batch), fbank,
+                                             0.15, every,
+                                             np.random.default_rng(99))
+        g = model.backward(params, forward, dQ)[1][0]
         flat = params.flat.copy()
         coords = np.random.default_rng(trial).choice(params.num_params,
                                                      size=40, replace=False)
@@ -192,9 +188,11 @@ def test_contrastive_grad_matches_finite_differences(monkeypatch):
 
 def test_contrastive_grad_classifier_blocks_zero():
     params, batch, fbank = make_setup(30)
-    _, g = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
-                                        fbank, 0.07, len(fbank) - 1,
-                                        np.random.default_rng(0))
+    forward = fw(params, batch)
+    _, dQ = contrastive.contrastive_grad(forward, rows_of(batch), fbank, 0.07,
+                                         len(fbank) - 1,
+                                         np.random.default_rng(0))
+    g = model.backward(params, forward, dQ)[1][0]
     slices = params.block_slices()
     assert np.all(g[slices["cls_w"]] == 0.0)
     assert np.all(g[slices["cls_b"]] == 0.0)
@@ -206,11 +204,11 @@ def test_bank_keys_receive_no_gradient():
     # the gradient only depends on keys as constants, so two calls with
     # identical keys but different array objects agree exactly
     params, batch, fbank = make_setup(40)
-    _, g1 = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
+    _, g1 = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
                                          fbank, 0.07, len(fbank) - 1,
                                          np.random.default_rng(0))
     clone = bank.FeatureBank(embed_dim=fbank.embed_dim, keys=fbank.keys.copy())
-    _, g2 = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
+    _, g2 = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
                                          clone, 0.07, len(clone) - 1,
                                          np.random.default_rng(0))
     np.testing.assert_array_equal(g1, g2)
@@ -218,13 +216,13 @@ def test_bank_keys_receive_no_gradient():
 
 def test_sampled_negatives_use_rng_stream():
     params, batch, fbank = make_setup(50)
-    l1, g1 = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
+    l1, g1 = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
                                           fbank, 0.2, 5, np.random.default_rng(7))
-    l2, g2 = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
+    l2, g2 = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
                                           fbank, 0.2, 5, np.random.default_rng(7))
     assert l1 == l2
     np.testing.assert_array_equal(g1, g2)
-    l3, _ = contrastive.contrastive_grad(params, fw(params, batch), rows_of(batch),
+    l3, _ = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
                                          fbank, 0.2, 5, np.random.default_rng(8))
     assert l1 != l3
 
@@ -232,14 +230,14 @@ def test_sampled_negatives_use_rng_stream():
 def test_empty_batch_rejected():
     params, batch, fbank = make_setup(60)
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(params, model.forward(params, np.zeros((0, 2))),
+        contrastive.contrastive_grad(model.forward(params, np.zeros((0, 2))),
                                      [], fbank, 0.2, 5, np.random.default_rng(0))
 
 
 def test_rows_must_match_forward_rows():
     params, batch, fbank = make_setup(70)
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(params, fw(params, batch),
+        contrastive.contrastive_grad(fw(params, batch),
                                      rows_of(batch)[:-1], fbank, 0.2, 5,
                                      np.random.default_rng(0))
 

@@ -23,6 +23,14 @@ def rand_instance(rng, p=None, force_violation=None):
     return g, cons[0], cons[1]
 
 
+def project_rows(g, C):
+    """Projection of g onto the half-spaces of the rows of C, as a step
+    takes it: g and C stacked into one matrix J, its Gram matrix formed
+    once."""
+    J = np.vstack([g, np.reshape(C, (-1, np.size(g)))])
+    return gp.project(J, *gp.gram(J))
+
+
 def objective(w, g):
     return 0.5 * float((w - g) @ (w - g))
 
@@ -37,7 +45,7 @@ def test_interior_case_returns_g_unchanged():
     rng = np.random.default_rng(0)
     for _ in range(50):
         g, c0, c1 = rand_instance(rng, force_violation=())
-        w, u = gp.project_n(g, [c0, c1])
+        w, u = project_rows(g, [c0, c1])
         assert w.tobytes() == g.tobytes()
         np.testing.assert_array_equal(u, np.zeros(2))
         assert objective(w, g) == 0.0
@@ -48,7 +56,7 @@ def test_single_active_closed_form():
     rng = np.random.default_rng(1)
     for _ in range(50):
         g, c0, _ = rand_instance(rng, force_violation=(0,))
-        w, u = gp.project_n(g, [c0])
+        w, u = project_rows(g, [c0])
         u1 = -(g @ c0) / (c0 @ c0)
         np.testing.assert_allclose(u, [u1], rtol=1e-12)
         np.testing.assert_allclose(w, g + u1 * c0, rtol=1e-12)
@@ -61,7 +69,7 @@ def test_hand_example_orthogonal_constraints():
     g = np.array([-1.0, -2.0, 3.0])
     c0 = np.array([1.0, 0.0, 0.0])
     c1 = np.array([0.0, 1.0, 0.0])
-    w, u = gp.project_n(g, [c0, c1])
+    w, u = project_rows(g, [c0, c1])
     np.testing.assert_allclose(w, [0.0, 0.0, 3.0], atol=1e-12)
     np.testing.assert_allclose(u, [1.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(objective(w, g), 0.5 * (1 + 4), atol=1e-12)
@@ -73,7 +81,7 @@ def test_hand_example_correlated_constraints():
     c1 = np.array([0.0, 1.0, 1.0, 0.0])
     # choose g with C g = (-4, -5) -> u = G^{-1} (4,5) = (1, 2)
     g = np.array([-1.0, -3.0, -2.0, 7.0])
-    w, u = gp.project_n(g, [c0, c1])
+    w, u = project_rows(g, [c0, c1])
     np.testing.assert_allclose(u, [1.0, 2.0], atol=1e-10)
     np.testing.assert_allclose(w, g + c0 + 2 * c1, atol=1e-10)
 
@@ -83,7 +91,7 @@ def test_one_violated_one_slack_keeps_single_multiplier():
     g = np.array([-2.0, 5.0, 0.0])
     c0 = np.array([1.0, 0.0, 0.0])
     c1 = np.array([0.0, 1.0, 0.0])
-    w, u = gp.project_n(g, [c0, c1])
+    w, u = project_rows(g, [c0, c1])
     np.testing.assert_allclose(w, [0.0, 5.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(u, [2.0, 0.0], atol=1e-12)
     assert u[1] == 0.0
@@ -93,25 +101,26 @@ def test_memory_only_active_case_name():
     g = np.array([3.0, -2.0])
     c0 = np.array([1.0, 0.0])
     c1 = np.array([0.0, 1.0])
-    w, u = gp.project_n(g, [c0, c1])
+    w, u = project_rows(g, [c0, c1])
     np.testing.assert_allclose(u, [0.0, 2.0], atol=1e-12)
     assert u[0] == 0.0
-    assert harness.project_step(g, c0, [c1])[2] == "memory-active"
+    J = np.stack([g, c0, c1])
+    assert harness.project_step(J, *gp.gram(J))[2] == "memory-active"
 
 
 def test_missing_memory_constraint_is_vacuous():
     rng = np.random.default_rng(2)
     for _ in range(20):
         g, c0, _ = rand_instance(rng, force_violation=(0, 1))
-        wa, ua = gp.project_n(g, [c0])
-        wb, ub = gp.project_n(g, [c0, np.zeros_like(g)])
+        wa, ua = project_rows(g, [c0])
+        wb, ub = project_rows(g, [c0, np.zeros_like(g)])
         np.testing.assert_allclose(wa, wb, atol=1e-12)
         assert ub[1] == 0.0 and ub.shape == (2,)
 
 
 def test_both_constraints_zero_means_interior():
     g = np.array([1.0, -2.0])
-    w, u = gp.project_n(g, [np.zeros(2), np.zeros(2)])
+    w, u = project_rows(g, [np.zeros(2), np.zeros(2)])
     np.testing.assert_array_equal(w, g)
     np.testing.assert_array_equal(u, np.zeros(2))
     assert kkt_ok(w, u, g, [np.zeros(2), np.zeros(2)])
@@ -120,7 +129,7 @@ def test_both_constraints_zero_means_interior():
 def test_zero_update_gradient():
     g = np.zeros(4)
     C = [np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0])]
-    w, u = gp.project_n(g, C)
+    w, u = project_rows(g, C)
     np.testing.assert_array_equal(w, np.zeros(4))
     assert kkt_ok(w, u, g, C)
 
@@ -129,8 +138,8 @@ def test_constraint_scaling_leaves_projection_invariant():
     rng = np.random.default_rng(3)
     for _ in range(30):
         g, c0, c1 = rand_instance(rng, force_violation=(0, 1))
-        wa, _ = gp.project_n(g, [c0, c1])
-        wb, _ = gp.project_n(g, [10.0 * c0, 0.1 * c1])
+        wa, _ = project_rows(g, [c0, c1])
+        wb, _ = project_rows(g, [10.0 * c0, 0.1 * c1])
         np.testing.assert_allclose(wa, wb, atol=1e-8 * max(1, np.linalg.norm(g)))
 
 
@@ -138,7 +147,7 @@ def test_parallel_constraints_handled():
     g = np.array([-1.0, 2.0, 0.5])
     c = np.array([2.0, 1.0, 0.0])
     C = [c, 3.0 * c]
-    w, u = gp.project_n(g, C)
+    w, u = project_rows(g, C)
     assert (np.stack(C) @ w).min() >= -gp.tolerance(g, C)
     assert kkt_ok(w, u, g, C)
 
@@ -147,7 +156,7 @@ def test_antiparallel_constraints_force_hyperplane():
     # feasible set is the hyperplane <c, w> = 0; solution is the projection
     g = np.array([1.0, 1.0, 0.0])
     c = np.array([1.0, 0.0, 0.0])
-    w, u = gp.project_n(g, [c, -c])
+    w, u = project_rows(g, [c, -c])
     np.testing.assert_allclose(w, [0.0, 1.0, 0.0], atol=1e-6)
     assert kkt_ok(w, u, g, [c, -c])
 
@@ -157,7 +166,7 @@ def test_matches_brute_force_oracle():
     patterns = [(), (0,), (1,), (0, 1)]
     for trial in range(200):
         g, c0, c1 = rand_instance(rng, force_violation=patterns[trial % 4])
-        w, u = gp.project_n(g, [c0, c1])
+        w, u = project_rows(g, [c0, c1])
         w_oracle = gp.brute_force_project(g, np.stack([c0, c1]))
         obj, obj_oracle = objective(w, g), objective(w_oracle, g)
         assert obj <= obj_oracle + 1e-8
@@ -196,16 +205,16 @@ def test_tolerance_scales_with_largest_norm():
 
 
 def test_gradient_set_validation():
-    # the update gradient and the constraint rows handed to project_n are
-    # checked as one set: g must be a vector of the rows' length, all finite
+    # the stacked gradients handed to gram are checked as one set: a 2-D
+    # stack of at least one row, all finite
     with pytest.raises(DimensionError):
-        gp.project_n(np.zeros((2, 2)), np.zeros((1, 4)))
+        gp.gram(np.zeros(4))
     with pytest.raises(DimensionError):
-        gp.project_n(np.zeros(3), np.zeros((1, 4)))
+        gp.gram(np.zeros((0, 4)))
     with pytest.raises(NumericError):
-        gp.project_n(np.array([np.nan, 0.0]), np.zeros((1, 2)))
+        gp.gram(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(NumericError):
-        gp.project_n(np.zeros(2), np.array([[1.0, np.inf]]))
+        gp.gram(np.array([[0.0, 0.0], [1.0, np.inf]]))
 
 
 def test_project_n_matches_brute_force_small():
@@ -216,7 +225,7 @@ def test_project_n_matches_brute_force_small():
         n = int(rng.integers(1, 11))
         g = rng.standard_normal(p)
         C = rng.standard_normal((n, p))
-        w, u = gp.project_n(g, C)
+        w, u = project_rows(g, C)
         w_oracle = gp.brute_force_project(g, C)
         obj = 0.5 * float((w - g) @ (w - g))
         obj_oracle = 0.5 * float((w_oracle - g) @ (w_oracle - g))
@@ -227,10 +236,25 @@ def test_project_n_matches_brute_force_small():
 
 
 def test_project_n_rejects_bad_shapes():
+    J = np.zeros((3, 4))
+    K, eps = gp.gram(J)
     with pytest.raises(DimensionError):
-        gp.project_n(np.zeros(3), np.zeros((2, 4)))
+        gp.project(J, K[:2, :2], eps)
     with pytest.raises(DimensionError):
-        gp.project_n(np.zeros(3), np.zeros(3))
+        gp.project(J[0], K, eps)
+
+
+def test_gram_tolerance_matches_row_norms():
+    # the step's tolerance read from diag K is the one tolerance() takes
+    # from the rows' norms
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        J = rng.standard_normal((int(rng.integers(1, 6)), 30))
+        J *= rng.uniform(0.01, 1e3)
+        K, eps = gp.gram(J)
+        np.testing.assert_allclose(K, J @ J.T, rtol=1e-12)
+        np.testing.assert_allclose(eps, gp.tolerance(J[0], J[1:]), rtol=1e-12)
+    assert gp.gram(np.zeros((2, 3)))[1] == gp.EPS_SCALE
 
 
 def test_project_n_handles_degenerate_rows():
@@ -251,7 +275,7 @@ def test_project_n_handles_degenerate_rows():
             C[2] = 0.0
         else:
             C[3] = C[0] + C[1]
-        w, u = gp.project_n(g, C)
+        w, u = project_rows(g, C)
         eps = gp.tolerance(g, list(C))
         diag = gp.kkt_check(w, u, g, list(C), eps)
         assert all(diag[k] for k in ("primal_feasible", "dual_feasible",
@@ -295,7 +319,7 @@ def projection_instances(draw):
 @given(projection_instances())
 def test_project_n_property_against_oracle(instance):
     g, C = instance
-    w, u = gp.project_n(g, C)
+    w, u = project_rows(g, C)
     assert kkt_ok(w, u, g, C)
     obj, obj_oracle = objective(w, g), objective(gp.brute_force_project(g, C), g)
     assert abs(obj - obj_oracle) <= 1e-7 * max(1.0, obj)

@@ -50,6 +50,13 @@ def test_plan_validation():
                 {"memory_capacity": 0}):
         with pytest.raises(ContractViolationError):
             tiny_plan(harness.GRCL, **bad)
+    # NaN and Inf pass the range checks' comparisons unless refused
+    for name in ("lr", "pretrain_lr", "lambda_source", "lambda_memory",
+                 "ratio_source", "ratio_memory", "ratio_target",
+                 "temperature", "bank_momentum"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractViolationError, match="finite"):
+                tiny_plan(harness.MULTITASK, **{name: value})
 
 
 def test_accuracy_matrix_contract():
@@ -65,17 +72,24 @@ def test_accuracy_matrix_contract():
         m.entry(2, 0)
 
 
+def step(plan, *rows):
+    J = np.stack(rows)
+    return harness._step_direction(plan, J, *gradproject.gram(J))
+
+
 def test_multitask_step_grad_weights():
     g_t = np.array([1.0, 0.0])
     g_s = np.array([0.0, 2.0])
     g_dm = np.array([3.0, 3.0])
-    w = harness.multitask_step_grad(g_t, g_s, g_dm, 0.5, 2.0)
+    mt = tiny_plan(harness.MULTITASK, lambda_source=0.5, lambda_memory=2.0)
+    w, u_star, case = step(mt, g_t, g_s, g_dm)
     np.testing.assert_allclose(w, [1.0 + 6.0, 1.0 + 6.0])
-    np.testing.assert_allclose(harness.multitask_step_grad(g_t), g_t)
-    np.testing.assert_allclose(harness.multitask_step_grad(g_t, g_s, None, 2.0),
-                               [1.0, 4.0])
-    with pytest.raises(ContractViolationError):
-        harness.multitask_step_grad(g_t, g_s, None, -0.5, 0.0)
+    np.testing.assert_array_equal(u_star, [0.0, 0.0])
+    assert case == "fixed-weight"
+    # no memory row yet, and crt_src never weighs one in
+    np.testing.assert_allclose(step(mt, g_t, g_s)[0], [1.0, 1.0])
+    crt_src = tiny_plan(harness.CRT_SRC, lambda_source=2.0)
+    np.testing.assert_allclose(step(crt_src, g_t, g_s, g_dm)[0], [1.0, 4.0])
 
 
 def test_evaluate_matches_manual_accuracy():
@@ -243,8 +257,7 @@ def test_grcl_step_constrains_each_memory_domain():
     g_mem = np.array([[-1.0, 1.0, 0.0], [3.0, 1.0, 0.0]])
     g_dm = g_mem.mean(axis=0)
     assert g_t @ g_dm >= 0.0 and g_t @ g_mem[0] < 0.0
-    w, u_star, case = harness._step_direction(
-        tiny_plan(harness.GRCL), g_t, g_s, g_dm, g_mem)
+    w, u_star, case = step(tiny_plan(harness.GRCL), g_t, g_s, *g_mem)
     eps = gradproject.tolerance(g_t, [g_s, *g_mem])
     assert np.all(g_mem @ w >= -eps)
     assert w @ g_s >= -eps and w @ g_dm >= -eps
@@ -264,43 +277,55 @@ def test_project_step_case_names():
         (np.array([-1.0, -2.0, 3.0]), [c1], "both-active", [1.0, 2.0]),
     ]
     for g_t, g_mem, want_case, want_u in cases:
-        w, u_star, case = harness.project_step(g_t, c0, g_mem)
+        J = np.stack([g_t, c0] + (g_mem or []))
+        w, u_star, case = harness.project_step(J, *gradproject.gram(J))
         assert case == want_case
         np.testing.assert_allclose(u_star, want_u, atol=1e-12)
-    w, _, _ = harness.project_step(cases[0][0], c0)
+    J = np.stack([cases[0][0], c0])
+    w, _, _ = harness.project_step(J, *gradproject.gram(J))
     np.testing.assert_array_equal(w, cases[0][0])
+    # crt_sdc steps under the source row alone, though it measures memory
+    g_t = np.array([3.0, -2.0, -1.0])
+    w, u_star, case = step(tiny_plan(harness.CRT_SDC), g_t, c0, c1)
+    np.testing.assert_array_equal(w, g_t)
+    assert case == "interior"
 
 
 def test_project_step_rejects_failed_kkt(monkeypatch):
     # a solver answer that leaves the source slack negative must not be
     # taken as a step, in the warm-up as in the adaptation loop
-    monkeypatch.setattr(gradproject, "project_n",
-                        lambda g, rows: (np.asarray(g), np.zeros(len(rows))))
+    monkeypatch.setattr(gradproject, "project",
+                        lambda J, K, eps: (J[0], np.zeros(len(J) - 1)))
+    J = np.array([[-1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ContractViolationError):
-        harness.project_step(np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+        harness.project_step(J, *gradproject.gram(J))
 
 
 def test_memory_grads_mix_to_pooled_cross_entropy():
+    # GRCL's per-domain memory rows, mixed by their shares of the memory
+    # rows, give the pooled memory row the other strategies use, and each
+    # is the cross-entropy of its own domain's rows
     domains = tiny_domains()
     cfg = model.ModelConfig(input_dim=2, n_classes=3, hidden_dim=8,
                             proj_hidden_dim=8, embed_dim=4)
     params = model.init_params(cfg, np.random.default_rng(0))
     X = domains[1].train.X[:7]
+    labels = domains[1].train.y[:7]
     parts = np.array([1, 2, 1, 1, 2, 1, 2])
-    batch = model.Batch(inputs=X, labels=domains[1].train.y[:7], parts=parts)
-    mem_sel = list(range(7))
-    loss, g_dm, g_mem = harness._memory_grads(params, model.forward(params, X),
-                                              batch, mem_sel)
-    want_loss, want_g = model.ce_loss_and_grad(params, batch)
+    fw = model.forward(params, X)
+    rows = np.arange(7)
+    groups = [rows[parts == d] for d in (1, 2)]
+    losses, g_mem = model.backward(params, fw, labels=labels, groups=groups)
+    shares = np.array([g.size for g in groups]) / 7
+    want_loss, want_g = model.ce_loss_and_grad(
+        params, model.Batch(inputs=X, labels=labels, parts=parts))
     assert g_mem.shape == (2, params.num_params)
-    np.testing.assert_allclose(loss, want_loss, rtol=1e-12)
-    np.testing.assert_allclose(g_dm, want_g, rtol=1e-10, atol=1e-14)
-    for row, d in zip(g_mem, (1, 2)):
-        sel = [i for i in mem_sel if parts[i] == d]
-        sub = model.Batch(inputs=X[sel], labels=batch.labels[sel],
-                          parts=parts[sel])
+    np.testing.assert_allclose(shares @ losses, want_loss, rtol=1e-12)
+    np.testing.assert_allclose(shares @ g_mem, want_g, rtol=1e-10, atol=1e-14)
+    for row, sel in zip(g_mem, groups):
+        sub = model.Batch(inputs=X[sel], labels=labels[sel], parts=parts[sel])
         _, g_d = model.ce_loss_and_grad(params, sub)
-        np.testing.assert_array_equal(row, g_d)
+        np.testing.assert_allclose(row, g_d, rtol=0, atol=1e-15)
 
 
 def test_crt_sdc_never_uses_memory_constraint():
@@ -368,7 +393,7 @@ def test_warm_projector_improves_objective_without_losing_source():
     def source_nce(p):
         """Warm-phase objective against the embeddings' own snapshot bank."""
         fb = bank.init_bank(p, [src.X])
-        loss, _ = contrastive.contrastive_grad(p, model.forward(p, src.X),
+        loss, _ = contrastive.contrastive_grad(model.forward(p, src.X),
                                                np.arange(len(src)),
                                                fb, plan.temperature, len(fb) - 1,
                                                np.random.default_rng(0))
@@ -390,10 +415,13 @@ def test_run_plan_rejects_trivial_sequences():
 
 
 def test_two_forward_passes_per_iteration(monkeypatch):
-    # one forward before each step feeds the contrastive, source and
-    # per-domain memory gradients; one after it refreshes the bank
+    # one forward before each step feeds one backward call, whose rows are
+    # the contrastive, source and per-domain memory gradients, and one Gram
+    # matrix; one forward after it refreshes the bank
     domains = tiny_domains(n_domains=4)
     forwards, step_marks, phases = [0], [], []
+    calls = {"backward": 0, "gram": 0}
+    rows = []  # rows of J per backward call
     real_forward, real_step = model.forward, model.sgd_step
 
     def counting_forward(*args, **kwargs):
@@ -404,27 +432,49 @@ def test_two_forward_passes_per_iteration(monkeypatch):
         step_marks.append(forwards[0])
         return real_step(*args)
 
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            out = real(*args, **kwargs)
+            if name == "backward":
+                rows.append(len(out[1]))
+            return out
+        monkeypatch.setattr(module, name, wrapped)
+
     def phase(fn):
         def wrapped(*args):
-            f0, s0 = forwards[0], len(step_marks)
+            f0, s0, c0, r0 = forwards[0], len(step_marks), dict(calls), len(rows)
             out = fn(*args)
-            phases.append((fn.__name__, forwards[0] - f0, step_marks[s0:]))
+            phases.append((fn.__name__, forwards[0] - f0, step_marks[s0:],
+                           {k: calls[k] - c0[k] for k in calls}, rows[r0:]))
             return out
         return wrapped
 
+    def no_tolerance(*args):
+        raise AssertionError("a step took the tolerance from the rows' norms")
+
     monkeypatch.setattr(model, "forward", counting_forward)
     monkeypatch.setattr(model, "sgd_step", marking_step)
+    counting(model, "backward")
+    counting(gradproject, "gram")
+    monkeypatch.setattr(gradproject, "tolerance", no_tolerance)
     monkeypatch.setattr(harness, "warm_projector", phase(harness.warm_projector))
     monkeypatch.setattr(harness, "adapt_domain", phase(harness.adapt_domain))
     res = harness.run_plan(domains, tiny_plan(harness.GRCL))
 
-    assert [name for name, _, _ in phases] == ["warm_projector"] + ["adapt_domain"] * 3
+    assert [p[0] for p in phases] == ["warm_projector"] + ["adapt_domain"] * 3
     # domains 2 and 3 draw memory rows into every batch
     assert all(math.isfinite(row["loss_mem"])
                for row in res.diagnostics if row["domain"] > 1)
-    for name, _, marks in phases:
+    for name, _, marks, counts, _ in phases:
         assert len(marks) > 1
         assert np.all(np.diff(marks) == 2), name
+        assert counts == {"backward": len(marks), "gram": len(marks)}, name
+    # contrastive and source rows, then one row per earlier target domain
+    # whose memory the batch drew from
+    assert [max(r) for *_, r in phases] == [2, 2, 3, 4]
     # the warm-up adds only the bank snapshot of its one source pool
-    _, total, marks = phases[0]
+    _, total, marks, _, _ = phases[0]
     assert total == 1 + 2 * len(marks)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from backward_oracle import ce_oracle, embedding_oracle
 from contda import model
 from contda.errors import ContractViolationError, DimensionError
 
@@ -144,20 +145,28 @@ def _fd_grad(fn, flat, coords, h=1e-6):
 
 
 def test_ce_grad_matches_finite_differences():
+    # each cross-entropy row of J against the finite differences of its
+    # own group's loss
     rng = np.random.default_rng(21)
     for trial in range(5):
         p = make_params(100 + trial)
         batch = labeled_batch(rng, p, n=5)
+        groups = [np.array([3, 0]), np.array([4, 1, 2])]
 
-        def loss_at(flat):
-            return model.ce_loss_and_grad(model.ModelParams(p.config, flat), batch)[0]
+        def loss_at(flat, g):
+            moved = model.ModelParams(p.config, flat)
+            fw = model.forward(moved, batch.inputs, project=False)
+            return model.backward(moved, fw, labels=batch.labels,
+                                  groups=groups)[0][g]
 
-        _, g = model.ce_loss_and_grad(p, batch)
+        fw = model.forward(p, batch.inputs, project=False)
+        _, J = model.backward(p, fw, labels=batch.labels, groups=groups)
         flat = p.flat.copy()
-        coords = rng.choice(p.num_params, size=40, replace=False)
-        fd = _fd_grad(loss_at, flat, coords)
-        for j, v in fd.items():
-            assert abs(g[j] - v) <= 1e-6 * max(1.0, abs(v)), (trial, j)
+        for g in range(2):
+            coords = rng.choice(p.num_params, size=40, replace=False)
+            fd = _fd_grad(lambda f: loss_at(f, g), flat, coords)
+            for j, v in fd.items():
+                assert abs(J[g, j] - v) <= 1e-6 * max(1.0, abs(v)), (trial, g, j)
 
 
 def test_ce_grad_projector_blocks_exactly_zero():
@@ -173,29 +182,33 @@ def test_ce_grad_projector_blocks_exactly_zero():
 
 
 def test_embedding_backward_matches_finite_differences():
+    # row 0 of J against the finite differences of sum(C * Q), with a
+    # cross-entropy group stacked below it
     rng = np.random.default_rng(41)
     for trial in range(5):
         p = make_params(200 + trial)
         X = rng.standard_normal((4, 2))
         C = rng.standard_normal((4, p.config.embed_dim))
+        y = np.array([0, -1, 2, -1])
 
         def loss_at(flat):
             Q = model.encode_project_batch(model.ModelParams(p.config, flat), X)
             return float((C * Q).sum())
 
-        g = model.embedding_grad(p, model.forward(p, X), C)
+        _, J = model.backward(p, model.forward(p, X), C, y, [np.array([2, 0])])
         flat = p.flat.copy()
         coords = rng.choice(p.num_params, size=40, replace=False)
         fd = _fd_grad(loss_at, flat, coords)
         for j, v in fd.items():
-            assert abs(g[j] - v) <= 1e-6 * max(1.0, abs(v)), (trial, j)
+            assert abs(J[0, j] - v) <= 1e-6 * max(1.0, abs(v)), (trial, j)
 
 
 def test_embedding_backward_classifier_blocks_exactly_zero():
     p = make_params(51)
     rng = np.random.default_rng(52)
-    g = model.embedding_grad(p, model.forward(p, rng.standard_normal((3, 2))),
-                             rng.standard_normal((3, 3)))
+    _, J = model.backward(p, model.forward(p, rng.standard_normal((3, 2))),
+                          rng.standard_normal((3, 3)))
+    g = J[0]
     slices = p.block_slices()
     assert np.all(g[slices["cls_w"]] == 0.0)
     assert np.all(g[slices["cls_b"]] == 0.0)
@@ -208,8 +221,67 @@ def test_normalization_backward_kills_radial_component():
     rng = np.random.default_rng(62)
     X = rng.standard_normal((5, 2))
     Q = model.encode_project_batch(p, X)
-    g = model.embedding_grad(p, model.forward(p, X), 3.7 * Q)
-    np.testing.assert_allclose(g, np.zeros_like(g), atol=1e-12)
+    _, J = model.backward(p, model.forward(p, X), 3.7 * Q)
+    np.testing.assert_allclose(J[0], np.zeros_like(J[0]), atol=1e-12)
+
+
+def random_layout(rng, n, n_classes):
+    """Labels for n rows and groups of them: a source group, then up to
+    three memory groups whose rows interleave in batch order and are listed
+    out of it, some of one row; rows in no group are unlabeled."""
+    n_groups = int(rng.integers(1, 5))
+    owner = rng.integers(-1, n_groups, size=n)
+    owner[rng.permutation(n)[:n_groups]] = np.arange(n_groups)
+    groups = [rng.permutation(np.flatnonzero(owner == g))
+              for g in range(n_groups)]
+    if n_groups > 1 and rng.random() < 0.5:
+        # a one-row memory group
+        groups[-1] = groups[-1][:1]
+    labels = np.where(owner >= 0, rng.integers(0, n_classes, size=n), -1)
+    return labels, groups
+
+
+def test_backward_rows_match_per_loss_oracle():
+    # every row of J and every cross-entropy loss equals its own backward
+    # pass, over random group layouts, with and without the embedding row
+    rng = np.random.default_rng(75)
+    cfg = model.ModelConfig(input_dim=3, n_classes=4, hidden_dim=7,
+                            proj_hidden_dim=6, embed_dim=5)
+    for trial in range(60):
+        p = make_params(400 + trial, cfg)
+        n = int(rng.integers(4, 13))
+        X = rng.standard_normal((n, 3))
+        labels, groups = random_layout(rng, n, 4)
+        if trial % 3 == 2:
+            groups = groups[:1]  # no memory rows
+        lead = trial % 4 != 3  # else the pretraining form: no embedding row
+        fw = model.forward(p, X, project=lead)
+        dQ = rng.standard_normal((n, 5)) if lead else None
+        losses, J = model.backward(p, fw, dQ, labels, groups)
+        assert J.shape == (lead + len(groups), p.num_params)
+        assert losses.shape == (len(groups),)
+        if lead:
+            np.testing.assert_allclose(J[0], embedding_oracle(p, fw, dQ),
+                                       rtol=0, atol=1e-12)
+        for g, rows in enumerate(groups):
+            want_loss, want = ce_oracle(p, fw, rows, labels)
+            assert abs(losses[g] - want_loss) <= 1e-12, (trial, g)
+            np.testing.assert_allclose(J[lead + g], want, rtol=0, atol=1e-12)
+
+
+def test_backward_empty_group_and_validation():
+    p = make_params(77)
+    rng = np.random.default_rng(78)
+    X = rng.standard_normal((4, 2))
+    fw = model.forward(p, X)
+    y = np.array([0, 1, -1, 2])
+    losses, J = model.backward(p, fw, None, y,
+                               [np.zeros(0, dtype=np.int64), np.array([1])])
+    assert np.isnan(losses[0]) and np.all(J[0] == 0.0)
+    with pytest.raises(DimensionError):
+        model.backward(p, fw, None, y[:3], [np.array([1])])
+    with pytest.raises(ContractViolationError):
+        model.backward(p, fw, None, y, [np.array([2])])
 
 
 def test_sgd_step_arithmetic():
@@ -240,14 +312,14 @@ def test_ce_grad_on_row_subset_matches_sub_batch():
         batch = labeled_batch(rng, p, n=12)
         fw = model.forward(p, batch.inputs)
         sel = np.sort(rng.choice(12, size=int(rng.integers(1, 12)), replace=False))
-        loss, g = model.ce_grad(p, fw.rows(sel), batch.labels[sel])
+        losses, J = model.backward(p, fw, labels=batch.labels, groups=[sel])
         sub = model.Batch(inputs=batch.inputs[sel], labels=batch.labels[sel],
                           parts=batch.parts[sel])
         want_loss, want_g = model.ce_loss_and_grad(p, sub)
-        assert abs(loss - want_loss) <= 1e-12
-        np.testing.assert_allclose(g, want_g, rtol=0, atol=1e-12)
+        assert abs(losses[0] - want_loss) <= 1e-12
+        np.testing.assert_allclose(J[0], want_g, rtol=0, atol=1e-12)
     with pytest.raises(DimensionError):
-        model.ce_grad(p, fw, batch.labels[:3])
+        model.backward(p, fw, labels=batch.labels[:3], groups=[sel])
 
 
 def test_checkpoint_roundtrip(tmp_path):

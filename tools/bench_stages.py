@@ -5,7 +5,11 @@
 The reference run is `rot-blobs-5`, `grcl`, seed 11 through
 `contda.cli.run_config`, in this process with one BLAS thread, importing
 contda from this checkout's src/.  It runs three times untraced, for the
-median wall time, then once under perfbench's span tracer.  A stage is a set
+median wall time, then once under perfbench's span tracer.  Each untraced
+run is also given in units of perfbench's reference kernel, sampled before,
+during and after it as perfbench/run.py does: the wall time of one tree
+drifts by up to 40% between rounds on a shared host, and the kernel drifts
+with it, so these figures compare across rounds.  A stage is a set
 of wrapped functions; its cost is the self time of their spans inside
 `harness.adapt_domain`, outside the per-domain encoder passes that feed
 k-means, divided by the number of adaptation iterations.  A wrapped
@@ -21,6 +25,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 os.environ.pop("CONTDA_OUTPUT_DIR", None)
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -34,6 +39,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import tracer as tracer_mod  # noqa: E402
 from contda import cli  # noqa: E402
+from run import ReferenceKernel, Sampler  # noqa: E402
 
 REFERENCE = {"preset": "rot-blobs-5", "strategy": "grcl", "seed": 11}
 RUNS = 3  # untraced reference runs behind the median wall time
@@ -44,11 +50,10 @@ PER_DOMAIN_ENCODE = "model.encode_batch"
 STAGES = {
     "negative_draw": (("contda.bank", "negative_rows"),),
     "infonce": (("contda.contrastive", "contrastive_grad"),),
-    "embedding_backward": (("contda.model", "embedding_grad"),),
+    "backward": (("contda.model", "backward"),),
     "forward": (("contda.model", "forward"),),
-    "ce_gradients": (("contda.model", "ce_grad"),
-                     ("contda.harness", "_memory_grads")),
-    "projection": (("contda.harness", "project_step"),),
+    "projection": (("contda.gradproject", "gram"),
+                   ("contda.harness", "project_step")),
     "batch_composition": (("contda.harness", "_compose_batch"),),
     "bank_update": (("contda.bank", "momentum_update"),),
 }
@@ -71,11 +76,18 @@ def wrap_points():
     return sorted(points)
 
 
-def run_reference(out_dir):
+def run_reference(out_dir, sampler=None):
+    """Seconds of one reference run, without the time the sampler's ticks
+    took, and its reference-kernel seconds (None without a sampler)."""
     cfg = cli.validate_config({**REFERENCE, "output_dir": out_dir})
-    start = time.perf_counter()
-    cli.run_config(cfg)
-    return time.perf_counter() - start
+    with sampler or contextlib.nullcontext():
+        start = time.perf_counter()
+        cli.run_config(cfg)
+        end = time.perf_counter()
+    if sampler is None:
+        return end - start, None
+    return (end - start - sampler.busy_between(start, end),
+            statistics.median(sampler.samples))
 
 
 def cpu_model():
@@ -122,11 +134,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        walls = [run_reference(os.path.join(tmp, f"run{i}"))
-                 for i in range(RUNS)]
+        sampler = Sampler(ReferenceKernel())
+        runs = [run_reference(os.path.join(tmp, f"run{i}"), sampler)
+                for i in range(RUNS)]
         tracer = tracer_mod.Tracer(points=wrap_points())
         with tracer.installed():
-            traced = run_reference(os.path.join(tmp, "traced"))
+            traced, _ = run_reference(os.path.join(tmp, "traced"))
     if tracer.absent:
         sys.exit(f"error: wrap points name missing code: {tracer.absent}")
     iters, per_iter, per_domain = stage_costs(tracer.spans)
@@ -139,8 +152,11 @@ def main(argv=None):
         "machine": {"cpus": os.cpu_count(), "processor": cpu_model(),
                     "python": platform.python_version()},
         "reference_run": REFERENCE,
-        "reference_run_s": round(statistics.median(walls), 3),
-        "reference_run_s_each": [round(w, 3) for w in walls],
+        "reference_run_s": round(statistics.median(w for w, _ in runs), 3),
+        "reference_run_s_each": [round(w, 3) for w, _ in runs],
+        "reference_run_ref": round(statistics.median(w / k for w, k in runs), 1),
+        "reference_run_ref_each": [round(w / k, 1) for w, k in runs],
+        "reference_kernel_s_each": [round(k, 5) for _, k in runs],
         "traced_run_s": round(traced, 3),
         "adapt_iters": iters,
         "stage_us_per_iter": per_iter,
