@@ -72,8 +72,7 @@ def gram(J):
 
 
 def project(J, K, eps):
-    """Projection of J[0] onto the half-spaces of the constraint rows J[1:];
-    returns (w, u).
+    """(w, u): J[0] projected onto the half-spaces of the constraint rows J[1:].
 
     The rows enter only through the Gram matrix K = J J^T from gram: the
     dual reads G = K[1:, 1:] and b = K[1:, 0], multipliers u give the

@@ -220,7 +220,7 @@ def warm_projector(params, source_train, plan, rng):
             _, dQ = contrastive_mod.contrastive_grad(
                 fw, idx, fbank, plan.temperature, plan.negatives, rng)
             _, J = model_mod.backward(params, fw, dQ, source_train.y[idx],
-                                      [np.arange(idx.size)])
+                                      [slice(None)])
             w, _, _ = project_step(J, *gradproject.gram(J))
             params = model_mod.sgd_step(params, w,
                                         _cosine_lr(plan.lr, step, total))

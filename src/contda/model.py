@@ -197,19 +197,20 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
     rows of J of shape (r, P); returns the cross-entropy losses and J.
 
     Row 0 is the loss whose gradient w.r.t. fw's unit embeddings is dQ,
-    when dQ is given; then one row per entry of groups, the mean softmax
-    cross-entropy of labels over those rows of fw (NaN loss and a zero row
-    for an empty group).  The chain through the encoder runs once over
+    when dQ is given; then one row per entry of groups (an index array or
+    a slice of fw's rows), the mean softmax cross-entropy of labels over
+    those rows (NaN loss and a zero row for an empty group).  The chain through the encoder runs once over
     every stacked (row, sample) pair, and only the weight reductions are
     taken per row.  Projector blocks of the cross-entropy rows and
     classifier blocks of the embedding row are exactly zero.
     """
     n = fw.X.shape[0]
     lead = 0 if dQ is None else 1
-    counts = [n] * lead + [len(g) for g in groups]
+    rows = [np.arange(n)[g] for g in groups]
+    counts = [n] * lead + [r.size for r in rows]
     S = params.block_slices()
     J = np.zeros((len(counts), params.num_params))
-    pairs, dH2, losses = [np.arange(n)] * lead, [], []
+    pairs, dH2, losses = [slice(None)] * lead, [], []
     if lead:
         norms = np.linalg.norm(fw.Z, axis=1, keepdims=True)
         Q = fw.Z / norms
@@ -226,7 +227,8 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
         y = np.asarray(labels, dtype=np.int64)
         if y.shape != (n,):
             raise DimensionError(f"{y.shape} labels for {n} rows")
-        pairs.append(np.concatenate([np.asarray(g, dtype=np.int64) for g in groups]))
+        # a single group indexes fw as given, so a slice copies nothing
+        pairs.append(groups[0] if len(groups) == 1 else np.concatenate(rows))
         y, Hc = y[pairs[-1]], fw.H2[pairs[-1]]
         if np.any((y < 0) | (y >= params.config.n_classes)):
             raise ContractViolationError("cross-entropy needs a label in the "
@@ -240,7 +242,7 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
         dlogits /= sizes.repeat(sizes)[:, None]
         dH2.append(dlogits @ params.cls_w)
 
-    idx = np.concatenate(pairs) if len(pairs) > 1 else pairs[0]
+    idx = pairs[0] if len(pairs) == 1 else np.concatenate([np.arange(n)] + rows)
     X, H1, H2 = fw.X[idx], fw.H1[idx], fw.H2[idx]
     dZ2 = np.concatenate(dH2) if len(dH2) > 1 else dH2[0]
     dZ2 *= 1.0 - H2 * H2
@@ -269,7 +271,7 @@ def ce_loss_and_grad(params: ModelParams, batch: Batch):
     """Mean cross-entropy of a fully labeled batch and its flat gradient,
     from the batch's own encoder pass."""
     losses, J = backward(params, forward(params, batch.inputs, project=False),
-                         labels=batch.labels, groups=[np.arange(len(batch))])
+                         labels=batch.labels, groups=[slice(None)])
     return float(losses[0]), J[0]
 
 

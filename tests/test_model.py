@@ -318,6 +318,14 @@ def test_ce_grad_on_row_subset_matches_sub_batch():
         want_loss, want_g = model.ce_loss_and_grad(p, sub)
         assert abs(losses[0] - want_loss) <= 1e-12
         np.testing.assert_allclose(J[0], want_g, rtol=0, atol=1e-12)
+    # a slice selects the same rows as its index array, with or without the
+    # embedding row stacked above
+    dQ = rng.standard_normal((12, p.config.embed_dim))
+    for lead in (None, dQ):
+        by_slice = model.backward(p, fw, lead, batch.labels, [slice(3, 10)])
+        by_rows = model.backward(p, fw, lead, batch.labels, [np.arange(3, 10)])
+        np.testing.assert_allclose(by_slice[1], by_rows[1], rtol=0, atol=1e-15)
+        assert abs(by_slice[0][0] - by_rows[0][0]) <= 1e-15
     with pytest.raises(DimensionError):
         model.backward(p, fw, labels=batch.labels[:3], groups=[sel])
 
