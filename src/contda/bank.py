@@ -6,8 +6,9 @@ Keys start from a frozen parameter snapshot and are then blended toward fresh
 embeddings with a momentum coefficient and re-normalized.  A single writer
 (the adaptation loop) mutates the bank in place.  Each query draws its own
 distinct negatives other than its own row.  is_sparse, on the fill ratio
-(1 + count) / len(bank), picks a rejection draw at small fills and a ranking
-of uniform keys otherwise; contrastive_grad picks its kernel by it too.
+(1 + count) / len(bank), picks a rejection draw (distinct_rows, which also
+draws the batch rows) at small fills and a ranking of uniform keys
+otherwise; contrastive_grad picks its kernel by it too.
 """
 
 from dataclasses import dataclass
@@ -85,36 +86,50 @@ def is_sparse(size: int, count: int) -> bool:
     return 1 + count <= SPARSE_FILL * size
 
 
+def distinct_rows(rng: np.random.Generator, size: int, count: int,
+                  n: int) -> np.ndarray:
+    """n sorted int32 rows of `count` uniform draws from [0, size), each
+    row a uniform count-subset unless count > size.
+
+    Repeats are redrawn until every row is distinct; a draw collides with
+    probability below count / size, so at small fills the redraws shrink
+    geometrically.  The rule only asks which draws are equal, so every
+    count-subset is equally likely."""
+    if count == 0:
+        return np.zeros((n, 0), dtype=np.int32)
+    rows = rng.integers(size, size=(n, count), dtype=np.int32)
+    rows.sort(axis=1)
+    flat = rows.reshape(-1)
+    while count <= size:
+        # flat positions that repeat their left neighbour in the same row
+        k = np.flatnonzero(flat[1:] == flat[:-1]) + 1
+        k = k[k % count != 0]
+        if k.size == 0:
+            break
+        flat[k] = rng.integers(size, size=k.size, dtype=np.int32)
+        rows.sort(axis=1)
+    return rows
+
+
 def negative_rows(bank: FeatureBank, own, count: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """For each bank row in own, `count` distinct other rows drawn uniformly.
+    """For each bank row in own, `count` distinct other rows drawn
+    uniformly, as int32 (len(own), count).
 
-    Every query draws its own set, without replacement and never its own
-    row.  Raises when the bank has fewer than count other entries.
+    Each query draws among the n - 1 other rows: distinct_rows when
+    is_sparse, else the count smallest of one uniform key per row; then the
+    draw shifts past the own row.  It reads the bank's size, not its keys.
+    Raises when the bank has fewer than count other entries.
     """
     own = bank.check_rows(own)
     n = len(bank)
     if n - 1 < count:
         raise InsufficientNegativesError(
             f"bank holds {n - 1} candidate negatives, need {count}")
-    if count == 0:
-        return np.zeros((own.size, 0), dtype=np.int64)
-    if is_sparse(n, count):
-        # draw among the n - 1 other rows and redraw each repeat until every
-        # row of the draw is distinct; a draw collides with probability below
-        # the fill ratio, so the redraws shrink geometrically.  The rule only
-        # asks which draws are equal, so every count-subset is equally likely.
-        rows = rng.integers(n - 1, size=(own.size, count))
-        rows.sort(axis=1)
-        while True:
-            i, j = np.nonzero(rows[:, 1:] == rows[:, :-1])
-            if i.size == 0:
-                break
-            rows[i, j + 1] = rng.integers(n - 1, size=i.size)
-            rows.sort(axis=1)
-        return rows + (rows >= own[:, None])
-    # the count smallest of one uniform key per row, with the own row's key
-    # set above every other
-    keys = rng.random((own.size, n))
-    keys[np.arange(own.size), own] = 2.0
-    return np.argpartition(keys, count - 1, axis=1)[:, :count]
+    if count == 0 or is_sparse(n, count):
+        rows = distinct_rows(rng, n - 1, count, own.size)
+    else:
+        rows = np.argpartition(rng.random((own.size, n - 1)), count - 1,
+                               axis=1)[:, :count].astype(np.int32)
+    rows += rows >= own[:, None]
+    return rows

@@ -1,9 +1,11 @@
 """Instance-discrimination contrastive loss against the feature bank.
 
 Each query embedding is pulled toward its own stored key and pushed away from
-other keys drawn fresh for it from the rest of the bank, with similarities
-scaled by a temperature: the memory-bank estimator, with negatives drawn per
-query rather than shared across the batch.  Bank keys are treated as
+other keys drawn for it from the rest of the bank, with similarities scaled
+by a temperature: the memory-bank estimator, with negatives drawn per query
+rather than shared across the batch.  The caller draws them
+(bank.negative_rows): the draw depends on the bank's size, not its keys, so
+a sparse draw can serve a whole epoch of steps.  Bank keys are treated as
 constants: no gradient flows into the bank.  The loss hands back its
 gradient w.r.t. the unit embeddings; model.backward takes it through the
 network together with the step's cross-entropy terms.
@@ -45,16 +47,14 @@ def nce_columns(Q, keys, cols, temperature, gathered):
     return logp, S @ keys / temperature
 
 
-def contrastive_grad(fw, rows, bank, temperature: float, negatives: int,
-                     rng: np.random.Generator):
+def contrastive_grad(fw, rows, negatives, bank, temperature: float):
     """Mean contrastive loss over the rows of a forward pass and its
     gradient dQ w.r.t. their unit embeddings, one row per sample, which
     model.backward takes through the network.
 
     fw holds the activations of the samples stored at these bank rows, in
-    order.  Each sample's positive is its own row and its `negatives`
-    negatives are drawn from the rest of the bank (all of it when negatives =
-    len(bank) - 1).
+    order.  Each sample's positive is its own row and its negatives are the
+    bank rows in its row of `negatives` (bank.negative_rows draws them).
     """
     n = len(rows)
     if n == 0:
@@ -64,9 +64,12 @@ def contrastive_grad(fw, rows, bank, temperature: float, negatives: int,
     if bank.embed_dim != fw.Z.shape[1]:
         raise DimensionError(f"bank keys have dimension {bank.embed_dim}, "
                              f"embeddings {fw.Z.shape[1]}")
-    own = np.asarray(rows, dtype=np.int64)
-    cols = np.concatenate(
-        (own[:, None], bank_mod.negative_rows(bank, own, negatives, rng)), axis=1)
+    negatives = np.asarray(negatives)
+    if negatives.ndim != 2 or negatives.shape[0] != n:
+        raise DimensionError(f"{negatives.shape} negatives for {n} samples")
+    cols = np.concatenate((np.asarray(rows, dtype=np.int64)[:, None],
+                           negatives), axis=1)
+    bank.check_rows(cols.ravel())
     logp, dQ = nce_columns(fw.embeddings(), bank.keys, cols, temperature,
-                           bank_mod.is_sparse(len(bank), negatives))
+                           bank_mod.is_sparse(len(bank), negatives.shape[1]))
     return float(-logp[:, 0].mean()), dQ / n

@@ -15,6 +15,11 @@ of J's rows, and the warm-up, crt_sdc and GRCL take project_step, one
 KKT-guarded projection on that Gram matrix.  A domain's bank and batch pool
 are built from the same parts in the same order, so a batch's pool rows are
 its bank rows; each pool row carries an integer part code.
+
+Each epoch draws its randomness before its step loop: every step's batch
+rows, laid out as [source | memory d1 | ... | target] so GRCL's memory
+groups are slices, one gather and one Batch check, and, when the negative
+draw is sparse, every step's negatives.
 """
 
 import math
@@ -214,11 +219,12 @@ def warm_projector(params, source_train, plan, rng):
     step = 0
     for _ in range(plan.warm_epochs):
         order = rng.permutation(n)
-        for i in range(iters):
-            idx = order[i * plan.batch_size:(i + 1) * plan.batch_size]
+        steps = np.split(order, range(plan.batch_size, n, plan.batch_size))
+        negs = _negatives(fbank, steps, plan.negatives, rng)
+        for idx, neg in zip(steps, negs):
             fw = model_mod.forward(params, source_train.X[idx])
             _, dQ = contrastive_mod.contrastive_grad(
-                fw, idx, fbank, plan.temperature, plan.negatives, rng)
+                fw, idx, neg, fbank, plan.temperature)
             _, J = model_mod.backward(params, fw, dQ, source_train.y[idx],
                                       [slice(None)])
             w, _, _ = project_step(J, *gradproject.gram(J))
@@ -247,33 +253,46 @@ def _compose_counts(plan, have_memory: bool):
     return n_s, n_m, n_t
 
 
-def _draw(rng, pool_size, count):
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    return rng.choice(pool_size, size=count, replace=count > pool_size)
-
-
 def _batch_pool(parts):
     """Concatenate (inputs, labels, part code) parts, source first, then each
     memory, then the target, into the arrays a batch is gathered from; a bank
     built from the same parts holds pool row i at bank row i.  Returns them
-    with the sizes of the source, all memories together and the target."""
+    with the pool offset of each part and the pool's end."""
     lengths = [len(p[0]) for p in parts]
     pool = (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]),
             np.repeat([p[2] for p in parts], lengths))
-    return pool, (lengths[0], sum(lengths[1:-1]), lengths[-1])
+    return pool, np.cumsum([0] + lengths)
 
 
-def _compose_batch(pool, sizes, counts, rng):
-    """Draw counts[i] samples from part i of the pool (source, memories,
-    target), in that order; returns their pool rows and the batch."""
-    inputs, labels, parts = pool
-    starts = np.cumsum((0,) + sizes[:-1])
-    rows = np.concatenate([start + _draw(rng, size, count)
-                           for start, size, count in zip(starts, sizes, counts)])
-    return rows, Batch(inputs=inputs[rows], labels=labels[rows],
-                       parts=parts[rows])
+def _draw_epoch(pool, offsets, counts, iters, by_domain, rng):
+    """One epoch's batches: every step's pool rows (iters, batch), their
+    Batch with one row per step, and each step's memory cut points.
+
+    A step draws counts[i] rows of part i (source, memories, target),
+    distinct when the part holds that many, in sorted order.  Parts occupy
+    increasing pool ranges, so each batch reads [source | memory d1 | d2 |
+    ... | target].  Memory groups run between consecutive cut points: one
+    per memory domain under by_domain, else one over all memory rows.
+    """
+    edges = offsets[[0, 1, -2, -1]]
+    rows = np.concatenate(
+        [lo + bank_mod.distinct_rows(rng, hi - lo, count, iters)
+         for lo, hi, count in zip(edges[:-1], edges[1:], counts)], axis=1)
+    n_s, n_m, _ = counts
+    bounds = offsets[1:-1] if by_domain else offsets[[1, -2]]
+    cuts = n_s + (rows[:, n_s:n_s + n_m, None] < bounds).sum(axis=1)
+    return rows, Batch(*(field[rows] for field in pool)), cuts.tolist()
+
+
+def _negatives(fbank, steps, count, rng):
+    """Each step's negative rows, one bank-row array per step: one draw for
+    the epoch when sparse; the dense draw ranks a rows x bank matrix of
+    uniform keys, so it draws per step, lazily."""
+    if not bank_mod.is_sparse(len(fbank), count):
+        return (bank_mod.negative_rows(fbank, r, count, rng) for r in steps)
+    every = bank_mod.negative_rows(fbank, np.concatenate(steps), count, rng)
+    return np.split(every, np.cumsum([len(r) for r in steps])[:-1])
 
 
 CASE_NAMES = {(): "interior", (0,): "source-active",
@@ -325,34 +344,35 @@ def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
              + [(m.inputs, m.labels, m.domain_index) for m in memories]
              + [(target_train.X, np.full(len(target_train), -1), PART_TARGET)])
     fbank = bank_mod.init_bank(params, [X for X, _, _ in parts])
-    pool, sizes = _batch_pool(parts)
+    pool, offsets = _batch_pool(parts)
     counts = _compose_counts(plan, len(memories) > 0)
-    n_s, n_m, _ = counts
-    src, mem = np.arange(n_s), np.arange(n_s, n_s + n_m)
-    iters = math.ceil(len(target_train) / counts[2])
+    n_s, n_m, n_t = counts
+    iters = math.ceil(len(target_train) / n_t)
     total = plan.epochs_per_domain * iters
 
     step = 0
     for epoch in range(plan.epochs_per_domain):
-        for _ in range(iters):
-            rows, batch = _compose_batch(pool, sizes, counts, batch_rng)
-            fw = model_mod.forward(params, batch.inputs)
+        rows, batch, cuts = _draw_epoch(pool, offsets, counts, iters,
+                                        plan.strategy == GRCL, batch_rng)
+        negs = _negatives(fbank, rows, plan.negatives, neg_rng)
+        for r, neg, inputs, labels, cut in zip(rows, negs, batch.inputs,
+                                               batch.labels, cuts):
+            fw = model_mod.forward(params, inputs)
             loss_con, dQ = contrastive_mod.contrastive_grad(
-                fw, rows, fbank, plan.temperature, plan.negatives, neg_rng)
-            key = batch.parts[mem] if plan.strategy == GRCL else np.ones(n_m)
-            groups = [src] + [mem[key == d] for d in np.unique(key)]
-            losses, J = model_mod.backward(params, fw, dQ, batch.labels,
-                                           groups)
+                fw, r, neg, fbank, plan.temperature)
+            groups = [slice(0, n_s)] + [slice(a, b) for a, b
+                                        in zip(cut, cut[1:]) if b > a]
+            losses, J = model_mod.backward(params, fw, dQ, labels, groups)
             K, eps = gradproject.gram(J)
             w, u_star, case = _step_direction(plan, J, K, eps)
             # the pooled memory loss and slack are the share-weighted mix
             # of the per-group ones
-            shares = np.array([g.size for g in groups[1:]]) / n_m
+            shares = np.array([g.stop - g.start for g in groups[1:]]) / n_m
             slacks = J[1:] @ w
             lr = _cosine_lr(plan.lr, step, total)
             params = model_mod.sgd_step(params, w, lr)
-            fresh = model_mod.encode_project_batch(params, batch.inputs)
-            bank_mod.momentum_update(fbank, rows, fresh, plan.bank_momentum)
+            fresh = model_mod.encode_project_batch(params, inputs)
+            bank_mod.momentum_update(fbank, r, fresh, plan.bank_momentum)
 
             diagnostics.append({
                 "domain": t, "epoch": epoch, "iteration": step, "lr": lr,

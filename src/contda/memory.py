@@ -63,13 +63,17 @@ def _lloyd(X, k, rng, max_iter):
     for _ in range(max_iter):
         d = _pairwise_sq_dists(X, centers)
         new_labels = d.argmin(axis=1)
-        for j in range(k):
-            if not np.any(new_labels == j):
-                # re-seed an emptied cluster at the worst-served point; this
-                # strictly lowers the objective, so iterations cannot cycle
-                far = d[np.arange(n), new_labels].argmax()
-                centers[j] = X[far]
-                new_labels[far] = j
+        sizes = np.bincount(new_labels, minlength=k)
+        served = d[np.arange(n), new_labels]
+        for j in np.flatnonzero(sizes == 0):
+            # re-seed an emptied cluster at the worst-served point of a
+            # cluster that keeps another member, so no cluster is left
+            # empty; alone in j, the point is out of this pass's later picks
+            far = np.where(sizes[new_labels] > 1, served, -1.0).argmax()
+            sizes[new_labels[far]] -= 1
+            sizes[j] = 1
+            centers[j] = X[far]
+            new_labels[far] = j
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels

@@ -115,7 +115,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
 @dataclass
 class Batch:
     """A mini-batch: inputs, labels (-1 for "absent") and one part code per
-    sample.
+    sample, or an epoch of them with one leading row per step.
 
     Target samples (PART_TARGET) must be unlabeled, and source and memory
     samples labeled.

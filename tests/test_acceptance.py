@@ -21,8 +21,9 @@ import pytest
 
 from contda import cli, contrastive, datagen, gradproject, harness
 from contda import model as model_mod
-from contda.bank import FeatureBank
+from contda.bank import FeatureBank, negative_rows
 from contda.harness import AccuracyMatrix, AdaptationPlan
+from projection_oracle import brute_force_project
 
 ACCEPT_SEEDS = (11, 22, 33, 44, 55)
 DATA_SEED = 2024
@@ -111,7 +112,7 @@ def test_projection_matches_brute_force_oracle():
         J = np.stack([g_t, g_s, g_dm])
         K, eps = gradproject.gram(J)
         w, u = gradproject.project(J, K, eps)
-        ref_w = gradproject.brute_force_project(g_t, J[1:])
+        ref_w = brute_force_project(g_t, J[1:])
         obj = 0.5 * float(np.sum((w - g_t) ** 2))
         ref_obj = 0.5 * float(np.sum((ref_w - g_t) ** 2))
         worst_obj = max(worst_obj, abs(obj - ref_obj))
@@ -207,15 +208,14 @@ def test_analytic_gradients_match_finite_differences():
             rows = np.arange(n)
             keys = model_mod.encode_project_batch(params, X)
             fbank = FeatureBank(embed_dim=config.embed_dim, keys=keys.copy())
+            neg = negative_rows(fbank, rows, n - 1, np.random.default_rng(0))
 
             def loss_fn(p):
                 return contrastive.contrastive_grad(
-                    model_mod.forward(p, X), rows, fbank, 0.2, n - 1,
-                    np.random.default_rng(0))[0]
+                    model_mod.forward(p, X), rows, neg, fbank, 0.2)[0]
 
             fw = model_mod.forward(params, X)
-            _, dQ = contrastive.contrastive_grad(
-                fw, rows, fbank, 0.2, n - 1, np.random.default_rng(0))
+            _, dQ = contrastive.contrastive_grad(fw, rows, neg, fbank, 0.2)
             grad = model_mod.backward(params, fw, dQ)[1][0]
         coords = rng.choice(len(grad), size=64, replace=False)
         fd = _fd_loss(loss_fn, params, coords)

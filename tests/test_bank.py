@@ -113,7 +113,7 @@ def test_draw_negatives_excludes_own_key_and_is_distinct():
         own = np.array([5, 0, n - 1, 5, n // 2, 1] * 11)
         rows = bank.negative_rows(b, own, count, np.random.default_rng(9))
         assert rows.shape == (own.size, count)
-        assert rows.dtype == np.int64
+        assert rows.dtype == np.int32
         assert rows.min() >= 0 and rows.max() < n
         assert not np.any(rows == own[:, None])
         for r in rows:

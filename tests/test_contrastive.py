@@ -37,6 +37,12 @@ def rows_of(batch):
     return np.arange(len(batch))
 
 
+def nce_grad(forward, rows, fbank, tau, count, rng):
+    """contrastive_grad against `count` negatives per row drawn from rng."""
+    negatives = bank.negative_rows(fbank, rows, count, rng)
+    return contrastive.contrastive_grad(forward, rows, negatives, fbank, tau)
+
+
 def force_side(monkeypatch, sparse):
     """Put the negative draw and the kernel on one side of the fill-ratio
     predicate: the gathered kernel when sparse, else the dense one."""
@@ -62,7 +68,7 @@ def test_nce_matches_direct_formula(monkeypatch):
                                           extra=int(rng.integers(7, 75)))
         count = int(rng.integers(0, len(fbank)))
         tau = float(rng.uniform(0.03, 1.0))
-        loss, _ = contrastive.contrastive_grad(
+        loss, _ = nce_grad(
             fw(params, batch), rows_of(batch), fbank, tau, count,
             np.random.default_rng(int(rng.integers(1000))))
         neg = draws.pop()
@@ -81,9 +87,9 @@ def test_contrastive_grad_matches_per_row_oracle(monkeypatch):
         force_side(monkeypatch, seed % 2 == 0)
         params, batch, fbank = make_setup(80 + seed, n=6)
         forward = fw(params, batch)
-        loss, dQ = contrastive.contrastive_grad(forward, rows_of(batch), fbank,
-                                                tau, count,
-                                                np.random.default_rng(seed))
+        loss, dQ = nce_grad(forward, rows_of(batch), fbank,
+                            tau, count,
+                            np.random.default_rng(seed))
         neg = draws.pop()
         Q = forward.embeddings()
         n = len(batch)
@@ -102,9 +108,9 @@ def test_contrastive_grad_matches_per_row_oracle(monkeypatch):
 
 def test_nce_zero_without_negatives():
     params, batch, fbank = make_setup(1)
-    loss, dQ = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                            fbank, 0.2, 0,
-                                            np.random.default_rng(0))
+    loss, dQ = nce_grad(fw(params, batch), rows_of(batch),
+                        fbank, 0.2, 0,
+                        np.random.default_rng(0))
     assert loss == 0.0
     assert np.all(dQ == 0.0)
 
@@ -113,9 +119,9 @@ def test_nce_perfect_positive_bound():
     # a bank built from the same parameters holds key == query, so the loss
     # is positive and at most log(1 + negatives)
     params, batch, fbank = make_setup(2)
-    loss, _ = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                           fbank, 0.07, 6,
-                                           np.random.default_rng(0))
+    loss, _ = nce_grad(fw(params, batch), rows_of(batch),
+                       fbank, 0.07, 6,
+                       np.random.default_rng(0))
     assert 0.0 < loss < math.log(7.0)
 
 
@@ -123,7 +129,7 @@ def test_nce_temperature_sharpens():
     # the positive (key == query) beats every negative, so a smaller tau
     # concentrates mass on it
     params, batch, fbank = make_setup(3)
-    losses = [contrastive.contrastive_grad(
+    losses = [nce_grad(
         fw(params, batch), rows_of(batch), fbank, t, len(fbank) - 1,
         np.random.default_rng(0))[0] for t in (0.5, 0.2, 0.05)]
     assert losses[0] > losses[1] > losses[2]
@@ -133,19 +139,23 @@ def test_nce_validates_shapes():
     params, batch, fbank = make_setup(4)
     narrow = bank.FeatureBank(embed_dim=3, keys=fbank.keys[:, :3])
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                     narrow, 0.2, 3, np.random.default_rng(0))
-    with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(fw(params, batch),
-                                     rows_of(batch) + len(fbank), fbank, 0.2, 3,
-                                     np.random.default_rng(0))
+        nce_grad(fw(params, batch), rows_of(batch),
+                 narrow, 0.2, 3, np.random.default_rng(0))
+    neg = bank.negative_rows(fbank, rows_of(batch), 3,
+                             np.random.default_rng(0))
+    for rows, negatives in ((rows_of(batch) + len(fbank), neg),
+                            (rows_of(batch), neg + len(fbank)),
+                            (rows_of(batch), neg[:-1]), (rows_of(batch), neg[0])):
+        with pytest.raises(DimensionError):
+            contrastive.contrastive_grad(fw(params, batch), rows, negatives,
+                                         fbank, 0.2)
 
 
 def test_contrastive_loss_matches_per_sample_mean():
     params, batch, fbank = make_setup(10)
-    loss, _ = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                           fbank, 0.2, len(fbank) - 1,
-                                           np.random.default_rng(0))
+    loss, _ = nce_grad(fw(params, batch), rows_of(batch),
+                       fbank, 0.2, len(fbank) - 1,
+                       np.random.default_rng(0))
     Q = model.encode_project_batch(params, batch.inputs)
     want = 0.0
     for row in rows_of(batch):
@@ -165,15 +175,15 @@ def test_contrastive_grad_matches_finite_differences(monkeypatch):
 
         def loss_at(flat):
             moved = model.ModelParams(params.config, flat)
-            l, _ = contrastive.contrastive_grad(
+            l, _ = nce_grad(
                 model.forward(moved, batch.inputs), rows_of(batch), fbank,
                 0.15, every, np.random.default_rng(99))
             return l
 
         forward = fw(params, batch)
-        _, dQ = contrastive.contrastive_grad(forward, rows_of(batch), fbank,
-                                             0.15, every,
-                                             np.random.default_rng(99))
+        _, dQ = nce_grad(forward, rows_of(batch), fbank,
+                         0.15, every,
+                         np.random.default_rng(99))
         g = model.backward(params, forward, dQ)[1][0]
         flat = params.flat.copy()
         coords = np.random.default_rng(trial).choice(params.num_params,
@@ -189,9 +199,9 @@ def test_contrastive_grad_matches_finite_differences(monkeypatch):
 def test_contrastive_grad_classifier_blocks_zero():
     params, batch, fbank = make_setup(30)
     forward = fw(params, batch)
-    _, dQ = contrastive.contrastive_grad(forward, rows_of(batch), fbank, 0.07,
-                                         len(fbank) - 1,
-                                         np.random.default_rng(0))
+    _, dQ = nce_grad(forward, rows_of(batch), fbank, 0.07,
+                     len(fbank) - 1,
+                     np.random.default_rng(0))
     g = model.backward(params, forward, dQ)[1][0]
     slices = params.block_slices()
     assert np.all(g[slices["cls_w"]] == 0.0)
@@ -204,26 +214,26 @@ def test_bank_keys_receive_no_gradient():
     # the gradient only depends on keys as constants, so two calls with
     # identical keys but different array objects agree exactly
     params, batch, fbank = make_setup(40)
-    _, g1 = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                         fbank, 0.07, len(fbank) - 1,
-                                         np.random.default_rng(0))
+    _, g1 = nce_grad(fw(params, batch), rows_of(batch),
+                     fbank, 0.07, len(fbank) - 1,
+                     np.random.default_rng(0))
     clone = bank.FeatureBank(embed_dim=fbank.embed_dim, keys=fbank.keys.copy())
-    _, g2 = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                         clone, 0.07, len(clone) - 1,
-                                         np.random.default_rng(0))
+    _, g2 = nce_grad(fw(params, batch), rows_of(batch),
+                     clone, 0.07, len(clone) - 1,
+                     np.random.default_rng(0))
     np.testing.assert_array_equal(g1, g2)
 
 
 def test_sampled_negatives_use_rng_stream():
     params, batch, fbank = make_setup(50)
-    l1, g1 = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                          fbank, 0.2, 5, np.random.default_rng(7))
-    l2, g2 = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                          fbank, 0.2, 5, np.random.default_rng(7))
+    l1, g1 = nce_grad(fw(params, batch), rows_of(batch),
+                      fbank, 0.2, 5, np.random.default_rng(7))
+    l2, g2 = nce_grad(fw(params, batch), rows_of(batch),
+                      fbank, 0.2, 5, np.random.default_rng(7))
     assert l1 == l2
     np.testing.assert_array_equal(g1, g2)
-    l3, _ = contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                         fbank, 0.2, 5, np.random.default_rng(8))
+    l3, _ = nce_grad(fw(params, batch), rows_of(batch),
+                     fbank, 0.2, 5, np.random.default_rng(8))
     assert l1 != l3
 
 
@@ -231,15 +241,16 @@ def test_empty_batch_rejected():
     params, batch, fbank = make_setup(60)
     with pytest.raises(DimensionError):
         contrastive.contrastive_grad(model.forward(params, np.zeros((0, 2))),
-                                     [], fbank, 0.2, 5, np.random.default_rng(0))
+                                     [], np.zeros((0, 5), dtype=np.int32),
+                                     fbank, 0.2)
 
 
 def test_rows_must_match_forward_rows():
     params, batch, fbank = make_setup(70)
+    rows = rows_of(batch)[:-1]
+    neg = bank.negative_rows(fbank, rows, 5, np.random.default_rng(0))
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(fw(params, batch),
-                                     rows_of(batch)[:-1], fbank, 0.2, 5,
-                                     np.random.default_rng(0))
+        contrastive.contrastive_grad(fw(params, batch), rows, neg, fbank, 0.2)
 
 
 def test_kernels_agree_on_the_same_columns():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from contda import gradproject as gp
 from contda import harness
 from contda.errors import DimensionError, NumericError
+from projection_oracle import brute_force_project
 
 
 def rand_instance(rng, p=None, force_violation=None):
@@ -167,7 +168,7 @@ def test_matches_brute_force_oracle():
     for trial in range(200):
         g, c0, c1 = rand_instance(rng, force_violation=patterns[trial % 4])
         w, u = project_rows(g, [c0, c1])
-        w_oracle = gp.brute_force_project(g, np.stack([c0, c1]))
+        w_oracle = brute_force_project(g, np.stack([c0, c1]))
         obj, obj_oracle = objective(w, g), objective(w_oracle, g)
         assert obj <= obj_oracle + 1e-8
         assert abs(obj - obj_oracle) <= 1e-8
@@ -226,7 +227,7 @@ def test_project_n_matches_brute_force_small():
         g = rng.standard_normal(p)
         C = rng.standard_normal((n, p))
         w, u = project_rows(g, C)
-        w_oracle = gp.brute_force_project(g, C)
+        w_oracle = brute_force_project(g, C)
         obj = 0.5 * float((w - g) @ (w - g))
         obj_oracle = 0.5 * float((w_oracle - g) @ (w_oracle - g))
         assert abs(obj - obj_oracle) <= 1e-7 * max(1.0, obj_oracle)
@@ -280,7 +281,7 @@ def test_project_n_handles_degenerate_rows():
         diag = gp.kkt_check(w, u, g, list(C), eps)
         assert all(diag[k] for k in ("primal_feasible", "dual_feasible",
                                      "complementary", "stationary")), diag
-        w_oracle = gp.brute_force_project(g, C)
+        w_oracle = brute_force_project(g, C)
         obj = 0.5 * float((w - g) @ (w - g))
         obj_oracle = 0.5 * float((w_oracle - g) @ (w_oracle - g))
         assert abs(obj - obj_oracle) <= 1e-7 * max(1.0, obj_oracle)
@@ -321,5 +322,5 @@ def test_project_n_property_against_oracle(instance):
     g, C = instance
     w, u = project_rows(g, C)
     assert kkt_ok(w, u, g, C)
-    obj, obj_oracle = objective(w, g), objective(gp.brute_force_project(g, C), g)
+    obj, obj_oracle = objective(w, g), objective(brute_force_project(g, C), g)
     assert abs(obj - obj_oracle) <= 1e-7 * max(1.0, obj)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contda import datagen, gradproject, harness, model
+from contda import bank, datagen, gradproject, harness, model
 from contda.errors import ContractViolationError, DegenerateInputError
 
 
@@ -393,10 +393,11 @@ def test_warm_projector_improves_objective_without_losing_source():
     def source_nce(p):
         """Warm-phase objective against the embeddings' own snapshot bank."""
         fb = bank.init_bank(p, [src.X])
-        loss, _ = contrastive.contrastive_grad(model.forward(p, src.X),
-                                               np.arange(len(src)),
-                                               fb, plan.temperature, len(fb) - 1,
-                                               np.random.default_rng(0))
+        rows = np.arange(len(src))
+        neg = bank.negative_rows(fb, rows, len(fb) - 1,
+                                 np.random.default_rng(0))
+        loss, _ = contrastive.contrastive_grad(model.forward(p, src.X), rows,
+                                               neg, fb, plan.temperature)
         return loss
 
     assert source_nce(warmed) < source_nce(params)
@@ -417,10 +418,11 @@ def test_run_plan_rejects_trivial_sequences():
 def test_two_forward_passes_per_iteration(monkeypatch):
     # one forward before each step feeds one backward call, whose rows are
     # the contrastive, source and per-domain memory gradients, and one Gram
-    # matrix; one forward after it refreshes the bank
+    # matrix; one forward after it refreshes the bank.  Each epoch draws its
+    # batches, and builds their one Batch, before its step loop.
     domains = tiny_domains(n_domains=4)
-    forwards, step_marks, phases = [0], [], []
-    calls = {"backward": 0, "gram": 0}
+    forwards, step_marks, draw_marks, phases = [0], [], [], []
+    calls = {"backward": 0, "gram": 0, "negative_rows": 0, "Batch": 0}
     rows = []  # rows of J per backward call
     real_forward, real_step = model.forward, model.sgd_step
 
@@ -437,18 +439,24 @@ def test_two_forward_passes_per_iteration(monkeypatch):
 
         def wrapped(*args, **kwargs):
             calls[name] += 1
+            if name == "negative_rows":
+                draw_marks.append(forwards[0])
             out = real(*args, **kwargs)
             if name == "backward":
                 rows.append(len(out[1]))
+                groups = args[4] if len(args) > 4 else kwargs["groups"]
+                assert all(isinstance(g, slice) for g in groups)
             return out
         monkeypatch.setattr(module, name, wrapped)
 
     def phase(fn):
         def wrapped(*args):
-            f0, s0, c0, r0 = forwards[0], len(step_marks), dict(calls), len(rows)
+            f0, s0, d0 = forwards[0], len(step_marks), len(draw_marks)
+            c0, r0 = dict(calls), len(rows)
             out = fn(*args)
             phases.append((fn.__name__, forwards[0] - f0, step_marks[s0:],
-                           {k: calls[k] - c0[k] for k in calls}, rows[r0:]))
+                           {k: calls[k] - c0[k] for k in calls}, rows[r0:],
+                           draw_marks[d0:]))
             return out
         return wrapped
 
@@ -459,22 +467,125 @@ def test_two_forward_passes_per_iteration(monkeypatch):
     monkeypatch.setattr(model, "sgd_step", marking_step)
     counting(model, "backward")
     counting(gradproject, "gram")
+    counting(bank, "negative_rows")
+    counting(harness, "Batch")
     monkeypatch.setattr(gradproject, "tolerance", no_tolerance)
     monkeypatch.setattr(harness, "warm_projector", phase(harness.warm_projector))
     monkeypatch.setattr(harness, "adapt_domain", phase(harness.adapt_domain))
-    res = harness.run_plan(domains, tiny_plan(harness.GRCL))
+    plan = tiny_plan(harness.GRCL)
+    res = harness.run_plan(domains, plan)
 
     assert [p[0] for p in phases] == ["warm_projector"] + ["adapt_domain"] * 3
     # domains 2 and 3 draw memory rows into every batch
     assert all(math.isfinite(row["loss_mem"])
                for row in res.diagnostics if row["domain"] > 1)
-    for name, _, marks, counts, _ in phases:
+    for name, _, marks, counts, _, _ in phases:
         assert len(marks) > 1
         assert np.all(np.diff(marks) == 2), name
-        assert counts == {"backward": len(marks), "gram": len(marks)}, name
+        assert counts["backward"] == counts["gram"] == len(marks), name
     # contrastive and source rows, then one row per earlier target domain
     # whose memory the batch drew from
-    assert [max(r) for *_, r in phases] == [2, 2, 3, 4]
+    assert [max(p[4]) for p in phases] == [2, 2, 3, 4]
     # the warm-up adds only the bank snapshot of its one source pool
-    _, total, marks, _, _ = phases[0]
+    _, total, marks, counts, _, draws = phases[0]
     assert total == 1 + 2 * len(marks)
+    # its 48-row bank puts 8 negatives on the dense side: one draw per step,
+    # just before the step's forward pass
+    assert not bank.is_sparse(len(domains[0].train), plan.negatives)
+    assert draws == [m - 1 for m in marks]
+    assert counts["Batch"] == 0
+    # adaptation banks hold at least 96 rows, on the sparse side: one draw
+    # and one Batch per epoch, before the epoch's first step
+    assert bank.is_sparse(2 * len(domains[0].train), plan.negatives)
+    for _, _, marks, counts, _, draws in phases[1:]:
+        iters = len(marks) // plan.epochs_per_domain
+        assert draws == [m - 1 for m in marks[::iters]]
+        assert counts["Batch"] == plan.epochs_per_domain
+
+
+def epoch_pool(memory_sizes=(10, 14), source=60, target=300):
+    """A batch pool of a source, memories of domains 1, 2, ... and a target,
+    with the pool offsets adapt_domain gives it."""
+    parts = ([(np.zeros((source, 2)), np.zeros(source, dtype=np.int64),
+               model.PART_SOURCE)]
+             + [(np.zeros((m, 2)), np.zeros(m, dtype=np.int64), d)
+                for d, m in enumerate(memory_sizes, start=1)]
+             + [(np.zeros((target, 2)), np.full(target, -1),
+                 model.PART_TARGET)])
+    return harness._batch_pool(parts)
+
+
+def test_epoch_batch_rows_are_distinct_within_a_part():
+    # distinct rows when a part holds the count, with replacement otherwise
+    pool, offsets = epoch_pool(memory_sizes=(3, 4), source=60, target=20)
+    counts = (12, 16, 20)
+    rows, batch, _ = harness._draw_epoch(pool, offsets, counts, 500, True,
+                                         np.random.default_rng(0))
+    assert rows.shape == (500, 48)
+    assert batch.inputs.shape == (500, 48, 2)
+    parts = [rows[:, :12], rows[:, 12:28], rows[:, 28:]]
+    for part, lo, hi in zip(parts, offsets[[0, 1, -2]], offsets[[1, -2, -1]]):
+        assert part.min() >= lo and part.max() < hi
+    for src, tgt in zip(parts[0], parts[2]):
+        assert len(set(src.tolist())) == 12
+        assert len(set(tgt.tolist())) == 20
+    # 16 draws from a 7-row memory pool: with replacement, each row taking
+    # a 1/7 share of the 8,000 draws within 5 binomial standard deviations
+    freq = np.bincount(parts[1].ravel() - offsets[1], minlength=7)
+    mean, sd = 8000 / 7, np.sqrt(8000 / 7 * 6 / 7)
+    assert freq.size == 7 and np.abs(freq - mean).max() < 5 * sd
+
+
+def test_epoch_batch_rows_are_uniform():
+    # every pool row of a part is drawn equally often: no row's count
+    # strays more than 5 binomial standard deviations from its mean over
+    # 20,000 steps, at a small fill (source, target) and a large one
+    # (the memories together: 20 of 24 rows)
+    draws = 20_000
+    pool, offsets = epoch_pool()
+    counts = (5, 20, 30)
+    rows, _, _ = harness._draw_epoch(pool, offsets, counts, draws, True,
+                                     np.random.default_rng(1))
+    freq = np.bincount(rows.ravel(), minlength=offsets[-1])
+    for lo, hi, count in zip(offsets[[0, 1, -2]], offsets[[1, -2, -1]],
+                             counts):
+        p = count / (hi - lo)
+        mean, sd = draws * p, np.sqrt(draws * p * (1 - p))
+        assert np.abs(freq[lo:hi] - mean).max() < 5 * sd, (lo, hi)
+
+
+def test_grcl_groups_are_slices_of_one_memory_domain_each():
+    # sorting lays each batch out as [source | memory d1 | d2 | target], so
+    # each memory domain's rows sit between consecutive cut points
+    pool, offsets = epoch_pool(memory_sizes=(10, 14, 6))
+    counts = (16, 16, 32)
+    for by_domain in (True, False):
+        _, batch, cuts = harness._draw_epoch(pool, offsets, counts, 200,
+                                             by_domain,
+                                             np.random.default_rng(2))
+        for step_parts, cut in zip(batch.parts, cuts):
+            assert cut[0] == 16 and cut[-1] == 32
+            assert np.all(step_parts[:16] == model.PART_SOURCE)
+            assert np.all(step_parts[32:] == model.PART_TARGET)
+            codes = [step_parts[a:b] for a, b in zip(cut, cut[1:])]
+            if by_domain:
+                assert len(codes) == 3
+                for d, code in enumerate(codes, start=1):
+                    assert np.all(code == d)
+            else:
+                assert len(codes) == 1
+                assert np.all(np.diff(codes[0]) >= 0)
+
+
+def test_epoch_negatives_exclude_own_row_on_both_sides():
+    # one draw for the epoch on the sparse side, one per step on the dense
+    # side; neither includes a step's own rows
+    for n_bank, count in ((400, 8), (40, 20)):
+        fbank = bank.FeatureBank(embed_dim=2, keys=np.ones((n_bank, 2)))
+        steps = np.random.default_rng(3).integers(n_bank, size=(30, 16))
+        negs = list(harness._negatives(fbank, steps, count,
+                                       np.random.default_rng(4)))
+        assert len(negs) == 30
+        for own, neg in zip(steps, negs):
+            assert neg.shape == (16, count)
+            assert not np.any(neg == own[:, None])

@@ -83,6 +83,20 @@ def test_kmeans_duplicate_points_dont_crash():
     assert cm.inertia == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_kmeans_reseeds_each_empty_cluster_at_its_own_point():
+    # two clusters emptied in one pass must not take the same farthest
+    # point, or one stays empty and its mean is NaN
+    X = np.array([[0.0, 0.0]] * 8 + [[1.0, 1.0]] * 2)
+    for seed in range(200):
+        cm = memory.kmeans(X, 4, np.random.default_rng(seed), restarts=1)
+        assert np.all(np.isfinite(cm.centers)), seed
+        d = ((X[:, None, :] - cm.centers[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(d[np.arange(len(X)), cm.labels],
+                                      d.min(axis=1), err_msg=str(seed))
+    assert memory.kmeans(X, 4, np.random.default_rng(0)).inertia == 0.0
+
+
 def test_assign_with_confidence_margins():
     centers = np.array([[0.0, 0.0], [10.0, 0.0]])
     X = np.array([[0.0, 0.0],    # on center 0: conf 1

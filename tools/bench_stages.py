@@ -48,20 +48,22 @@ ADAPT = "harness.adapt_domain"
 PER_DOMAIN_ENCODE = "model.encode_batch"
 # stage -> the functions (module, attribute) whose self time it sums
 STAGES = {
-    "negative_draw": (("contda.bank", "negative_rows"),),
+    "negative_draw": (("contda.harness", "_negatives"),
+                      ("contda.bank", "negative_rows")),
     "infonce": (("contda.contrastive", "contrastive_grad"),),
     "backward": (("contda.model", "backward"),),
     "forward": (("contda.model", "forward"),),
     "projection": (("contda.gradproject", "gram"),
                    ("contda.harness", "project_step")),
-    "batch_composition": (("contda.harness", "_compose_batch"),),
+    # drawn once per epoch, charged per iteration like every stage
+    "batch_composition": (("contda.harness", "_draw_epoch"),),
     "bank_update": (("contda.bank", "momentum_update"),),
 }
 PER_DOMAIN = {
     "kmeans": (("contda.memory", "kmeans"),),
     "memory_build": (("contda.memory", "build_memory"),),
 }
-ITERATION = "harness._compose_batch"  # one call per adaptation iteration
+ITERATION = "gradproject.gram"  # one call per adaptation iteration
 
 
 def span_name(module, attr):
