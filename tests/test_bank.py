@@ -161,3 +161,18 @@ def test_negative_rows_follow_the_generator():
         np.testing.assert_array_equal(a, c)
         d = bank.negative_rows(b, own, count, np.random.default_rng(17))
         assert not np.array_equal(np.sort(a, axis=1), np.sort(d, axis=1))
+
+
+def test_distinct_rows_draw_every_subset_equally():
+    # each of the 20 three-row subsets of six rows is drawn within 5
+    # binomial standard deviations of 1/20 of 20,000 draws, so the redraw
+    # favours no arrangement of rows, not only no single row
+    draws = 20_000
+    rows = bank.distinct_rows(np.random.default_rng(18), 6, 3, draws)
+    assert rows.dtype == np.int32
+    assert np.all(np.diff(rows, axis=1) > 0)
+    freq = np.bincount((rows * [36, 6, 1]).sum(axis=1), minlength=216)
+    subsets = freq[freq > 0]
+    assert subsets.size == 20
+    mean, sd = draws / 20, np.sqrt(draws / 20 * 19 / 20)
+    assert np.abs(subsets - mean).max() < 5 * sd
