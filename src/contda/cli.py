@@ -76,6 +76,9 @@ def validate_config(raw: dict) -> dict:
         if not cfg["seeds"] or not all(
                 isinstance(s, int) and not isinstance(s, bool) for s in cfg["seeds"]):
             raise ConfigError("field seeds must be a non-empty list of integers")
+        # a repeated seed reruns into the same seed_<s>/ directory
+        if len(set(cfg["seeds"])) < len(cfg["seeds"]):
+            raise ConfigError("field seeds must not repeat a seed")
     if cfg.get("diagnostics", "full") not in ("full", "none"):
         raise ConfigError("field diagnostics must be 'full' or 'none'")
     if "preset" in cfg and cfg["preset"] not in datagen.PRESETS:
@@ -212,60 +215,33 @@ def _mean_std(values):
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
-def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        run_config(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ContdaError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"error: run failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+def cmd_run(args) -> None:
+    run_config(load_config(args.config))
 
 
-def cmd_compare(args) -> int:
-    try:
-        configs = [load_config(p) for p in args.configs]
-        if len(configs) < 2:
-            raise ConfigError("compare needs at least two configs")
-        sources = {c.get("preset") or c.get("dataset") for c in configs}
-        if len(sources) != 1:
-            raise ConfigError("compare configs must share one preset or dataset")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_compare(args) -> None:
+    configs = [load_config(p) for p in args.configs]
+    if len(configs) < 2:
+        raise ConfigError("compare needs at least two configs")
+    sources = {c.get("preset") or c.get("dataset") for c in configs}
+    if len(sources) != 1:
+        raise ConfigError("compare configs must share one preset or dataset")
 
     rows = []
-    try:
-        for cfg in configs:
-            collected = run_config(cfg)
-            accs = [m.acc for m in collected]
-            bwts = [m.bwt for m in collected]
-            acc = _mean_std(accs)
-            bwt = _mean_std(bwts)
-            rows.append([cfg["strategy"], str(len(collected)),
-                         _float_cell(acc["mean"]), _float_cell(acc["std"]),
-                         "" if bwt["mean"] is None else _float_cell(bwt["mean"]),
-                         "" if bwt["std"] is None else _float_cell(bwt["std"])])
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ContdaError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"error: run failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    for cfg in configs:
+        collected = run_config(cfg)
+        acc = _mean_std([m.acc for m in collected])
+        bwt = _mean_std([m.bwt for m in collected])
+        rows.append([cfg["strategy"], str(len(collected)),
+                     _float_cell(acc["mean"]), _float_cell(acc["std"]),
+                     "" if bwt["mean"] is None else _float_cell(bwt["mean"]),
+                     "" if bwt["std"] is None else _float_cell(bwt["std"])])
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "n_seeds", "acc_mean", "acc_std",
                          "bwt_mean", "bwt_std"])
         writer.writerows(rows)
-    return EXIT_OK
 
 
 def export_dataset(preset: str, seed: int, out_dir: str) -> None:
@@ -312,15 +288,10 @@ def import_dataset(path):
     return domains
 
 
-def cmd_export_data(args) -> int:
-    try:
-        if args.preset not in datagen.PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}")
-        export_dataset(args.preset, args.seed, args.output)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+def cmd_export_data(args) -> None:
+    if args.preset not in datagen.PRESETS:
+        raise ConfigError(f"unknown preset {args.preset!r}")
+    export_dataset(args.preset, args.seed, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ContdaError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"error: run failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Synthetic 2-D domain sequences with a shared label space.
 
 A sequence is one labeled source domain followed by unlabeled targets drawn
-from the same base shape under a per-domain affine change: rotation about the
-origin, isotropic scale, translation.  Splits are stratified so every class
+from the same base shape, Gaussian blobs on a circle or two moons, under a
+per-domain affine change: rotation about the origin, isotropic scale,
+translation.  Splits are stratified so every class
 appears on both sides.
 """
 
@@ -17,8 +18,7 @@ SPLIT_FRACTION = 0.8
 
 KIND_BLOBS = "gaussian-blobs"
 KIND_MOONS = "two-moons"
-KIND_GRID = "rotated-grid"
-KINDS = (KIND_BLOBS, KIND_MOONS, KIND_GRID)
+KINDS = (KIND_BLOBS, KIND_MOONS)
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,7 @@ def _base_moons(spec, rng):
     return X, y
 
 
-def _base_grid(spec, rng):
-    side = int(np.ceil(np.sqrt(spec.n_classes)))
-    cells = np.array([(c % side, c // side) for c in range(spec.n_classes)], dtype=np.float64)
-    centers = spec.radius * (cells - (side - 1) / 2.0)
-    X = np.concatenate([centers[c] + spec.std * rng.standard_normal((spec.per_class, 2))
-                        for c in range(spec.n_classes)])
-    y = np.repeat(np.arange(spec.n_classes), spec.per_class)
-    return X, y
-
-
-_BASES = {KIND_BLOBS: _base_blobs, KIND_MOONS: _base_moons, KIND_GRID: _base_grid}
+_BASES = {KIND_BLOBS: _base_blobs, KIND_MOONS: _base_moons}
 
 
 def rotation_matrix(degrees: float) -> np.ndarray:

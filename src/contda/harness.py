@@ -1,7 +1,8 @@
 """Continual adaptation protocol: source pretraining, per-domain loops that
 compose batches, measure the step's gradients, choose a step direction by
-strategy, and maintain the feature bank and episodic memories; evaluation
-into an accuracy matrix with the two summary metrics.
+strategy, and maintain the feature bank; evaluation into an accuracy matrix
+with the two summary metrics.  pseudo_label_memory builds the episodic memory
+of each target domain but the last, whose memory no later domain would read.
 
 Strategies mirror the ablation family: a frozen source model, fixed-weight
 multitask combinations, a source-constrained projection, and GRCL, which
@@ -48,7 +49,6 @@ STRATEGIES = (SRC_ONLY, MULTITASK, CRT_SRC, CRT_SRC_MEM, CRT_SDC, GRCL)
 # memory cross-entropy gradient enters the step as a fixed weight, a
 # constraint, or not at all
 _FIXED_WEIGHT = {MULTITASK, CRT_SRC, CRT_SRC_MEM}
-_PROJECTED = {CRT_SDC, GRCL}
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,11 @@ class AdaptationPlan:
             raise ContractViolationError("bank momentum must lie in [0, 1]")
         if self.memory_capacity < 1:
             raise ContractViolationError("memory capacity must be at least 1")
+        if min(self.hidden_dim, self.proj_hidden_dim, self.embed_dim) < 1:
+            raise ContractViolationError("layer widths must be at least 1")
+        if min(self.pretrain_epochs, self.warm_epochs,
+               self.epochs_per_domain) < 0:
+            raise ContractViolationError("epoch counts must be non-negative")
 
 
 @dataclass
@@ -333,12 +338,12 @@ def _step_direction(plan, J, K, eps):
     return project_step(J[:m], K[:m, :m], eps)
 
 
-def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
-    """Train on target domain t from the previous parameters; returns new
-    params, the refreshed bank, and the domain's episodic memory."""
+def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
+                 diagnostics):
+    """Train on target domain t from the previous parameters, replaying the
+    earlier domains' memories; returns the new params."""
     source_train = domains[0].train
     target_train = domains[t].train
-    batch_rng, neg_rng, kmeans_rng = streams
 
     parts = ([(source_train.X, source_train.y, PART_SOURCE)]
              + [(m.inputs, m.labels, m.domain_index) for m in memories]
@@ -384,22 +389,28 @@ def adapt_domain(params, domains, t, memories, plan, streams, diagnostics):
                 "case": case, "eps": eps,
             })
             step += 1
+    return params
 
+
+def pseudo_label_memory(params, domains, t, plan, rng):
+    """Episodic memory of target domain t under the adapted params: k-means
+    clusters of its training samples, each named after the nearest source
+    class mean, kept by confidence up to the plan's capacity."""
+    source_train = domains[0].train
+    target_train = domains[t].train
     # cluster in classifier feature space: cross-entropy anchors class
     # structure there, while the normalized contrastive space spreads
     # instances apart and decouples from the source class means
     feats = model_mod.encode_batch(params, target_train.X)
     k = domains[0].spec.n_classes
-    cluster = memory_mod.kmeans(feats, k, kmeans_rng)
+    cluster = memory_mod.kmeans(feats, k, rng)
     src_feats = model_mod.encode_batch(params, source_train.X)
     means = memory_mod.class_embedding_means(src_feats, source_train.y, k)
     mapping = memory_mod.align_clusters(cluster.centers, means)
     assign, conf = memory_mod.assign_with_confidence(feats, cluster.centers)
-    pseudo = mapping[assign]
-    new_memory = memory_mod.build_memory(
-        t, target_train.ids, target_train.X, pseudo, conf, k,
+    return memory_mod.build_memory(
+        t, target_train.ids, target_train.X, mapping[assign], conf, k,
         plan.memory_capacity)
-    return params, fbank, new_memory
 
 
 def run_plan(domains, plan: AdaptationPlan) -> RunResult:
@@ -434,11 +445,14 @@ def run_plan(domains, plan: AdaptationPlan) -> RunResult:
     memories = []
     for t in range(1, n_targets + 1):
         if plan.strategy != SRC_ONLY:
-            streams = [np.random.default_rng(s)
-                       for s in domain_seeds[3 * (t - 1):3 * t]]
-            params, _, new_memory = adapt_domain(
-                params, domains, t, memories, plan, streams, diagnostics)
-            memories.append(new_memory)
+            batch_rng, neg_rng, memory_rng = map(
+                np.random.default_rng, domain_seeds[3 * (t - 1):3 * t])
+            params = adapt_domain(params, domains, t, memories, plan,
+                                  batch_rng, neg_rng, diagnostics)
+            # only the domains after t read its memory
+            if t < n_targets:
+                memories.append(pseudo_label_memory(params, domains, t, plan,
+                                                    memory_rng))
         matrix.set_row(t, evaluate(params, holdouts[:t + 1]))
 
     metrics = compute_metrics(matrix, n_targets)

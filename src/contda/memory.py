@@ -29,10 +29,6 @@ class ClusterModel:
     labels: np.ndarray
     inertia: float
 
-    @property
-    def k(self) -> int:
-        return self.centers.shape[0]
-
 
 def _pairwise_sq_dists(X, centers):
     # ||x - c||^2 expanded; clipped at zero to survive cancellation

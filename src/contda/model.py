@@ -34,11 +34,9 @@ class ModelConfig:
     embed_dim: int = 16
 
 
-# flattening order; fixed for the lifetime of the format
+# block order in the flat parameter vector
 _PARAM_FIELDS = ("enc1_w", "enc1_b", "enc2_w", "enc2_b", "proj1_w", "proj1_b",
                  "proj2_w", "proj2_b", "cls_w", "cls_b")
-
-CHECKPOINT_VERSION = 1
 
 
 @lru_cache(maxsize=None)
@@ -281,33 +279,3 @@ def sgd_step(params: ModelParams, w: np.ndarray, lr: float) -> ModelParams:
     if w.shape != params.flat.shape:
         raise DimensionError(f"update has shape {w.shape}, expected {params.flat.shape}")
     return ModelParams(params.config, params.flat - lr * w)
-
-
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Write a versioned .npz checkpoint: config scalars + the flat vector."""
-    cfg = params.config
-    np.savez(
-        path,
-        version=np.int64(CHECKPOINT_VERSION),
-        input_dim=np.int64(cfg.input_dim),
-        n_classes=np.int64(cfg.n_classes),
-        hidden_dim=np.int64(cfg.hidden_dim),
-        proj_hidden_dim=np.int64(cfg.proj_hidden_dim),
-        embed_dim=np.int64(cfg.embed_dim),
-        flat=params.flat,
-    )
-
-
-def load_checkpoint(path) -> ModelParams:
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ContractViolationError(f"unsupported checkpoint version {version}")
-        cfg = ModelConfig(
-            input_dim=int(data["input_dim"]),
-            n_classes=int(data["n_classes"]),
-            hidden_dim=int(data["hidden_dim"]),
-            proj_hidden_dim=int(data["proj_hidden_dim"]),
-            embed_dim=int(data["embed_dim"]),
-        )
-        return ModelParams(cfg, data["flat"])

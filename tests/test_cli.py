@@ -71,6 +71,9 @@ def test_validate_config_rejections():
     for bad_seeds in ([], [1, True], ["a"]):
         with pytest.raises(cli.ConfigError):
             cli.validate_config({**seeds_cfg, "seeds": bad_seeds})
+    # a repeated seed would run twice into one seed_<s>/ directory
+    with pytest.raises(cli.ConfigError, match="repeat"):
+        cli.validate_config({**seeds_cfg, "seeds": [3, 3]})
 
 
 def test_validate_config_coerces_int_to_float():
@@ -90,7 +93,10 @@ def test_validate_config_rejects_bad_plan_settings():
         cli.validate_config({**ok, "ratio_source": 0.9, "ratio_memory": 0.9,
                              "ratio_target": 0.2})
     for bad in ({"temperature": -0.2}, {"temperature": 0}, {"negatives": -1},
-                {"memory_capacity": 0}, {"bank_momentum": 1.5}):
+                {"memory_capacity": 0}, {"bank_momentum": 1.5},
+                {"hidden_dim": 0}, {"proj_hidden_dim": 0}, {"embed_dim": 0},
+                {"pretrain_epochs": -1}, {"warm_epochs": -1},
+                {"epochs_per_domain": -1}):
         with pytest.raises(cli.ConfigError, match="invalid plan settings"):
             cli.validate_config({**ok, **bad})
     # JSON's NaN and Infinity parse to floats the range checks cannot see

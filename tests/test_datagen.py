@@ -73,15 +73,11 @@ def test_transform_applies_rotation_scale_translation():
     np.testing.assert_array_equal(moved.train.y, base.train.y)
 
 
-def test_moons_and_grid_shapes():
+def test_moons_shape():
     moons = datagen.DomainSpec(kind=datagen.KIND_MOONS, n_classes=2,
                                per_class=60, std=0.05)
     d = datagen.generate_domain(moons, 1, np.random.default_rng(4))
     assert set(d.train.y) == {0, 1}
-    grid = datagen.DomainSpec(kind=datagen.KIND_GRID, n_classes=6,
-                              per_class=20, radius=2.0, std=0.05)
-    g = datagen.generate_domain(grid, 2, np.random.default_rng(5))
-    assert set(g.train.y) == set(range(6))
 
 
 def test_generate_sequence_deterministic_and_independent():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contda import bank, datagen, gradproject, harness, model
+from contda import bank, datagen, gradproject, harness, memory, model
 from contda.errors import ContractViolationError, DegenerateInputError
 
 
@@ -47,7 +47,10 @@ def test_plan_validation():
         tiny_plan(harness.GRCL, lr=0.0)
     for bad in ({"temperature": -0.2}, {"temperature": 0.0}, {"negatives": -1},
                 {"bank_momentum": 1.5}, {"bank_momentum": -0.1},
-                {"memory_capacity": 0}):
+                {"memory_capacity": 0}, {"hidden_dim": 0},
+                {"proj_hidden_dim": 0}, {"embed_dim": 0},
+                {"pretrain_epochs": -1}, {"warm_epochs": -1},
+                {"epochs_per_domain": -1}):
         with pytest.raises(ContractViolationError):
             tiny_plan(harness.GRCL, **bad)
     # NaN and Inf pass the range checks' comparisons unless refused
@@ -176,13 +179,23 @@ def test_run_plan_fills_lower_triangle_only():
         assert np.all(np.isnan(R[t, t + 1:]))
 
 
-def test_adaptive_strategies_build_bounded_memories():
-    domains = tiny_domains()
-    # every adaptive strategy keeps one memory per target domain; only the
-    # frozen baseline keeps none (covered elsewhere)
+def test_adaptive_strategies_build_bounded_memories(monkeypatch):
+    domains = tiny_domains(n_domains=4)
+    n_targets = len(domains) - 1
+    # every adaptive strategy keeps one memory, from one k-means, per target
+    # domain but the last, whose memory nothing reads; only the frozen
+    # baseline keeps none (covered elsewhere)
+    real_kmeans, fits = memory.kmeans, []
+
+    def counting_kmeans(*args, **kwargs):
+        fits.append(1)
+        return real_kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(memory, "kmeans", counting_kmeans)
     for strategy in (harness.GRCL, harness.CRT_SDC, harness.CRT_SRC):
+        fits.clear()
         res = harness.run_plan(domains, tiny_plan(strategy, memory_capacity=9))
-        assert len(res.memories) == 2
+        assert len(res.memories) == len(fits) == n_targets - 1
         for t, mem in enumerate(res.memories, start=1):
             assert mem.domain_index == t
             assert len(mem) <= 9

@@ -328,24 +328,3 @@ def test_ce_grad_on_row_subset_matches_sub_batch():
         assert abs(by_slice[0][0] - by_rows[0][0]) <= 1e-15
     with pytest.raises(DimensionError):
         model.backward(p, fw, labels=batch.labels[:3], groups=[sel])
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    p = make_params(81)
-    path = tmp_path / "model.npz"
-    model.save_checkpoint(p, path)
-    q = model.load_checkpoint(path)
-    assert q.config == p.config
-    np.testing.assert_array_equal(q.flat.copy(), p.flat.copy())
-
-
-def test_checkpoint_version_checked(tmp_path):
-    p = make_params(91)
-    path = tmp_path / "model.npz"
-    model.save_checkpoint(p, path)
-    with np.load(path) as data:
-        stale = {k: data[k] for k in data.files}
-    stale["version"] = np.int64(99)
-    np.savez(path, **stale)
-    with pytest.raises(ContractViolationError):
-        model.load_checkpoint(path)

@@ -11,8 +11,9 @@ during and after it as perfbench/run.py does: the wall time of one tree
 drifts by up to 40% between rounds on a shared host, and the kernel drifts
 with it, so these figures compare across rounds.  A stage is a set
 of wrapped functions; its cost is the self time of their spans inside
-`harness.adapt_domain`, outside the per-domain encoder passes that feed
-k-means, divided by the number of adaptation iterations.  A wrapped
+`harness.adapt_domain`, divided by the number of adaptation iterations, or,
+for the memory stages, inside `harness.pseudo_label_memory`, divided by the
+number of memories built.  A wrapped
 function that no longer exists stops the script, so a stage never reads zero
 because its code was renamed.
 """
@@ -44,8 +45,7 @@ from run import ReferenceKernel, Sampler  # noqa: E402
 REFERENCE = {"preset": "rot-blobs-5", "strategy": "grcl", "seed": 11}
 RUNS = 3  # untraced reference runs behind the median wall time
 ADAPT = "harness.adapt_domain"
-# encoder passes for k-means and class means, once per domain
-PER_DOMAIN_ENCODE = "model.encode_batch"
+MEMORY = "harness.pseudo_label_memory"
 # stage -> the functions (module, attribute) whose self time it sums
 STAGES = {
     "negative_draw": (("contda.harness", "_negatives"),
@@ -59,7 +59,7 @@ STAGES = {
     "batch_composition": (("contda.harness", "_draw_epoch"),),
     "bank_update": (("contda.bank", "momentum_update"),),
 }
-PER_DOMAIN = {
+PER_MEMORY = {
     "kmeans": (("contda.memory", "kmeans"),),
     "memory_build": (("contda.memory", "build_memory"),),
 }
@@ -71,10 +71,10 @@ def span_name(module, attr):
 
 
 def wrap_points():
-    points = {(span_name(m, a), m, a) for group in (STAGES, PER_DOMAIN)
+    points = {(span_name(m, a), m, a) for group in (STAGES, PER_MEMORY)
               for funcs in group.values() for m, a in funcs}
     points |= {(ADAPT, "contda.harness", "adapt_domain"),
-               (PER_DOMAIN_ENCODE, "contda.model", "encode_batch")}
+               (MEMORY, "contda.harness", "pseudo_label_memory")}
     return sorted(points)
 
 
@@ -110,21 +110,23 @@ def git(*args):
 
 def stage_costs(spans):
     """(adaptation iterations, stage -> us per iteration, stage -> ms per
-    adapted domain) from one traced reference run."""
+    memory built) from one traced reference run."""
     selfs = tracer_mod.self_times(spans)
-    per_iter, per_domain = {}, {}
-    inside = [i for i in range(len(spans))
-              if tracer_mod.has_ancestor(spans, i, ADAPT)
-              and not tracer_mod.has_ancestor(spans, i, PER_DOMAIN_ENCODE)]
-    iters = sum(1 for i in inside if spans[i][0] == ITERATION)
-    domains = sum(1 for rec in spans if rec[0] == ADAPT)
-    for out, group, scale, den in ((per_iter, STAGES, 1e6, iters),
-                                   (per_domain, PER_DOMAIN, 1e3, domains)):
+    per_iter, per_memory = {}, {}
+    inside = {parent: [i for i in range(len(spans))
+                       if tracer_mod.has_ancestor(spans, i, parent)]
+              for parent in (ADAPT, MEMORY)}
+    iters = sum(1 for i in inside[ADAPT] if spans[i][0] == ITERATION)
+    memories = sum(1 for rec in spans if rec[0] == MEMORY)
+    for out, group, parent, scale, den in (
+            (per_iter, STAGES, ADAPT, 1e6, iters),
+            (per_memory, PER_MEMORY, MEMORY, 1e3, memories)):
         for stage, funcs in group.items():
             names = {span_name(m, a) for m, a in funcs}
-            total = sum(selfs[i] for i in inside if spans[i][0] in names)
+            total = sum(selfs[i] for i in inside[parent]
+                        if spans[i][0] in names)
             out[stage] = round(total * scale / den, 1)
-    return iters, per_iter, per_domain
+    return iters, per_iter, per_memory
 
 
 def main(argv=None):
@@ -144,7 +146,7 @@ def main(argv=None):
             traced, _ = run_reference(os.path.join(tmp, "traced"))
     if tracer.absent:
         sys.exit(f"error: wrap points name missing code: {tracer.absent}")
-    iters, per_iter, per_domain = stage_costs(tracer.spans)
+    iters, per_iter, per_memory = stage_costs(tracer.spans)
 
     result = {
         "label": args.label,
@@ -162,7 +164,7 @@ def main(argv=None):
         "traced_run_s": round(traced, 3),
         "adapt_iters": iters,
         "stage_us_per_iter": per_iter,
-        "stage_ms_per_domain": per_domain,
+        "stage_ms_per_memory": per_memory,
     }
     path = os.path.join(args.output_dir, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
