@@ -1,8 +1,8 @@
 """Command-line entry point: validated JSON run configs, artifact emission,
 strategy comparison tables, and dataset export.
 
-Exit codes: 0 success, 2 invalid configuration or arguments, 3 runtime
-numeric failure.
+Exit codes: 0 success, 2 invalid configuration or arguments, or an output
+that cannot be written, 3 runtime numeric failure.
 """
 
 import argparse
@@ -285,6 +285,11 @@ def import_dataset(path):
             domains.append(datagen.import_domain_csv(csv_path, i, spec))
         except (OSError, ValueError, IndexError, csv.Error, ContdaError) as exc:
             raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
+    width = domains[0].train.X.shape[1]
+    for d in domains[1:]:
+        if d.train.X.shape[1] != width:
+            raise ConfigError(f"domain {d.index} has {d.train.X.shape[1]} "
+                              f"features, domain 0 has {width}")
     return domains
 
 
@@ -324,6 +329,9 @@ def main(argv=None) -> int:
         args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ContdaError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: run failed: {exc}", file=sys.stderr)

@@ -158,6 +158,8 @@ def export_domain_csv(domain: Domain, path) -> None:
 
 
 def import_domain_csv(path, index: int, spec: DomainSpec) -> Domain:
+    """Domain of a CSV written by export_domain_csv; every row must be as
+    wide as the header and carry a label in [0, spec.n_classes)."""
     rows = {"train": ([], [], []), "holdout": ([], [], [])}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -168,6 +170,12 @@ def import_domain_csv(path, index: int, spec: DomainSpec) -> Domain:
             sid, split_name, label = row[0], row[1], int(row[2])
             if split_name not in rows:
                 raise DimensionError(f"unknown split {split_name!r}")
+            if len(row) != len(header):
+                raise DimensionError(f"row {sid!r} has {len(row)} cells, "
+                                     f"the header {len(header)}")
+            if not 0 <= label < spec.n_classes:
+                raise DegenerateInputError(f"row {sid!r} has label {label}, "
+                                           f"outside [0, {spec.n_classes})")
             ids, xs, ys = rows[split_name]
             ids.append(sid)
             xs.append([float(v) for v in row[3:]])
@@ -175,8 +183,9 @@ def import_domain_csv(path, index: int, spec: DomainSpec) -> Domain:
 
     def build(split_name):
         ids, xs, ys = rows[split_name]
-        return Dataset(ids=ids, X=np.array(xs, dtype=np.float64),
-                       y=np.array(ys, dtype=np.int64))
+        # an empty split still has the header's width
+        X = np.array(xs, dtype=np.float64).reshape(-1, len(header) - 3)
+        return Dataset(ids=ids, X=X, y=np.array(ys, dtype=np.int64))
 
     return Domain(index=index, spec=spec, train=build("train"),
                   holdout=build("holdout"))

@@ -15,8 +15,7 @@ The step's gradients arrive as the rows of one matrix J, g first.  gram
 forms K = J J^T once, with the step's tolerance; project is the one solver,
 for any number of rows: Lawson-Hanson on the non-negative dual, the QP that
 GEM also solves (Lopez-Paz & Ranzato 2017), which lives on K.  kkt_check
-judges a solution on the stepped w itself; tolerance gives gram's tolerance
-from the rows themselves.
+judges a solution on the stepped w itself.
 """
 
 import math
@@ -28,12 +27,6 @@ from .numerics import require_finite
 
 EPS_SCALE = 1e-9
 KKT_FLAGS = ("primal_feasible", "dual_feasible", "complementary", "stationary")
-
-
-def tolerance(g, constraints) -> float:
-    """Feasibility tolerance scaled to the largest gradient magnitude."""
-    norms = [np.linalg.norm(g)] + [np.linalg.norm(c) for c in constraints]
-    return EPS_SCALE * max(1.0, *norms)
 
 
 def kkt_check(w, u, g, constraints, eps) -> dict:

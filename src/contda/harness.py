@@ -15,12 +15,13 @@ J J^T once per step; the fixed-weight strategies step along a weighted sum
 of J's rows, and the warm-up, crt_sdc and GRCL take project_step, one
 KKT-guarded projection on that Gram matrix.  A domain's bank and batch pool
 are built from the same parts in the same order, so a batch's pool rows are
-its bank rows; each pool row carries an integer part code.
+its bank rows.  The pool is inputs and one label per row, -1 meaning
+unlabeled: every target row and no other, checked once when it is built.
 
 Each epoch draws its randomness before its step loop: every step's batch
 rows, laid out as [source | memory d1 | ... | target] so GRCL's memory
-groups are slices, one gather and one Batch check, and, when the negative
-draw is sparse, every step's negatives.
+groups are slices, one gather of their inputs and labels, and, when the
+negative draw is sparse, every step's negatives.
 """
 
 import math
@@ -33,8 +34,8 @@ from . import contrastive as contrastive_mod
 from . import gradproject
 from . import memory as memory_mod
 from . import model as model_mod
-from .errors import ContractViolationError, DegenerateInputError
-from .model import Batch, ModelConfig, PART_SOURCE, PART_TARGET
+from .errors import ContractViolationError, DegenerateInputError, DimensionError
+from .model import ModelConfig
 
 SRC_ONLY = "src_only"
 MULTITASK = "multitask"
@@ -198,9 +199,8 @@ def pretrain_source(params, source_train, plan, rng):
         order = rng.permutation(n)
         for i in range(iters):
             idx = order[i * plan.batch_size:(i + 1) * plan.batch_size]
-            batch = Batch(inputs=source_train.X[idx], labels=source_train.y[idx],
-                          parts=np.full(idx.size, PART_SOURCE))
-            _, grad = model_mod.ce_loss_and_grad(params, batch)
+            _, grad = model_mod.ce_loss_and_grad(params, source_train.X[idx],
+                                                 source_train.y[idx])
             params = model_mod.sgd_step(
                 params, grad, _cosine_lr(plan.pretrain_lr, step, total))
             step += 1
@@ -259,20 +259,29 @@ def _compose_counts(plan, have_memory: bool):
 
 
 def _batch_pool(parts):
-    """Concatenate (inputs, labels, part code) parts, source first, then each
-    memory, then the target, into the arrays a batch is gathered from; a bank
-    built from the same parts holds pool row i at bank row i.  Returns them
-    with the pool offset of each part and the pool's end."""
-    lengths = [len(p[0]) for p in parts]
-    pool = (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.repeat([p[2] for p in parts], lengths))
-    return pool, np.cumsum([0] + lengths)
+    """Concatenate (inputs, labels) parts, source first, then each memory,
+    then the target, into the arrays a batch is gathered from; a bank built
+    from the same parts holds pool row i at bank row i.  Returns them with
+    the pool offset of each part and the pool's end.
+
+    Label -1 means unlabeled: the target's rows must carry it, and every
+    earlier row a class label.
+    """
+    if any(len(X) != len(y) for X, y in parts):
+        raise DimensionError("pool parts disagree on sample count")
+    pool = tuple(np.concatenate(field) for field in zip(*parts))
+    offsets = np.cumsum([0] + [len(y) for _, y in parts])
+    labels, target = pool[1], offsets[-2]
+    if np.any(labels[:target] < 0) or np.any(labels[target:] != -1):
+        raise ContractViolationError(
+            "target samples must be unlabeled and all others labeled")
+    return pool, offsets
 
 
 def _draw_epoch(pool, offsets, counts, iters, by_domain, rng):
     """One epoch's batches: every step's pool rows (iters, batch), their
-    Batch with one row per step, and each step's memory cut points.
+    inputs and labels with one leading row per step, and each step's memory
+    cut points.
 
     A step draws counts[i] rows of part i (source, memories, target),
     distinct when the part holds that many, in sorted order.  Parts occupy
@@ -287,7 +296,7 @@ def _draw_epoch(pool, offsets, counts, iters, by_domain, rng):
     n_s, n_m, _ = counts
     bounds = offsets[1:-1] if by_domain else offsets[[1, -2]]
     cuts = n_s + (rows[:, n_s:n_s + n_m, None] < bounds).sum(axis=1)
-    return rows, Batch(*(field[rows] for field in pool)), cuts.tolist()
+    return rows, pool[0][rows], pool[1][rows], cuts.tolist()
 
 
 def _negatives(fbank, steps, count, rng):
@@ -345,10 +354,10 @@ def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
     source_train = domains[0].train
     target_train = domains[t].train
 
-    parts = ([(source_train.X, source_train.y, PART_SOURCE)]
-             + [(m.inputs, m.labels, m.domain_index) for m in memories]
-             + [(target_train.X, np.full(len(target_train), -1), PART_TARGET)])
-    fbank = bank_mod.init_bank(params, [X for X, _, _ in parts])
+    parts = ([(source_train.X, source_train.y)]
+             + [(m.inputs, m.labels) for m in memories]
+             + [(target_train.X, np.full(len(target_train), -1))])
+    fbank = bank_mod.init_bank(params, [X for X, _ in parts])
     pool, offsets = _batch_pool(parts)
     counts = _compose_counts(plan, len(memories) > 0)
     n_s, n_m, n_t = counts
@@ -357,11 +366,10 @@ def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
 
     step = 0
     for epoch in range(plan.epochs_per_domain):
-        rows, batch, cuts = _draw_epoch(pool, offsets, counts, iters,
-                                        plan.strategy == GRCL, batch_rng)
+        rows, X, y, cuts = _draw_epoch(pool, offsets, counts, iters,
+                                       plan.strategy == GRCL, batch_rng)
         negs = _negatives(fbank, rows, plan.negatives, neg_rng)
-        for r, neg, inputs, labels, cut in zip(rows, negs, batch.inputs,
-                                               batch.labels, cuts):
+        for r, neg, inputs, labels, cut in zip(rows, negs, X, y, cuts):
             fw = model_mod.forward(params, inputs)
             loss_con, dQ = contrastive_mod.contrastive_grad(
                 fw, r, neg, fbank, plan.temperature)

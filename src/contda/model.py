@@ -8,6 +8,8 @@ gradients and update directions are expressed in that same space.  One
 forward pass keeps a batch's activations, and one backward pass from them
 stacks every gradient of that batch (the embedding gradient, and the
 cross-entropy of each group of its rows) as the rows of one (r, P) matrix.
+A batch is its inputs and one integer label per row; every row that a
+cross-entropy group reads must carry a label in the class range.
 """
 
 from dataclasses import dataclass
@@ -18,12 +20,6 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError, DimensionError
 from .numerics import log_softmax_rows
-
-# part codes carried by batch samples: a sample from the episodic memory of
-# target domain t carries code t >= 1
-PART_SOURCE = 0
-PART_TARGET = -1
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -108,34 +104,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return ModelParams(config, np.concatenate([
         _glorot(rng, *shape).ravel() if len(shape) == 2 else np.zeros(shape)
         for _, shape in _layout(config).values()]))
-
-
-@dataclass
-class Batch:
-    """A mini-batch: inputs, labels (-1 for "absent") and one part code per
-    sample, or an epoch of them with one leading row per step.
-
-    Target samples (PART_TARGET) must be unlabeled, and source and memory
-    samples labeled.
-    """
-
-    inputs: np.ndarray
-    labels: np.ndarray
-    parts: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.parts = np.asarray(self.parts, dtype=np.int64)
-        n = self.inputs.shape[0]
-        if not n == self.labels.shape[0] == self.parts.shape[0]:
-            raise DimensionError("batch fields disagree on sample count")
-        if np.any((self.labels >= 0) == (self.parts == PART_TARGET)):
-            raise ContractViolationError(
-                "target samples must be unlabeled and all others labeled")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -265,11 +233,11 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
     return np.array(losses), J
 
 
-def ce_loss_and_grad(params: ModelParams, batch: Batch):
-    """Mean cross-entropy of a fully labeled batch and its flat gradient,
-    from the batch's own encoder pass."""
-    losses, J = backward(params, forward(params, batch.inputs, project=False),
-                         labels=batch.labels, groups=[slice(None)])
+def ce_loss_and_grad(params: ModelParams, X, labels):
+    """Mean cross-entropy of a fully labeled batch of inputs X and its flat
+    gradient, from the batch's own encoder pass."""
+    losses, J = backward(params, forward(params, X, project=False),
+                         labels=labels, groups=[slice(None)])
     return float(losses[0]), J[0]
 
 

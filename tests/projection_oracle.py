@@ -1,15 +1,23 @@
 """Reference projection for the tests: the minimum-norm step onto the
-constraint half-spaces, by brute force over every active set.
+constraint half-spaces, by brute force over every active set, and its
+feasibility tolerance taken from the rows' norms.
 
 gradproject.project solves the same problem on the Gram matrix; the tests
-compare its answer with the oracle below.
+compare its answer with the oracle below, and gradproject.gram's tolerance
+with tolerance().
 """
 
 import itertools
 
 import numpy as np
 
-from contda.gradproject import tolerance
+from contda.gradproject import EPS_SCALE
+
+
+def tolerance(g, constraints) -> float:
+    """Feasibility tolerance scaled to the largest gradient magnitude."""
+    norms = [np.linalg.norm(g)] + [np.linalg.norm(c) for c in constraints]
+    return EPS_SCALE * max(1.0, *norms)
 
 
 def brute_force_project(g, constraints):

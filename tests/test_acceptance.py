@@ -197,13 +197,11 @@ def test_analytic_gradients_match_finite_differences():
         X = rng.normal(size=(n, config.input_dim))
         if trial % 2 == 0:
             y = rng.integers(0, config.n_classes, size=n)
-            batch = model_mod.Batch(inputs=X, labels=y,
-                                    parts=np.full(n, model_mod.PART_SOURCE))
 
             def loss_fn(p):
-                return model_mod.ce_loss_and_grad(p, batch)[0]
+                return model_mod.ce_loss_and_grad(p, X, y)[0]
 
-            grad = model_mod.ce_loss_and_grad(params, batch)[1].flatten()
+            grad = model_mod.ce_loss_and_grad(params, X, y)[1].flatten()
         else:
             rows = np.arange(n)
             keys = model_mod.encode_project_batch(params, X)

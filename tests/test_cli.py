@@ -284,6 +284,64 @@ def test_run_exit_code_malformed_dataset(tmp_path):
         assert run_on(name, damage) == 2, name
 
 
+def test_run_exit_code_unusable_dataset_values(tmp_path):
+    # readable domain files whose values the run cannot use are config
+    # errors, exit 2: a label outside [0, n_classes) in either split, a
+    # domain wider than domain 0, and rows wider than their header
+    def edit_domain_1(name, edit):
+        root = write_tiny_dataset(tmp_path / name)
+        path = os.path.join(root, "domain_1.csv")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(edit(lines)) + "\n")
+        return root
+
+    def relabel(split, label):
+        def edit(lines):
+            i = next(i for i, line in enumerate(lines)
+                     if line.split(",")[1] == split)
+            cells = lines[i].split(",")
+            lines[i] = ",".join(cells[:2] + [label] + cells[3:])
+            return lines
+        return edit
+
+    cases = {
+        "holdout_label_3": relabel("holdout", "3"),
+        "train_label_-1": relabel("train", "-1"),
+        "wider_domain": lambda lines: ([lines[0] + ",x2"]
+                                       + [line + ",0.5" for line in lines[1:]]),
+        "wider_rows": lambda lines: lines[:1] + [line + ",0.5"
+                                                for line in lines[1:]],
+    }
+    for name, edit in cases.items():
+        root = edit_domain_1(name, edit)
+        with pytest.raises(cli.ConfigError):
+            cli.import_dataset(root)
+        cfg_path = write_cfg(tmp_path / f"{name}.json",
+                             tiny_cfg(root, tmp_path / f"o_{name}"))
+        assert cli.main(["run", cfg_path]) == 2, name
+
+
+def test_run_exit_code_unwritable_output(tmp_path, capsys):
+    # an output_dir under a regular file cannot be made
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    data = write_tiny_dataset(tmp_path / "data")
+    cfg_path = write_cfg(tmp_path / "run.json",
+                         tiny_cfg(data, blocker / "out"))
+    assert cli.main(["run", cfg_path]) == 2
+    assert "error: cannot write output:" in capsys.readouterr().err
+
+
+def test_export_data_exit_code_unwritable_output(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    assert cli.main(["export-data", "--preset", "moons-4", "--seed", "1",
+                     "--output", str(blocker / "x")]) == 2
+    assert "error: cannot write output:" in capsys.readouterr().err
+
+
 def test_run_exit_code_numeric_failure(tmp_path):
     # domains that disagree on class count pass config validation but
     # fail the harness contract at runtime

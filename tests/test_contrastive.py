@@ -17,20 +17,18 @@ def nce_direct(query, positive, negatives, tau):
 
 
 def fw(params, batch):
-    return model.forward(params, batch.inputs)
+    return model.forward(params, batch)
 
 
 def make_setup(seed, n=5, extra=7):
-    """Params, a target batch, and a bank whose rows 0..n-1 hold the batch
-    and whose other rows hold further samples."""
+    """Params, the inputs of a target batch, and a bank whose rows 0..n-1
+    hold the batch and whose other rows hold further samples."""
     cfg = model.ModelConfig(input_dim=2, n_classes=3, hidden_dim=6,
                             proj_hidden_dim=5, embed_dim=4)
     params = model.init_params(cfg, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     X = rng.standard_normal((n + extra, 2))
-    batch = model.Batch(inputs=X[:n], labels=np.full(n, -1),
-                        parts=np.full(n, model.PART_TARGET))
-    return params, batch, bank.init_bank(params, [X[:n], X[n:]])
+    return params, X[:n], bank.init_bank(params, [X[:n], X[n:]])
 
 
 def rows_of(batch):
@@ -72,7 +70,7 @@ def test_nce_matches_direct_formula(monkeypatch):
             fw(params, batch), rows_of(batch), fbank, tau, count,
             np.random.default_rng(int(rng.integers(1000))))
         neg = draws.pop()
-        Q = model.encode_project_batch(params, batch.inputs)
+        Q = model.encode_project_batch(params, batch)
         want = [nce_direct(Q[i], fbank.keys[i], fbank.keys[neg[i]], tau)
                 for i in range(len(batch))]
         assert abs(loss - math.fsum(want) / len(want)) < 1e-12
@@ -156,7 +154,7 @@ def test_contrastive_loss_matches_per_sample_mean():
     loss, _ = nce_grad(fw(params, batch), rows_of(batch),
                        fbank, 0.2, len(fbank) - 1,
                        np.random.default_rng(0))
-    Q = model.encode_project_batch(params, batch.inputs)
+    Q = model.encode_project_batch(params, batch)
     want = 0.0
     for row in rows_of(batch):
         want += nce_direct(Q[row], fbank.keys[row],
@@ -176,7 +174,7 @@ def test_contrastive_grad_matches_finite_differences(monkeypatch):
         def loss_at(flat):
             moved = model.ModelParams(params.config, flat)
             l, _ = nce_grad(
-                model.forward(moved, batch.inputs), rows_of(batch), fbank,
+                model.forward(moved, batch), rows_of(batch), fbank,
                 0.15, every, np.random.default_rng(99))
             return l
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from contda import bank, datagen, gradproject, harness, memory, model
-from contda.errors import ContractViolationError, DegenerateInputError
+from contda.errors import (ContractViolationError, DegenerateInputError,
+                           DimensionError)
+from projection_oracle import tolerance
 
 
 def tiny_plan(strategy, **kw):
@@ -271,7 +273,7 @@ def test_grcl_step_constrains_each_memory_domain():
     g_dm = g_mem.mean(axis=0)
     assert g_t @ g_dm >= 0.0 and g_t @ g_mem[0] < 0.0
     w, u_star, case = step(tiny_plan(harness.GRCL), g_t, g_s, *g_mem)
-    eps = gradproject.tolerance(g_t, [g_s, *g_mem])
+    eps = tolerance(g_t, [g_s, *g_mem])
     assert np.all(g_mem @ w >= -eps)
     assert w @ g_s >= -eps and w @ g_dm >= -eps
     np.testing.assert_allclose(w, [0.5, 0.5, 0.0], atol=1e-12)
@@ -324,20 +326,18 @@ def test_memory_grads_mix_to_pooled_cross_entropy():
     params = model.init_params(cfg, np.random.default_rng(0))
     X = domains[1].train.X[:7]
     labels = domains[1].train.y[:7]
-    parts = np.array([1, 2, 1, 1, 2, 1, 2])
+    domain = np.array([1, 2, 1, 1, 2, 1, 2])
     fw = model.forward(params, X)
     rows = np.arange(7)
-    groups = [rows[parts == d] for d in (1, 2)]
+    groups = [rows[domain == d] for d in (1, 2)]
     losses, g_mem = model.backward(params, fw, labels=labels, groups=groups)
     shares = np.array([g.size for g in groups]) / 7
-    want_loss, want_g = model.ce_loss_and_grad(
-        params, model.Batch(inputs=X, labels=labels, parts=parts))
+    want_loss, want_g = model.ce_loss_and_grad(params, X, labels)
     assert g_mem.shape == (2, params.num_params)
     np.testing.assert_allclose(shares @ losses, want_loss, rtol=1e-12)
     np.testing.assert_allclose(shares @ g_mem, want_g, rtol=1e-10, atol=1e-14)
     for row, sel in zip(g_mem, groups):
-        sub = model.Batch(inputs=X[sel], labels=labels[sel], parts=parts[sel])
-        _, g_d = model.ce_loss_and_grad(params, sub)
+        _, g_d = model.ce_loss_and_grad(params, X[sel], labels[sel])
         np.testing.assert_allclose(row, g_d, rtol=0, atol=1e-15)
 
 
@@ -432,10 +432,10 @@ def test_two_forward_passes_per_iteration(monkeypatch):
     # one forward before each step feeds one backward call, whose rows are
     # the contrastive, source and per-domain memory gradients, and one Gram
     # matrix; one forward after it refreshes the bank.  Each epoch draws its
-    # batches, and builds their one Batch, before its step loop.
+    # batches, and gathers their inputs and labels, before its step loop.
     domains = tiny_domains(n_domains=4)
     forwards, step_marks, draw_marks, phases = [0], [], [], []
-    calls = {"backward": 0, "gram": 0, "negative_rows": 0, "Batch": 0}
+    calls = {"backward": 0, "gram": 0, "negative_rows": 0, "_draw_epoch": 0}
     rows = []  # rows of J per backward call
     real_forward, real_step = model.forward, model.sgd_step
 
@@ -473,16 +473,12 @@ def test_two_forward_passes_per_iteration(monkeypatch):
             return out
         return wrapped
 
-    def no_tolerance(*args):
-        raise AssertionError("a step took the tolerance from the rows' norms")
-
     monkeypatch.setattr(model, "forward", counting_forward)
     monkeypatch.setattr(model, "sgd_step", marking_step)
     counting(model, "backward")
     counting(gradproject, "gram")
     counting(bank, "negative_rows")
-    counting(harness, "Batch")
-    monkeypatch.setattr(gradproject, "tolerance", no_tolerance)
+    counting(harness, "_draw_epoch")
     monkeypatch.setattr(harness, "warm_projector", phase(harness.warm_projector))
     monkeypatch.setattr(harness, "adapt_domain", phase(harness.adapt_domain))
     plan = tiny_plan(harness.GRCL)
@@ -506,36 +502,55 @@ def test_two_forward_passes_per_iteration(monkeypatch):
     # just before the step's forward pass
     assert not bank.is_sparse(len(domains[0].train), plan.negatives)
     assert draws == [m - 1 for m in marks]
-    assert counts["Batch"] == 0
+    assert counts["_draw_epoch"] == 0
     # adaptation banks hold at least 96 rows, on the sparse side: one draw
-    # and one Batch per epoch, before the epoch's first step
+    # and one batch gather per epoch, before the epoch's first step
     assert bank.is_sparse(2 * len(domains[0].train), plan.negatives)
     for _, _, marks, counts, _, draws in phases[1:]:
         iters = len(marks) // plan.epochs_per_domain
         assert draws == [m - 1 for m in marks[::iters]]
-        assert counts["Batch"] == plan.epochs_per_domain
+        assert counts["_draw_epoch"] == plan.epochs_per_domain
 
 
 def epoch_pool(memory_sizes=(10, 14), source=60, target=300):
     """A batch pool of a source, memories of domains 1, 2, ... and a target,
     with the pool offsets adapt_domain gives it."""
-    parts = ([(np.zeros((source, 2)), np.zeros(source, dtype=np.int64),
-               model.PART_SOURCE)]
-             + [(np.zeros((m, 2)), np.zeros(m, dtype=np.int64), d)
-                for d, m in enumerate(memory_sizes, start=1)]
-             + [(np.zeros((target, 2)), np.full(target, -1),
-                 model.PART_TARGET)])
+    parts = ([(np.zeros((source, 2)), np.zeros(source, dtype=np.int64))]
+             + [(np.zeros((m, 2)), np.zeros(m, dtype=np.int64))
+                for m in memory_sizes]
+             + [(np.zeros((target, 2)), np.full(target, -1))])
     return harness._batch_pool(parts)
+
+
+def test_batch_pool_rejects_labeled_target_and_unlabeled_source():
+    # the label contract, checked once when the pool is built: -1 marks
+    # every target row and no other
+    X = np.zeros((1, 2))
+    source, target = (X, np.array([0])), (X, np.array([-1]))
+    with pytest.raises(ContractViolationError):
+        harness._batch_pool([source, (X, np.array([2]))])
+    with pytest.raises(ContractViolationError):
+        harness._batch_pool([(X, np.array([-1])), target])
+    # an unlabeled memory row
+    with pytest.raises(ContractViolationError):
+        harness._batch_pool([source, (X, np.array([-1])), target])
+    with pytest.raises(DimensionError):
+        harness._batch_pool([source, (X, np.array([-1, -1]))])
+    pool, offsets = harness._batch_pool(
+        [source, (np.zeros((2, 2)), np.array([1, 0])), target])
+    assert pool[0].shape == (4, 2)
+    np.testing.assert_array_equal(pool[1], [0, 1, 0, -1])
+    np.testing.assert_array_equal(offsets, [0, 1, 3, 4])
 
 
 def test_epoch_batch_rows_are_distinct_within_a_part():
     # distinct rows when a part holds the count, with replacement otherwise
     pool, offsets = epoch_pool(memory_sizes=(3, 4), source=60, target=20)
     counts = (12, 16, 20)
-    rows, batch, _ = harness._draw_epoch(pool, offsets, counts, 500, True,
-                                         np.random.default_rng(0))
+    rows, X, y, _ = harness._draw_epoch(pool, offsets, counts, 500, True,
+                                        np.random.default_rng(0))
     assert rows.shape == (500, 48)
-    assert batch.inputs.shape == (500, 48, 2)
+    assert X.shape == (500, 48, 2) and y.shape == (500, 48)
     parts = [rows[:, :12], rows[:, 12:28], rows[:, 28:]]
     for part, lo, hi in zip(parts, offsets[[0, 1, -2]], offsets[[1, -2, -1]]):
         assert part.min() >= lo and part.max() < hi
@@ -557,8 +572,8 @@ def test_epoch_batch_rows_are_uniform():
     draws = 20_000
     pool, offsets = epoch_pool()
     counts = (5, 20, 30)
-    rows, _, _ = harness._draw_epoch(pool, offsets, counts, draws, True,
-                                     np.random.default_rng(1))
+    rows, _, _, _ = harness._draw_epoch(pool, offsets, counts, draws, True,
+                                        np.random.default_rng(1))
     freq = np.bincount(rows.ravel(), minlength=offsets[-1])
     for lo, hi, count in zip(offsets[[0, 1, -2]], offsets[[1, -2, -1]],
                              counts):
@@ -569,25 +584,31 @@ def test_epoch_batch_rows_are_uniform():
 
 def test_grcl_groups_are_slices_of_one_memory_domain_each():
     # sorting lays each batch out as [source | memory d1 | d2 | target], so
-    # each memory domain's rows sit between consecutive cut points
+    # each memory domain's rows sit between consecutive cut points, inside
+    # that memory's pool range [offsets[d], offsets[d + 1])
     pool, offsets = epoch_pool(memory_sizes=(10, 14, 6))
     counts = (16, 16, 32)
+
+    def within(rows, lo, hi):
+        return np.all((offsets[lo] <= rows) & (rows < offsets[hi]))
+
     for by_domain in (True, False):
-        _, batch, cuts = harness._draw_epoch(pool, offsets, counts, 200,
-                                             by_domain,
-                                             np.random.default_rng(2))
-        for step_parts, cut in zip(batch.parts, cuts):
+        rows, _, labels, cuts = harness._draw_epoch(
+            pool, offsets, counts, 200, by_domain, np.random.default_rng(2))
+        assert np.all(labels[:, :32] >= 0) and np.all(labels[:, 32:] == -1)
+        for step_rows, cut in zip(rows, cuts):
             assert cut[0] == 16 and cut[-1] == 32
-            assert np.all(step_parts[:16] == model.PART_SOURCE)
-            assert np.all(step_parts[32:] == model.PART_TARGET)
-            codes = [step_parts[a:b] for a, b in zip(cut, cut[1:])]
+            assert within(step_rows[:16], 0, 1)
+            assert within(step_rows[32:], -2, -1)
+            groups = [step_rows[a:b] for a, b in zip(cut, cut[1:])]
             if by_domain:
-                assert len(codes) == 3
-                for d, code in enumerate(codes, start=1):
-                    assert np.all(code == d)
+                assert len(groups) == 3
+                for d, group in enumerate(groups, start=1):
+                    assert within(group, d, d + 1)
             else:
-                assert len(codes) == 1
-                assert np.all(np.diff(codes[0]) >= 0)
+                assert len(groups) == 1
+                assert within(groups[0], 1, -2)
+                assert np.all(np.diff(groups[0]) >= 0)
 
 
 def test_epoch_negatives_exclude_own_row_on_both_sides():

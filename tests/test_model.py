@@ -18,11 +18,10 @@ def make_params(seed=0, config=None):
 
 
 def labeled_batch(rng, params, n=6):
+    """Inputs and class labels of n rows."""
     d = params.config.input_dim
     c = params.config.n_classes
-    return model.Batch(inputs=rng.standard_normal((n, d)),
-                       labels=rng.integers(0, c, size=n),
-                       parts=np.full(n, model.PART_SOURCE))
+    return rng.standard_normal((n, d)), rng.integers(0, c, size=n)
 
 
 def test_param_shapes_and_count():
@@ -76,23 +75,6 @@ def test_init_bounds_and_zero_biases():
     np.testing.assert_array_equal(p.flat.copy(), q.flat.copy())
 
 
-def test_batch_rejects_labeled_target_and_unlabeled_source():
-    X = np.zeros((1, 2))
-    with pytest.raises(ContractViolationError):
-        model.Batch(inputs=X, labels=np.array([2]), parts=[model.PART_TARGET])
-    with pytest.raises(ContractViolationError):
-        model.Batch(inputs=X, labels=np.array([-1]), parts=[model.PART_SOURCE])
-    # a memory sample of target domain 2
-    with pytest.raises(ContractViolationError):
-        model.Batch(inputs=X, labels=np.array([-1]), parts=[2])
-    with pytest.raises(DimensionError):
-        model.Batch(inputs=X, labels=np.array([-1]),
-                    parts=[model.PART_TARGET] * 2)
-    mixed = model.Batch(inputs=np.zeros((3, 2)), labels=np.array([1, -1, 0]),
-                        parts=[model.PART_SOURCE, model.PART_TARGET, 2])
-    assert len(mixed) == 3
-
-
 def test_embeddings_are_unit_norm():
     p = make_params(7)
     rng = np.random.default_rng(8)
@@ -116,23 +98,23 @@ def test_input_dim_checked():
 def test_ce_loss_matches_direct_formula():
     p = make_params(11)
     rng = np.random.default_rng(12)
-    batch = labeled_batch(rng, p, n=8)
-    loss, _ = model.ce_loss_and_grad(p, batch)
-    logits = model.classify_batch(p, batch.inputs)
+    X, labels = labeled_batch(rng, p, n=8)
+    loss, _ = model.ce_loss_and_grad(p, X, labels)
+    logits = model.classify_batch(p, X)
     total = 0.0
-    for i, y in enumerate(batch.labels):
+    for i, y in enumerate(labels):
         shifted = logits[i] - logits[i].max()
         total += math.log(math.fsum(np.exp(shifted))) - shifted[y]
-    np.testing.assert_allclose(loss, total / len(batch), atol=1e-12)
+    np.testing.assert_allclose(loss, total / len(labels), atol=1e-12)
 
 
 def test_ce_rejects_unlabeled_and_out_of_range():
     p = make_params()
     rng = np.random.default_rng(1)
-    bad = model.Batch(inputs=rng.standard_normal((1, 2)), labels=np.array([7]),
-                      parts=[model.PART_SOURCE])
-    with pytest.raises(ContractViolationError):
-        model.ce_loss_and_grad(p, bad)
+    for label in (7, -1):
+        with pytest.raises(ContractViolationError):
+            model.ce_loss_and_grad(p, rng.standard_normal((1, 2)),
+                                   np.array([label]))
 
 
 def _fd_grad(fn, flat, coords, h=1e-6):
@@ -150,17 +132,17 @@ def test_ce_grad_matches_finite_differences():
     rng = np.random.default_rng(21)
     for trial in range(5):
         p = make_params(100 + trial)
-        batch = labeled_batch(rng, p, n=5)
+        X, labels = labeled_batch(rng, p, n=5)
         groups = [np.array([3, 0]), np.array([4, 1, 2])]
 
         def loss_at(flat, g):
             moved = model.ModelParams(p.config, flat)
-            fw = model.forward(moved, batch.inputs, project=False)
-            return model.backward(moved, fw, labels=batch.labels,
+            fw = model.forward(moved, X, project=False)
+            return model.backward(moved, fw, labels=labels,
                                   groups=groups)[0][g]
 
-        fw = model.forward(p, batch.inputs, project=False)
-        _, J = model.backward(p, fw, labels=batch.labels, groups=groups)
+        fw = model.forward(p, X, project=False)
+        _, J = model.backward(p, fw, labels=labels, groups=groups)
         flat = p.flat.copy()
         for g in range(2):
             coords = rng.choice(p.num_params, size=40, replace=False)
@@ -171,8 +153,8 @@ def test_ce_grad_matches_finite_differences():
 
 def test_ce_grad_projector_blocks_exactly_zero():
     p = make_params(31)
-    batch = labeled_batch(np.random.default_rng(32), p, n=6)
-    _, g = model.ce_loss_and_grad(p, batch)
+    _, g = model.ce_loss_and_grad(
+        p, *labeled_batch(np.random.default_rng(32), p, n=6))
     slices = p.block_slices()
     for f in ("proj1_w", "proj1_b", "proj2_w", "proj2_b"):
         assert np.all(g[slices[f]] == 0.0), f
@@ -309,22 +291,20 @@ def test_ce_grad_on_row_subset_matches_sub_batch():
     rng = np.random.default_rng(73)
     for trial in range(5):
         p = make_params(300 + trial)
-        batch = labeled_batch(rng, p, n=12)
-        fw = model.forward(p, batch.inputs)
+        X, labels = labeled_batch(rng, p, n=12)
+        fw = model.forward(p, X)
         sel = np.sort(rng.choice(12, size=int(rng.integers(1, 12)), replace=False))
-        losses, J = model.backward(p, fw, labels=batch.labels, groups=[sel])
-        sub = model.Batch(inputs=batch.inputs[sel], labels=batch.labels[sel],
-                          parts=batch.parts[sel])
-        want_loss, want_g = model.ce_loss_and_grad(p, sub)
+        losses, J = model.backward(p, fw, labels=labels, groups=[sel])
+        want_loss, want_g = model.ce_loss_and_grad(p, X[sel], labels[sel])
         assert abs(losses[0] - want_loss) <= 1e-12
         np.testing.assert_allclose(J[0], want_g, rtol=0, atol=1e-12)
     # a slice selects the same rows as its index array, with or without the
     # embedding row stacked above
     dQ = rng.standard_normal((12, p.config.embed_dim))
     for lead in (None, dQ):
-        by_slice = model.backward(p, fw, lead, batch.labels, [slice(3, 10)])
-        by_rows = model.backward(p, fw, lead, batch.labels, [np.arange(3, 10)])
+        by_slice = model.backward(p, fw, lead, labels, [slice(3, 10)])
+        by_rows = model.backward(p, fw, lead, labels, [np.arange(3, 10)])
         np.testing.assert_allclose(by_slice[1], by_rows[1], rtol=0, atol=1e-15)
         assert abs(by_slice[0][0] - by_rows[0][0]) <= 1e-15
     with pytest.raises(DimensionError):
-        model.backward(p, fw, labels=batch.labels[:3], groups=[sel])
+        model.backward(p, fw, labels=labels[:3], groups=[sel])
