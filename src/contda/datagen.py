@@ -158,8 +158,9 @@ def export_domain_csv(domain: Domain, path) -> None:
 
 
 def import_domain_csv(path, index: int, spec: DomainSpec) -> Domain:
-    """Domain of a CSV written by export_domain_csv; every row must be as
-    wide as the header and carry a label in [0, spec.n_classes)."""
+    """Domain of a CSV written by export_domain_csv; both splits must hold
+    rows, and every row must be as wide as the header and carry a label in
+    [0, spec.n_classes)."""
     rows = {"train": ([], [], []), "holdout": ([], [], [])}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -183,9 +184,10 @@ def import_domain_csv(path, index: int, spec: DomainSpec) -> Domain:
 
     def build(split_name):
         ids, xs, ys = rows[split_name]
-        # an empty split still has the header's width
-        X = np.array(xs, dtype=np.float64).reshape(-1, len(header) - 3)
-        return Dataset(ids=ids, X=X, y=np.array(ys, dtype=np.int64))
+        if not ids:
+            raise DegenerateInputError(f"empty {split_name} split")
+        return Dataset(ids=ids, X=np.array(xs, dtype=np.float64),
+                       y=np.array(ys, dtype=np.int64))
 
     return Domain(index=index, spec=spec, train=build("train"),
                   holdout=build("holdout"))

@@ -287,7 +287,8 @@ def test_run_exit_code_malformed_dataset(tmp_path):
 def test_run_exit_code_unusable_dataset_values(tmp_path):
     # readable domain files whose values the run cannot use are config
     # errors, exit 2: a label outside [0, n_classes) in either split, a
-    # domain wider than domain 0, and rows wider than their header
+    # domain wider than domain 0, rows wider than their header and an
+    # empty split
     def edit_domain_1(name, edit):
         root = write_tiny_dataset(tmp_path / name)
         path = os.path.join(root, "domain_1.csv")
@@ -313,6 +314,8 @@ def test_run_exit_code_unusable_dataset_values(tmp_path):
                                        + [line + ",0.5" for line in lines[1:]]),
         "wider_rows": lambda lines: lines[:1] + [line + ",0.5"
                                                 for line in lines[1:]],
+        "no_holdout": lambda lines: [line for line in lines
+                                     if line.split(",")[1] != "holdout"],
     }
     for name, edit in cases.items():
         root = edit_domain_1(name, edit)
