@@ -6,9 +6,9 @@ Keys start from a frozen parameter snapshot and are then blended toward fresh
 embeddings with a momentum coefficient and re-normalized.  A single writer
 (the adaptation loop) mutates the bank in place.  Each query draws its own
 distinct negatives other than its own row.  is_sparse, on the fill ratio
-(1 + count) / len(bank), picks a rejection draw (distinct_rows, which also
-draws the batch rows) at small fills and a ranking of uniform keys
-otherwise; contrastive_grad picks its kernel by it too.
+(1 + count) / len(bank), picks the draw alone: a rejection draw
+(distinct_rows, which also draws the batch rows) at small fills and a
+ranking of uniform keys otherwise.
 """
 
 from dataclasses import dataclass
@@ -19,9 +19,9 @@ from .errors import DegenerateInputError, DimensionError, InsufficientNegativesE
 from . import model as model_mod
 
 DEFAULT_MOMENTUM = 0.5
-# measured crossover of draw plus kernel cost (64 queries, embed_dim 16): the
-# rejection draw and gathered kernel win below fill 0.13-0.15 at N 1,300-3,600
-# and about 0.18 at N 300, so 1/8 stays on the sparse side's safe margin
+# picks the draw only.  Measured crossover of the draw alone, over 20 steps
+# of 64 queries: the rejection draw is faster below fill 0.19-0.22 at N 3,600,
+# 0.24-0.29 at N 1,300 and 0.28-0.33 at N 300, so 1/8 keeps a wide margin
 SPARSE_FILL = 0.125
 
 
@@ -111,25 +111,34 @@ def distinct_rows(rng: np.random.Generator, size: int, count: int,
     return rows
 
 
-def negative_rows(bank: FeatureBank, own, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """For each bank row in own, `count` distinct other rows drawn
-    uniformly, as int32 (len(own), count).
+def negative_rows(bank: FeatureBank, steps, count: int,
+                  rng: np.random.Generator):
+    """For each step's bank rows, `count` distinct other rows per row drawn
+    uniformly: an iterator over one int32 (len(rows), count) array per
+    step, in step order.
 
-    Each query draws among the n - 1 other rows: distinct_rows when
-    is_sparse, else the count smallest of one uniform key per row; then the
-    draw shifts past the own row.  It reads the bank's size, not its keys.
-    Raises when the bank has fewer than count other entries.
+    Each query draws among the n - 1 other rows, then the draw shifts past
+    its own row.  When is_sparse, distinct_rows draws every step at once;
+    otherwise each query keeps the count smallest of one uniform key per
+    row, a rows x bank matrix drawn one step at a time as the caller reaches
+    the step, so the caller draws nothing else from rng in between.  The
+    draws depend on neither the cut into steps nor the keys.  Raises when
+    the bank has fewer than count other entries.
     """
-    own = bank.check_rows(own)
+    own = bank.check_rows(np.concatenate(steps))
     n = len(bank)
     if n - 1 < count:
         raise InsufficientNegativesError(
             f"bank holds {n - 1} candidate negatives, need {count}")
+    cuts = np.cumsum([len(r) for r in steps])[:-1]
+
+    def past_own(rows, own):
+        rows += rows >= own[:, None]
+        return rows
+
     if count == 0 or is_sparse(n, count):
-        rows = distinct_rows(rng, n - 1, count, own.size)
-    else:
-        rows = np.argpartition(rng.random((own.size, n - 1)), count - 1,
-                               axis=1)[:, :count].astype(np.int32)
-    rows += rows >= own[:, None]
-    return rows
+        return iter(np.split(past_own(
+            distinct_rows(rng, n - 1, count, own.size), own), cuts))
+    return (past_own(np.argpartition(rng.random((r.size, n - 1)), count - 1,
+                                     axis=1)[:, :count].astype(np.int32), r)
+            for r in np.split(own, cuts))

@@ -286,10 +286,14 @@ def import_dataset(path):
         except (OSError, ValueError, IndexError, csv.Error, ContdaError) as exc:
             raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
     width = domains[0].train.X.shape[1]
+    n_classes = domains[0].spec.n_classes
     for d in domains[1:]:
         if d.train.X.shape[1] != width:
             raise ConfigError(f"domain {d.index} has {d.train.X.shape[1]} "
                               f"features, domain 0 has {width}")
+        if d.spec.n_classes != n_classes:
+            raise ConfigError(f"domain {d.index} has {d.spec.n_classes} "
+                              f"classes, domain 0 has {n_classes}")
     return domains
 
 

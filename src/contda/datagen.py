@@ -8,7 +8,7 @@ appears on both sides.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -20,8 +20,8 @@ unlabeled: every target row and no other, checked once when it is built.
 
 Each epoch draws its randomness before its step loop: every step's batch
 rows, laid out as [source | memory d1 | ... | target] so GRCL's memory
-groups are slices, one gather of their inputs and labels, and, when the
-negative draw is sparse, every step's negatives.
+groups are slices, one gather of their inputs and labels, and every step's
+negatives (bank.negative_rows).
 """
 
 import math
@@ -96,6 +96,11 @@ class AdaptationPlan:
             raise ContractViolationError("loss weights must be non-negative")
         if self.batch_size < 4:
             raise ContractViolationError("batch size too small to compose")
+        if self.ratio_source + self.ratio_target <= 0.0:
+            raise ContractViolationError("source and target ratios both zero")
+        if min(self.batch_counts(m)[2] for m in (False, True)) < 1:
+            raise ContractViolationError(
+                "batch leaves no room for target samples")
         if self.lr <= 0.0 or self.pretrain_lr <= 0.0:
             raise ContractViolationError("learning rates must be positive")
         if not self.temperature > 0.0:
@@ -111,6 +116,19 @@ class AdaptationPlan:
         if min(self.pretrain_epochs, self.warm_epochs,
                self.epochs_per_domain) < 0:
             raise ContractViolationError("epoch counts must be non-negative")
+
+    def batch_counts(self, have_memory: bool):
+        """Source, memory and target rows of a batch, whether or not earlier
+        domains' memories are there to draw from."""
+        b = self.batch_size
+        if have_memory and self.ratio_memory > 0.0:
+            n_s = int(round(self.ratio_source * b))
+            n_m = int(round(self.ratio_memory * b))
+        else:
+            n_s = int(round(self.ratio_source
+                            / (self.ratio_source + self.ratio_target) * b))
+            n_m = 0
+        return n_s, n_m, b - n_s - n_m
 
 
 @dataclass
@@ -225,7 +243,7 @@ def warm_projector(params, source_train, plan, rng):
     for _ in range(plan.warm_epochs):
         order = rng.permutation(n)
         steps = np.split(order, range(plan.batch_size, n, plan.batch_size))
-        negs = _negatives(fbank, steps, plan.negatives, rng)
+        negs = bank_mod.negative_rows(fbank, steps, plan.negatives, rng)
         for idx, neg in zip(steps, negs):
             fw = model_mod.forward(params, source_train.X[idx])
             _, dQ = contrastive_mod.contrastive_grad(
@@ -239,23 +257,6 @@ def warm_projector(params, source_train, plan, rng):
             bank_mod.momentum_update(fbank, idx, fresh, plan.bank_momentum)
             step += 1
     return params
-
-
-def _compose_counts(plan, have_memory: bool):
-    b = plan.batch_size
-    if have_memory and plan.ratio_memory > 0.0:
-        n_s = int(round(plan.ratio_source * b))
-        n_m = int(round(plan.ratio_memory * b))
-    else:
-        denom = plan.ratio_source + plan.ratio_target
-        if denom <= 0.0:
-            raise ContractViolationError("source and target ratios both zero")
-        n_s = int(round(plan.ratio_source / denom * b))
-        n_m = 0
-    n_t = b - n_s - n_m
-    if n_t < 1:
-        raise ContractViolationError("batch leaves no room for target samples")
-    return n_s, n_m, n_t
 
 
 def _batch_pool(parts):
@@ -297,16 +298,6 @@ def _draw_epoch(pool, offsets, counts, iters, by_domain, rng):
     bounds = offsets[1:-1] if by_domain else offsets[[1, -2]]
     cuts = n_s + (rows[:, n_s:n_s + n_m, None] < bounds).sum(axis=1)
     return rows, pool[0][rows], pool[1][rows], cuts.tolist()
-
-
-def _negatives(fbank, steps, count, rng):
-    """Each step's negative rows, one bank-row array per step: one draw for
-    the epoch when sparse; the dense draw ranks a rows x bank matrix of
-    uniform keys, so it draws per step, lazily."""
-    if not bank_mod.is_sparse(len(fbank), count):
-        return (bank_mod.negative_rows(fbank, r, count, rng) for r in steps)
-    every = bank_mod.negative_rows(fbank, np.concatenate(steps), count, rng)
-    return np.split(every, np.cumsum([len(r) for r in steps])[:-1])
 
 
 CASE_NAMES = {(): "interior", (0,): "source-active",
@@ -359,7 +350,7 @@ def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
              + [(target_train.X, np.full(len(target_train), -1))])
     fbank = bank_mod.init_bank(params, [X for X, _ in parts])
     pool, offsets = _batch_pool(parts)
-    counts = _compose_counts(plan, len(memories) > 0)
+    counts = plan.batch_counts(len(memories) > 0)
     n_s, n_m, n_t = counts
     iters = math.ceil(len(target_train) / n_t)
     total = plan.epochs_per_domain * iters
@@ -368,7 +359,7 @@ def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
     for epoch in range(plan.epochs_per_domain):
         rows, X, y, cuts = _draw_epoch(pool, offsets, counts, iters,
                                        plan.strategy == GRCL, batch_rng)
-        negs = _negatives(fbank, rows, plan.negatives, neg_rng)
+        negs = bank_mod.negative_rows(fbank, rows, plan.negatives, neg_rng)
         for r, neg, inputs, labels, cut in zip(rows, negs, X, y, cuts):
             fw = model_mod.forward(params, inputs)
             loss_con, dQ = contrastive_mod.contrastive_grad(

@@ -12,7 +12,6 @@ the classes that received a cluster.  On `rot-blobs-5` (data seed 2024, run
 seed 11) domain 3's memory holds 43/43/42/0 samples per class this way.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +181,3 @@ def build_memory(domain_index, ids, inputs, pseudo_labels, confidences,
         confidences=confidences[chosen].copy(),
     )
 
-
-def export_memory_csv(memory: EpisodicMemory, path) -> None:
-    dim = memory.inputs.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label", "confidence"] + [f"x{j}" for j in range(dim)])
-        for i, sid in enumerate(memory.ids):
-            writer.writerow([sid, int(memory.labels[i]), repr(float(memory.confidences[i]))]
-                            + [repr(float(v)) for v in memory.inputs[i]])

@@ -14,7 +14,6 @@ to take about three minutes on one core.
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +205,8 @@ def test_analytic_gradients_match_finite_differences():
             rows = np.arange(n)
             keys = model_mod.encode_project_batch(params, X)
             fbank = FeatureBank(embed_dim=config.embed_dim, keys=keys.copy())
-            neg = negative_rows(fbank, rows, n - 1, np.random.default_rng(0))
+            (neg,) = negative_rows(fbank, [rows], n - 1,
+                                   np.random.default_rng(0))
 
             def loss_fn(p):
                 return contrastive.contrastive_grad(

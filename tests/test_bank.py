@@ -55,7 +55,7 @@ def test_init_bank_skips_empty_pools():
     np.testing.assert_allclose(
         b.keys, model.encode_project_batch(params, np.ones((1, 2))), atol=1e-15)
     with pytest.raises(InsufficientNegativesError):
-        bank.negative_rows(b, [0], 1, np.random.default_rng(0))
+        bank.negative_rows(b, [[0]], 1, np.random.default_rng(0))
 
 
 def test_momentum_update_halfway_blend():
@@ -107,11 +107,20 @@ def test_fill_ratio_predicate_sides():
         assert not bank.is_sparse(n, count)
 
 
+def draw_in_steps(b, own, count, seed, n_steps=3):
+    """negative_rows over own cut into n_steps steps, checked to give one
+    array per step in step order, stacked back into one row per query."""
+    steps = np.array_split(own, n_steps)
+    out = list(bank.negative_rows(b, steps, count, np.random.default_rng(seed)))
+    assert [r.shape for r in out] == [(s.size, count) for s in steps]
+    return np.concatenate(out)
+
+
 def test_draw_negatives_excludes_own_key_and_is_distinct():
     for n, count in SPARSE_SHAPES + DENSE_SHAPES:
         b = make_bank(np.random.default_rng(8), n=n, d=2)
         own = np.array([5, 0, n - 1, 5, n // 2, 1] * 11)
-        rows = bank.negative_rows(b, own, count, np.random.default_rng(9))
+        rows = draw_in_steps(b, own, count, 9)
         assert rows.shape == (own.size, count)
         assert rows.dtype == np.int32
         assert rows.min() >= 0 and rows.max() < n
@@ -125,14 +134,14 @@ def test_draw_negatives_exhausts_bank():
     for n in (4, 9, 40):
         b = make_bank(np.random.default_rng(10), n=n, d=3)
         own = np.arange(n)
-        rows = bank.negative_rows(b, own, n - 1, np.random.default_rng(11))
+        rows = draw_in_steps(b, own, n - 1, 11)
         for o, r in zip(own, rows):
             assert sorted(r.tolist()) == [j for j in range(n) if j != o]
-        none = bank.negative_rows(b, own, 0, np.random.default_rng(11))
+        none = draw_in_steps(b, own, 0, 11)
         assert none.shape == (n, 0)
         for count in (n, n + 5):
             with pytest.raises(InsufficientNegativesError):
-                bank.negative_rows(b, np.array([2]), count,
+                bank.negative_rows(b, [np.array([2])], count,
                                    np.random.default_rng(12))
 
 
@@ -144,7 +153,7 @@ def test_negative_columns_are_uniform():
     for n, count in ((3600, 64), (60, 5), (60, 30)):
         b = make_bank(np.random.default_rng(13), n=n, d=2)
         own = np.full(draws, n // 3)
-        rows = bank.negative_rows(b, own, count, np.random.default_rng(14))
+        rows = draw_in_steps(b, own, count, 14)
         freq = np.bincount(rows.ravel(), minlength=n)
         assert freq[n // 3] == 0
         p = count / (n - 1)
@@ -156,11 +165,22 @@ def test_negative_rows_follow_the_generator():
     b = make_bank(np.random.default_rng(15), n=300, d=2)
     own = np.arange(0, 300, 7)
     for count in (10, 200):
-        a = bank.negative_rows(b, own, count, np.random.default_rng(16))
-        c = bank.negative_rows(b, own, count, np.random.default_rng(16))
+        a = draw_in_steps(b, own, count, 16)
+        c = draw_in_steps(b, own, count, 16)
         np.testing.assert_array_equal(a, c)
-        d = bank.negative_rows(b, own, count, np.random.default_rng(17))
+        d = draw_in_steps(b, own, count, 17)
         assert not np.array_equal(np.sort(a, axis=1), np.sort(d, axis=1))
+
+
+def test_negative_rows_do_not_depend_on_the_step_cuts():
+    # both draws read the generator in query order, so cutting the same
+    # queries into more steps moves no draw
+    b = make_bank(np.random.default_rng(19), n=300, d=2)
+    own = np.arange(0, 300, 3)
+    for count in (10, 200):
+        whole = draw_in_steps(b, own, count, 20, n_steps=1)
+        np.testing.assert_array_equal(
+            draw_in_steps(b, own, count, 20, n_steps=7), whole)
 
 
 def test_distinct_rows_draw_every_subset_equally():

@@ -345,9 +345,21 @@ def test_export_data_exit_code_unwritable_output(tmp_path, capsys):
     assert "error: cannot write output:" in capsys.readouterr().err
 
 
-def test_run_exit_code_numeric_failure(tmp_path):
-    # domains that disagree on class count pass config validation but
-    # fail the harness contract at runtime
+def test_run_exit_code_numeric_failure(tmp_path, capsys):
+    # a learning rate of 1e300 passes config validation, then its first
+    # step sends the embeddings to overflow and the bank update fails
+    data = write_tiny_dataset(tmp_path / "data")
+    cfg_path = write_cfg(tmp_path / "run.json",
+                         tiny_cfg(data, tmp_path / "o", lr=1e300))
+    with np.errstate(over="ignore"):
+        assert cli.main(["run", cfg_path]) == 3
+    assert ("error: run failed: momentum blend produced a zero key"
+            in capsys.readouterr().err)
+
+
+def test_run_exit_code_class_count_mismatch(tmp_path, capsys):
+    # a manifest whose domains disagree on class count is a dataset the
+    # run cannot use
     root = tmp_path / "data"
     write_tiny_dataset(root, n_domains=2, n_classes=3)
     other = datagen.generate_domain(
@@ -359,8 +371,27 @@ def test_run_exit_code_numeric_failure(tmp_path):
     manifest["specs"].append({**manifest["specs"][0], "n_classes": 4,
                               "rotation_deg": 24.0})
     (root / "data_manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(cli.ConfigError, match="domain 2 has 4 classes"):
+        cli.import_dataset(root)
     cfg_path = write_cfg(tmp_path / "run.json", tiny_cfg(root, tmp_path / "o"))
-    assert cli.main(["run", cfg_path]) == 3
+    assert cli.main(["run", cfg_path]) == 2
+    assert "domain 2 has 4 classes, domain 0 has 3" in capsys.readouterr().err
+
+
+def test_run_exit_code_batch_without_target_rows(tmp_path, capsys):
+    # ratios that leave a batch no target row, with or without memories
+    # to draw from, are config errors before any training
+    data = write_tiny_dataset(tmp_path / "data")
+    cases = {"1/0/0": ((1.0, 0.0, 0.0), "no room for target samples"),
+             "0/1/0": ((0.0, 1.0, 0.0), "source and target ratios both zero"),
+             "memory": ((0.5, 0.495, 0.005), "no room for target samples")}
+    for name, (ratios, message) in cases.items():
+        cfg = tiny_cfg(data, tmp_path / "o", batch_size=64,
+                       **dict(zip(("ratio_source", "ratio_memory",
+                                   "ratio_target"), ratios)))
+        cfg_path = write_cfg(tmp_path / "run.json", cfg)
+        assert cli.main(["run", cfg_path]) == 2, name
+        assert message in capsys.readouterr().err, name
 
 
 def test_compare_command(tmp_path):

@@ -41,6 +41,16 @@ def test_plan_validation():
     with pytest.raises(ContractViolationError):
         tiny_plan(harness.GRCL, ratio_source=-0.25, ratio_memory=0.5,
                   ratio_target=0.75)
+    # a batch needs a target row with and without memories to draw from:
+    # 0.5/0.495/0.005 leaves one without memories and none with them
+    for ratios in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.495, 0.005)):
+        with pytest.raises(ContractViolationError, match="target"):
+            tiny_plan(harness.GRCL, batch_size=64, **dict(zip(
+                ("ratio_source", "ratio_memory", "ratio_target"), ratios)))
+    plan = tiny_plan(harness.GRCL, batch_size=64, ratio_source=0.5,
+                     ratio_memory=0.49, ratio_target=0.01)
+    assert plan.batch_counts(False) == (63, 0, 1)
+    assert plan.batch_counts(True) == (32, 31, 1)
     with pytest.raises(ContractViolationError):
         tiny_plan(harness.MULTITASK, lambda_source=-1.0)
     with pytest.raises(ContractViolationError):
@@ -407,8 +417,8 @@ def test_warm_projector_improves_objective_without_losing_source():
         """Warm-phase objective against the embeddings' own snapshot bank."""
         fb = bank.init_bank(p, [src.X])
         rows = np.arange(len(src))
-        neg = bank.negative_rows(fb, rows, len(fb) - 1,
-                                 np.random.default_rng(0))
+        (neg,) = bank.negative_rows(fb, [rows], len(fb) - 1,
+                                    np.random.default_rng(0))
         loss, _ = contrastive.contrastive_grad(model.forward(p, src.X), rows,
                                                neg, fb, plan.temperature)
         return loss
@@ -498,18 +508,18 @@ def test_two_forward_passes_per_iteration(monkeypatch):
     # the warm-up adds only the bank snapshot of its one source pool
     _, total, marks, counts, _, draws = phases[0]
     assert total == 1 + 2 * len(marks)
-    # its 48-row bank puts 8 negatives on the dense side: one draw per step,
-    # just before the step's forward pass
+    # its 48-row bank puts 8 negatives on the dense side of the draw, and
+    # adaptation banks of at least 96 rows on the sparse side; either way
+    # one negative_rows call per epoch, before the epoch's first step, and
+    # under adaptation one batch gather per epoch
     assert not bank.is_sparse(len(domains[0].train), plan.negatives)
-    assert draws == [m - 1 for m in marks]
-    assert counts["_draw_epoch"] == 0
-    # adaptation banks hold at least 96 rows, on the sparse side: one draw
-    # and one batch gather per epoch, before the epoch's first step
     assert bank.is_sparse(2 * len(domains[0].train), plan.negatives)
-    for _, _, marks, counts, _, draws in phases[1:]:
-        iters = len(marks) // plan.epochs_per_domain
-        assert draws == [m - 1 for m in marks[::iters]]
-        assert counts["_draw_epoch"] == plan.epochs_per_domain
+    for (name, _, marks, counts, _, draws), epochs in zip(
+            phases, [plan.warm_epochs] + [plan.epochs_per_domain] * 3):
+        iters = len(marks) // epochs
+        assert draws == [m - 1 for m in marks[::iters]], name
+        assert counts["_draw_epoch"] == (
+            epochs if name == "adapt_domain" else 0), name
 
 
 def epoch_pool(memory_sizes=(10, 14), source=60, target=300):
@@ -617,7 +627,7 @@ def test_epoch_negatives_exclude_own_row_on_both_sides():
     for n_bank, count in ((400, 8), (40, 20)):
         fbank = bank.FeatureBank(embed_dim=2, keys=np.ones((n_bank, 2)))
         steps = np.random.default_rng(3).integers(n_bank, size=(30, 16))
-        negs = list(harness._negatives(fbank, steps, count,
+        negs = list(bank.negative_rows(fbank, steps, count,
                                        np.random.default_rng(4)))
         assert len(negs) == 30
         for own, neg in zip(steps, negs):

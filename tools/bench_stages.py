@@ -48,8 +48,9 @@ ADAPT = "harness.adapt_domain"
 MEMORY = "harness.pseudo_label_memory"
 # stage -> the functions (module, attribute) whose self time it sums
 STAGES = {
-    "negative_draw": (("contda.harness", "_negatives"),
-                      ("contda.bank", "negative_rows")),
+    # the reference run's draw is sparse, all of it inside this call; a
+    # dense draw runs lazily in the step loop, as the caller's self time
+    "negative_draw": (("contda.bank", "negative_rows"),),
     "infonce": (("contda.contrastive", "contrastive_grad"),),
     "backward": (("contda.model", "backward"),),
     "forward": (("contda.model", "forward"),),
