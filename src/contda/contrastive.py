@@ -1,14 +1,20 @@
-"""Instance-discrimination contrastive loss against the feature bank.
+"""Contrastive loss against the feature bank: instance discrimination, with
+the class positives of supervised contrastive learning on labeled queries.
 
 Each query embedding is pulled toward its own stored key and pushed away from
 other keys drawn for it from the rest of the bank, with similarities scaled
 by a temperature: the memory-bank estimator, with negatives drawn per query
 rather than shared across the batch.  The caller draws them
-(bank.negative_rows), an epoch of steps at a time.  The loss reads only the
-keys of each query's columns, whatever share of the bank they fill.  Bank
-keys are treated as constants: no gradient flows into the bank.  The loss
-hands back its gradient w.r.t. the unit embeddings; model.backward takes it
-through the network together with the step's cross-entropy terms.
+(bank.negative_rows), an epoch of steps at a time.  A labeled query (a
+source row, or a memory row with its pseudo-label) also counts each of its
+columns that carries its label as a positive, and its target distribution is
+uniform over its positives (SupCon's L_out); an unlabeled query, and every
+query when no labels are given, keeps its own key as its one positive.  The
+loss reads only the keys of each query's columns, whatever share of the bank
+they fill.  Bank keys are treated as constants: no gradient flows into the
+bank.  The loss hands back its gradient w.r.t. the unit embeddings;
+model.backward takes it through the network together with the step's
+cross-entropy terms.
 """
 
 import numpy as np
@@ -17,18 +23,21 @@ from .errors import DimensionError
 from .numerics import log_softmax_rows
 
 
-def nce_columns(Q, keys, cols, temperature):
-    """Per query: log-probabilities over its columns of the bank, its own
-    row first, and the gradient of its loss w.r.t. its embedding, from the
-    keys of its columns gathered into an (n, 1 + K, d) tensor."""
+def nce_columns(Q, keys, cols, temperature, positive):
+    """Per query: the loss over its columns of the bank, its own row first,
+    with its target spread evenly over its `positive` columns, and the
+    gradient of that loss w.r.t. its embedding, from the keys of its columns
+    gathered into an (n, 1 + K, d) tensor."""
     K = keys[cols]
     logp = log_softmax_rows(np.matmul(K, Q[:, :, None])[:, :, 0] / temperature)
-    weights = np.exp(logp)
-    weights[:, 0] -= 1.0
-    return logp, np.matmul(weights[:, None, :], K)[:, 0, :] / temperature
+    target = positive / positive.sum(axis=1, keepdims=True)
+    weights = np.exp(logp) - target
+    return (-(target * logp).sum(axis=1),
+            np.matmul(weights[:, None, :], K)[:, 0, :] / temperature)
 
 
-def contrastive_grad(fw, rows, negatives, bank, temperature: float):
+def contrastive_grad(fw, rows, negatives, bank, temperature: float,
+                     labels=None):
     """Mean contrastive loss over the rows of a forward pass and its
     gradient dQ w.r.t. their unit embeddings, one row per sample, which
     model.backward takes through the network.
@@ -36,6 +45,8 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float):
     fw holds the activations of the samples stored at these bank rows, in
     order.  Each sample's positive is its own row and its negatives are the
     bank rows in its row of `negatives` (bank.negative_rows draws them).
+    labels, one per bank row with -1 meaning unlabeled, adds to a labeled
+    sample's positives each of its negative columns of the same label.
     """
     n = len(rows)
     if n == 0:
@@ -51,5 +62,15 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float):
     cols = np.concatenate((np.asarray(rows, dtype=np.int64)[:, None],
                            negatives), axis=1)
     bank.check_rows(cols.ravel())
-    logp, dQ = nce_columns(fw.embeddings(), bank.keys, cols, temperature)
-    return float(-logp[:, 0].mean()), dQ / n
+    positive = np.zeros(cols.shape, dtype=bool)
+    positive[:, 0] = True
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != (len(bank),):
+            raise DimensionError(f"{labels.shape} labels for {len(bank)} "
+                                 "bank rows")
+        own = labels[cols[:, :1]]
+        positive[:, 1:] = (own >= 0) & (labels[negatives] == own)
+    losses, dQ = nce_columns(fw.embeddings(), bank.keys, cols, temperature,
+                             positive)
+    return float(losses.mean()), dQ / n

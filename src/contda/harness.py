@@ -17,6 +17,9 @@ KKT-guarded projection on that Gram matrix.  A domain's bank and batch pool
 are built from the same parts in the same order, so a batch's pool rows are
 its bank rows.  The pool is inputs and one label per row, -1 meaning
 unlabeled: every target row and no other, checked once when it is built.
+The contrastive loss reads those labels as the bank rows' classes, so a
+labeled query also counts its same-label columns as positives; the
+warm-up's loss gets no labels and stays instance discrimination.
 
 Each epoch draws its randomness before its step loop: every step's batch
 rows, laid out as [source | memory d1 | ... | target] so GRCL's memory
@@ -363,7 +366,7 @@ def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
         for r, neg, inputs, labels, cut in zip(rows, negs, X, y, cuts):
             fw = model_mod.forward(params, inputs)
             loss_con, dQ = contrastive_mod.contrastive_grad(
-                fw, r, neg, fbank, plan.temperature)
+                fw, r, neg, fbank, plan.temperature, pool[1])
             groups = [slice(0, n_s)] + [slice(a, b) for a, b
                                         in zip(cut, cut[1:]) if b > a]
             losses, J = model_mod.backward(params, fw, dQ, labels, groups)

@@ -76,32 +76,79 @@ def test_nce_matches_direct_formula(monkeypatch):
         assert abs(loss - math.fsum(want) / len(want)) < 1e-12
 
 
+def supcon_direct(query, keys, positive, tau):
+    """Loss and embedding gradient of one query whose columns hold these
+    keys, its target spread evenly over the positive columns, through
+    explicit exponentials with fsum."""
+    sims = [float(k @ query) / tau for k in keys]
+    m = max(sims)
+    z = math.fsum(math.exp(v - m) for v in sims)
+    p = np.array([math.exp(v - m) / z for v in sims])
+    target = np.asarray(positive, dtype=float) / sum(positive)
+    loss = -math.fsum(t * (v - m - math.log(z)) for t, v in zip(target, sims))
+    return loss, ((p - target) @ keys) / tau
+
+
+def bank_labels(rng, fbank, n_batch, classes=2):
+    """One label per bank row from a few classes, so a labeled query meets
+    several same-label columns, with the batch's last row unlabeled."""
+    labels = rng.integers(classes, size=len(fbank))
+    labels[n_batch - 1] = -1
+    return labels
+
+
 def test_contrastive_grad_matches_per_row_oracle(monkeypatch):
-    # sampled negatives: the draw is recorded, and the gradient w.r.t. each
-    # query is sum_j p_j k_j - k_pos, over tau and n
-    draws = recorded_draws(monkeypatch)
+    # sampled negatives: the gradient w.r.t. each query is (sum_j p_j k_j - mean of its positive keys) / (tau n); with
+    # labels a labeled query's positives are its own key and every column of
+    # its label, without them its own key alone
     tau, count = 0.2, 5
-    for seed in range(6):
+    multi = 0
+    for seed in range(8):
         force_side(monkeypatch, seed % 2 == 0)
         params, batch, fbank = make_setup(80 + seed, n=6)
+        labels = (bank_labels(np.random.default_rng(seed), fbank, len(batch))
+                  if seed % 4 < 2 else None)
         forward = fw(params, batch)
-        loss, dQ = nce_grad(forward, rows_of(batch), fbank,
-                            tau, count,
-                            np.random.default_rng(seed))
-        (neg,) = draws.pop()
+        (neg,) = bank.negative_rows(fbank, [rows_of(batch)], count,
+                                    np.random.default_rng(seed))
+        loss, dQ = contrastive.contrastive_grad(
+            forward, rows_of(batch), neg, fbank, tau, labels)
         Q = forward.embeddings()
         n = len(batch)
         losses, want = [], np.zeros_like(Q)
         for i in range(n):
-            keys = fbank.keys[np.concatenate(([i], neg[i]))]
-            losses.append(nce_direct(Q[i], keys[0], keys[1:], tau))
-            sims = [float(k @ Q[i]) / tau for k in keys]
-            m = max(sims)
-            z = math.fsum(math.exp(v - m) for v in sims)
-            p = np.array([math.exp(v - m) / z for v in sims])
-            want[i] = (p @ keys - keys[0]) / (tau * n)
+            cols = np.concatenate(([i], neg[i]))
+            positive = [True] + [labels is not None and labels[i] >= 0
+                                 and labels[c] == labels[i] for c in neg[i]]
+            multi += sum(positive) > 1
+            loss_i, grad_i = supcon_direct(Q[i], fbank.keys[cols], positive,
+                                           tau)
+            losses.append(loss_i)
+            want[i] = grad_i / n
         assert abs(loss - math.fsum(losses) / n) < 1e-12
         np.testing.assert_allclose(dQ, want, rtol=0, atol=1e-12)
+    assert multi > 0
+
+
+def test_labeled_row_without_same_label_column_keeps_instance_loss():
+    # every batch row carries a label that no other row does, so each
+    # labeled query's only positive is its own key, as without labels
+    params, batch, fbank = make_setup(90, n=6)
+    labels = np.arange(len(fbank)) % 3
+    labels[rows_of(batch)] = 3 + rows_of(batch)
+    forward = fw(params, batch)
+    (neg,) = bank.negative_rows(fbank, [rows_of(batch)], 5,
+                                np.random.default_rng(1))
+    with_labels = contrastive.contrastive_grad(forward, rows_of(batch), neg,
+                                               fbank, 0.2, labels)
+    without = contrastive.contrastive_grad(forward, rows_of(batch), neg,
+                                           fbank, 0.2)
+    assert with_labels[0] == without[0]
+    np.testing.assert_array_equal(with_labels[1], without[1])
+    # the same bank with the labels made shared moves the loss
+    labels[rows_of(batch)] = 0
+    assert contrastive.contrastive_grad(forward, rows_of(batch), neg, fbank,
+                                        0.2, labels)[0] != without[0]
 
 
 def test_nce_zero_without_negatives():
@@ -165,23 +212,26 @@ def test_contrastive_loss_matches_per_sample_mean():
 def test_contrastive_grad_matches_finite_differences(monkeypatch):
     # full-bank negatives make the loss a deterministic function of params,
     # up to the order in which the draw lists them; the parameter gradient
-    # is the embedding row of model.backward
+    # is the embedding row of model.backward.  Odd trials label the bank, so
+    # labeled queries have several positives
     for trial in range(4):
         force_side(monkeypatch, trial % 2 == 0)
         params, batch, fbank = make_setup(20 + trial, n=4)
         every = len(fbank) - 1
+        labels = (bank_labels(np.random.default_rng(trial), fbank, len(batch))
+                  if trial % 2 else None)
+
+        def grad_at(p):
+            forward = model.forward(p, batch)
+            (neg,) = bank.negative_rows(fbank, [rows_of(batch)], every,
+                                        np.random.default_rng(99))
+            return forward, contrastive.contrastive_grad(
+                forward, rows_of(batch), neg, fbank, 0.15, labels)
 
         def loss_at(flat):
-            moved = model.ModelParams(params.config, flat)
-            l, _ = nce_grad(
-                model.forward(moved, batch), rows_of(batch), fbank,
-                0.15, every, np.random.default_rng(99))
-            return l
+            return grad_at(model.ModelParams(params.config, flat))[1][0]
 
-        forward = fw(params, batch)
-        _, dQ = nce_grad(forward, rows_of(batch), fbank,
-                         0.15, every,
-                         np.random.default_rng(99))
+        forward, (_, dQ) = grad_at(params)
         g = model.backward(params, forward, dQ)[1][0]
         flat = params.flat.copy()
         coords = np.random.default_rng(trial).choice(params.num_params,
