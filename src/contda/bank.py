@@ -4,11 +4,10 @@ batch's pool rows are its bank rows.
 
 Keys start from a frozen parameter snapshot and are then blended toward fresh
 embeddings with a momentum coefficient and re-normalized.  A single writer
-(the adaptation loop) mutates the bank in place.  Each query draws its own
-distinct negatives other than its own row.  is_sparse, on the fill ratio
-(1 + count) / len(bank), picks the draw alone: a rejection draw
-(distinct_rows, which also draws the batch rows) at small fills and a
-ranking of uniform keys otherwise.
+(the adaptation loop) mutates the bank in place.  Each step draws one set of
+distinct negatives among the rows outside its batch, which all of its
+queries share, as a MoCo queue is shared; distinct_rows, which also draws
+the batch rows, draws every step of an epoch at once.
 """
 
 from dataclasses import dataclass
@@ -19,10 +18,6 @@ from .errors import DegenerateInputError, DimensionError, InsufficientNegativesE
 from . import model as model_mod
 
 DEFAULT_MOMENTUM = 0.5
-# picks the draw only.  Measured crossover of the draw alone, over 20 steps
-# of 64 queries: the rejection draw is faster below fill 0.19-0.22 at N 3,600,
-# 0.24-0.29 at N 1,300 and 0.28-0.33 at N 300, so 1/8 keeps a wide margin
-SPARSE_FILL = 0.125
 
 
 @dataclass
@@ -80,16 +75,11 @@ def momentum_update(bank: FeatureBank, rows, embeddings,
     return bank
 
 
-def is_sparse(size: int, count: int) -> bool:
-    """True when a query's own row and `count` negatives fill at most
-    SPARSE_FILL of a bank of `size` rows."""
-    return 1 + count <= SPARSE_FILL * size
-
-
-def distinct_rows(rng: np.random.Generator, size: int, count: int,
+def distinct_rows(rng: np.random.Generator, size, count: int,
                   n: int) -> np.ndarray:
     """n sorted int32 rows of `count` uniform draws from [0, size), each
-    row a uniform count-subset unless count > size.
+    row a uniform count-subset unless count > size.  size is one bound for
+    every row or an (n, 1) array of one bound per row.
 
     Repeats are redrawn until every row is distinct; a draw collides with
     probability below count / size, so at small fills the redraws shrink
@@ -100,45 +90,38 @@ def distinct_rows(rng: np.random.Generator, size: int, count: int,
     rows = rng.integers(size, size=(n, count), dtype=np.int32)
     rows.sort(axis=1)
     flat = rows.reshape(-1)
-    while count <= size:
+    bound = np.broadcast_to(size, rows.shape).reshape(-1)
+    while count <= bound.min(initial=count):
         # flat positions that repeat their left neighbour in the same row
         k = np.flatnonzero(flat[1:] == flat[:-1]) + 1
         k = k[k % count != 0]
         if k.size == 0:
             break
-        flat[k] = rng.integers(size, size=k.size, dtype=np.int32)
+        flat[k] = rng.integers(bound[k], dtype=np.int32)
         rows.sort(axis=1)
     return rows
 
 
 def negative_rows(bank: FeatureBank, steps, count: int,
-                  rng: np.random.Generator):
-    """For each step's bank rows, `count` distinct other rows per row drawn
-    uniformly: an iterator over one int32 (len(rows), count) array per
-    step, in step order.
+                  rng: np.random.Generator) -> list:
+    """For each step's bank rows, `count` distinct rows outside them drawn
+    uniformly, which all of the step's queries share: one int32 (count,)
+    array per step, in step order.
 
-    Each query draws among the n - 1 other rows, then the draw shifts past
-    its own row.  When is_sparse, distinct_rows draws every step at once;
-    otherwise each query keeps the count smallest of one uniform key per
-    row, a rows x bank matrix drawn one step at a time as the caller reaches
-    the step, so the caller draws nothing else from rng in between.  The
-    draws depend on neither the cut into steps nor the keys.  Raises when
-    the bank has fewer than count other entries.
+    distinct_rows draws every step at once, each among the n - b rows
+    outside its b distinct rows (a bincount finds them: np.unique would
+    import numpy.ma), and each draw then shifts past those rows.  Only b
+    reaches the draw, not the keys or which rows a step holds or repeats.
+    Raises when a step leaves fewer than count rows outside it.
     """
-    own = bank.check_rows(np.concatenate(steps))
-    n = len(bank)
-    if n - 1 < count:
+    own = [np.flatnonzero(np.bincount(bank.check_rows(r), minlength=len(bank)))
+           for r in steps]
+    outside = len(bank) - np.array([u.size for u in own], dtype=np.int64)
+    if count > outside.min(initial=count):
         raise InsufficientNegativesError(
-            f"bank holds {n - 1} candidate negatives, need {count}")
-    cuts = np.cumsum([len(r) for r in steps])[:-1]
-
-    def past_own(rows, own):
-        rows += rows >= own[:, None]
-        return rows
-
-    if count == 0 or is_sparse(n, count):
-        return iter(np.split(past_own(
-            distinct_rows(rng, n - 1, count, own.size), own), cuts))
-    return (past_own(np.argpartition(rng.random((r.size, n - 1)), count - 1,
-                                     axis=1)[:, :count].astype(np.int32), r)
-            for r in np.split(own, cuts))
+            f"bank holds {outside.min()} rows outside a batch, need {count}")
+    draws = distinct_rows(rng, outside[:, None], count, len(own))
+    for x, u in zip(draws, own):
+        # u[j] - j rows outside the batch lie below its j-th row
+        x += np.searchsorted(u - np.arange(u.size), x, side="right")
+    return list(draws)

@@ -1,52 +1,48 @@
-"""Contrastive loss against the feature bank: instance discrimination, with
+"""Contrastive loss against the feature bank: instance discrimination, plus
 the class positives of supervised contrastive learning on labeled queries.
 
 Each query embedding is pulled toward its own stored key and pushed away from
-other keys drawn for it from the rest of the bank, with similarities scaled
-by a temperature: the memory-bank estimator, with negatives drawn per query
-rather than shared across the batch.  The caller draws them
-(bank.negative_rows), an epoch of steps at a time.  A labeled query (a
-source row, or a memory row with its pseudo-label) also counts each of its
-columns that carries its label as a positive, and its target distribution is
-uniform over its positives (SupCon's L_out); an unlabeled query, and every
-query when no labels are given, keeps its own key as its one positive.  The
-loss reads only the keys of each query's columns, whatever share of the bank
-they fill.  Bank keys are treated as constants: no gradient flows into the
-bank.  The loss hands back its gradient w.r.t. the unit embeddings;
-model.backward takes it through the network together with the step's
-cross-entropy terms.
+the step's negatives, with similarities scaled by a temperature: the
+memory-bank estimator, with one set of negatives per step, drawn outside the
+batch and shared by its queries as a MoCo queue is (bank.negative_rows draws
+them, an epoch of steps at a time).  A labeled query (a source row, or a
+memory row with its pseudo-label) also counts each negative of its label as
+a positive, with its target uniform over its positives (SupCon's L_out).
+Bank keys are constants.  The gradient w.r.t. the unit embeddings goes to
+model.backward with the step's cross-entropy terms.
 """
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ContractViolationError, DimensionError
 from .numerics import log_softmax_rows
 
 
-def nce_columns(Q, keys, cols, temperature, positive):
-    """Per query: the loss over its columns of the bank, its own row first,
-    with its target spread evenly over its `positive` columns, and the
-    gradient of that loss w.r.t. its embedding, from the keys of its columns
-    gathered into an (n, 1 + K, d) tensor."""
-    K = keys[cols]
-    logp = log_softmax_rows(np.matmul(K, Q[:, :, None])[:, :, 0] / temperature)
+def nce_columns(Q, own, shared, temperature, positive):
+    """Per query: the loss over the logits [q . k_own | Q Kn^T] / tau, its
+    own key first and then the shared negative keys Kn, with its target
+    spread evenly over its `positive` columns, and the gradient of that loss
+    w.r.t. its embedding, (w_0 k_own + W Kn) / tau."""
+    logits = np.concatenate((np.einsum("ij,ij->i", Q, own)[:, None],
+                             Q @ shared.T), axis=1)
+    logp = log_softmax_rows(logits / temperature)
     target = positive / positive.sum(axis=1, keepdims=True)
-    weights = np.exp(logp) - target
+    W = np.exp(logp) - target
     return (-(target * logp).sum(axis=1),
-            np.matmul(weights[:, None, :], K)[:, 0, :] / temperature)
+            (W[:, :1] * own + W[:, 1:] @ shared) / temperature)
 
 
 def contrastive_grad(fw, rows, negatives, bank, temperature: float,
                      labels=None):
     """Mean contrastive loss over the rows of a forward pass and its
-    gradient dQ w.r.t. their unit embeddings, one row per sample, which
-    model.backward takes through the network.
+    gradient dQ w.r.t. their unit embeddings, one row per sample.
 
     fw holds the activations of the samples stored at these bank rows, in
     order.  Each sample's positive is its own row and its negatives are the
-    bank rows in its row of `negatives` (bank.negative_rows draws them).
-    labels, one per bank row with -1 meaning unlabeled, adds to a labeled
-    sample's positives each of its negative columns of the same label.
+    bank rows in `negatives`, which every sample shares and none of which
+    may be a row of the batch.  labels, one per bank row with -1 meaning
+    unlabeled (the default for all), adds to a labeled sample's positives
+    each negative of its label.
     """
     n = len(rows)
     if n == 0:
@@ -56,21 +52,17 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float,
     if bank.embed_dim != fw.Z.shape[1]:
         raise DimensionError(f"bank keys have dimension {bank.embed_dim}, "
                              f"embeddings {fw.Z.shape[1]}")
-    negatives = np.asarray(negatives)
-    if negatives.ndim != 2 or negatives.shape[0] != n:
-        raise DimensionError(f"{negatives.shape} negatives for {n} samples")
-    cols = np.concatenate((np.asarray(rows, dtype=np.int64)[:, None],
-                           negatives), axis=1)
-    bank.check_rows(cols.ravel())
-    positive = np.zeros(cols.shape, dtype=bool)
-    positive[:, 0] = True
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (len(bank),):
-            raise DimensionError(f"{labels.shape} labels for {len(bank)} "
-                                 "bank rows")
-        own = labels[cols[:, :1]]
-        positive[:, 1:] = (own >= 0) & (labels[negatives] == own)
-    losses, dQ = nce_columns(fw.embeddings(), bank.keys, cols, temperature,
-                             positive)
+    rows, negatives = bank.check_rows(rows), bank.check_rows(negatives)
+    inside = np.zeros(len(bank), dtype=bool)
+    inside[rows] = True
+    if inside[negatives].any():
+        raise ContractViolationError("a negative is a row of the batch")
+    labels = np.full(len(bank), -1) if labels is None else np.asarray(labels)
+    if labels.shape != (len(bank),):
+        raise DimensionError(f"{labels.shape} labels for {len(bank)} rows")
+    own = labels[rows, None]
+    positive = np.concatenate((np.ones((n, 1), dtype=bool),
+                               (own >= 0) & (labels[negatives] == own)), 1)
+    losses, dQ = nce_columns(fw.embeddings(), bank.keys[rows],
+                             bank.keys[negatives], temperature, positive)
     return float(losses.mean()), dQ / n

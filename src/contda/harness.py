@@ -17,14 +17,13 @@ KKT-guarded projection on that Gram matrix.  A domain's bank and batch pool
 are built from the same parts in the same order, so a batch's pool rows are
 its bank rows.  The pool is inputs and one label per row, -1 meaning
 unlabeled: every target row and no other, checked once when it is built.
-The contrastive loss reads those labels as the bank rows' classes, so a
-labeled query also counts its same-label columns as positives; the
-warm-up's loss gets no labels and stays instance discrimination.
+They are the bank rows' classes for the contrastive loss's positives; the
+warm-up passes none.
 
 Each epoch draws its randomness before its step loop: every step's batch
 rows, laid out as [source | memory d1 | ... | target] so GRCL's memory
 groups are slices, one gather of their inputs and labels, and every step's
-negatives (bank.negative_rows).
+shared negatives (bank.negative_rows).
 """
 
 import math

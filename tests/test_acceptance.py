@@ -202,18 +202,33 @@ def test_analytic_gradients_match_finite_differences():
 
             grad = model_mod.ce_loss_and_grad(params, X, y)[1].flatten()
         else:
+            # the batch's own keys, then n unit keys outside the batch from
+            # which its n - 1 shared negatives are drawn; every other
+            # contrastive instance labels the bank from two classes, the
+            # batch's first row unlabeled, so labeled rows have several
+            # positives
             rows = np.arange(n)
-            keys = model_mod.encode_project_batch(params, X)
-            fbank = FeatureBank(embed_dim=config.embed_dim, keys=keys.copy())
+            extra = np.random.default_rng(trial)
+            outside = extra.normal(size=(n, config.embed_dim))
+            keys = np.concatenate((
+                model_mod.encode_project_batch(params, X),
+                outside / np.linalg.norm(outside, axis=1, keepdims=True)))
+            fbank = FeatureBank(embed_dim=config.embed_dim, keys=keys)
             (neg,) = negative_rows(fbank, [rows], n - 1,
                                    np.random.default_rng(0))
+            labels = None
+            if trial % 4 == 1:
+                labels = extra.integers(0, 2, size=2 * n)
+                labels[0] = -1
 
             def loss_fn(p):
                 return contrastive.contrastive_grad(
-                    model_mod.forward(p, X), rows, neg, fbank, 0.2)[0]
+                    model_mod.forward(p, X), rows, neg, fbank, 0.2,
+                    labels)[0]
 
             fw = model_mod.forward(params, X)
-            _, dQ = contrastive.contrastive_grad(fw, rows, neg, fbank, 0.2)
+            _, dQ = contrastive.contrastive_grad(fw, rows, neg, fbank, 0.2,
+                                                 labels)
             grad = model_mod.backward(params, fw, dQ)[1][0]
         coords = rng.choice(len(grad), size=64, replace=False)
         fd = _fd_loss(loss_fn, params, coords)

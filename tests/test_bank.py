@@ -95,92 +95,103 @@ def test_momentum_update_antipodal_blend_raises():
         bank.momentum_update(b, [0], -b.keys[[0]], momentum=0.5)
 
 
-# (bank size, negatives) on each side of the fill-ratio predicate
-SPARSE_SHAPES = ((3600, 64), (200, 10))
-DENSE_SHAPES = ((12, 7), (1300, 512))
-
-
-def test_fill_ratio_predicate_sides():
-    for n, count in SPARSE_SHAPES:
-        assert bank.is_sparse(n, count)
-    for n, count in DENSE_SHAPES:
-        assert not bank.is_sparse(n, count)
-
-
-def draw_in_steps(b, own, count, seed, n_steps=3):
-    """negative_rows over own cut into n_steps steps, checked to give one
-    array per step in step order, stacked back into one row per query."""
-    steps = np.array_split(own, n_steps)
-    out = list(bank.negative_rows(b, steps, count, np.random.default_rng(seed)))
-    assert [r.shape for r in out] == [(s.size, count) for s in steps]
-    return np.concatenate(out)
+def outside_ranks(step, neg):
+    """Each negative's rank among the bank rows outside the step."""
+    return neg - np.searchsorted(np.unique(step), neg)
 
 
 def test_draw_negatives_excludes_own_key_and_is_distinct():
-    for n, count in SPARSE_SHAPES + DENSE_SHAPES:
+    # one array per step, in step order, shared by the step's queries: count
+    # distinct rows, none of them a row of the step, repeated or not
+    for n, count in ((3600, 64), (200, 10), (12, 5), (1300, 512)):
         b = make_bank(np.random.default_rng(8), n=n, d=2)
-        own = np.array([5, 0, n - 1, 5, n // 2, 1] * 11)
-        rows = draw_in_steps(b, own, count, 9)
-        assert rows.shape == (own.size, count)
-        assert rows.dtype == np.int32
-        assert rows.min() >= 0 and rows.max() < n
-        assert not np.any(rows == own[:, None])
-        for r in rows:
-            assert len(set(r.tolist())) == count
+        steps = [np.array([5, 0, n - 1, 5, n // 2, 1]),
+                 np.array([n - 1] * 3), np.arange(6)]
+        out = bank.negative_rows(b, steps, count, np.random.default_rng(9))
+        assert len(out) == len(steps)
+        for step, neg in zip(steps, out):
+            assert neg.shape == (count,) and neg.dtype == np.int32
+            assert neg.min() >= 0 and neg.max() < n
+            assert not np.isin(neg, step).any()
+            assert len(set(neg.tolist())) == count
 
 
 def test_draw_negatives_exhausts_bank():
-    # K = N - 1 takes every other row, K = 0 takes none, K >= N raises
+    # count = n - b, b counting a step's distinct rows, takes every row
+    # outside the step; count 0 takes none; one more than n - b raises, and
+    # one step that leaves too few rows fails the whole draw
     for n in (4, 9, 40):
         b = make_bank(np.random.default_rng(10), n=n, d=3)
-        own = np.arange(n)
-        rows = draw_in_steps(b, own, n - 1, 11)
-        for o, r in zip(own, rows):
-            assert sorted(r.tolist()) == [j for j in range(n) if j != o]
-        none = draw_in_steps(b, own, 0, 11)
-        assert none.shape == (n, 0)
-        for count in (n, n + 5):
+        steps = [np.array([0]), np.array([n - 1, 1, n - 1]), np.arange(n // 2)]
+        for step in steps:
+            inside = set(step.tolist())
+            (neg,) = bank.negative_rows(b, [step], n - len(inside),
+                                        np.random.default_rng(11))
+            assert sorted(neg.tolist()) == [j for j in range(n)
+                                            if j not in inside]
             with pytest.raises(InsufficientNegativesError):
-                bank.negative_rows(b, [np.array([2])], count,
+                bank.negative_rows(b, [step], n - len(inside) + 1,
                                    np.random.default_rng(12))
+        none = bank.negative_rows(b, steps, 0, np.random.default_rng(11))
+        assert [r.shape for r in none] == [(0,)] * 3
+        with pytest.raises(InsufficientNegativesError):
+            bank.negative_rows(b, steps, n - n // 2 + 1,
+                               np.random.default_rng(12))
+        with pytest.raises(InsufficientNegativesError):
+            bank.negative_rows(b, [np.arange(n)], 1, np.random.default_rng(12))
 
 
 def test_negative_columns_are_uniform():
-    # every other row is drawn equally often: no column's count strays more
-    # than 5 binomial standard deviations from its mean over 20,000 queries,
-    # and the own row is never drawn
+    # every row outside the step is drawn equally often: over 20,000 steps
+    # at N 10, b 3 and count 3, each of the 7 outside rows comes up 3/7 of
+    # the time, within 5 binomial standard deviations, and no step row
+    # comes up at all; likewise at larger fills and with a repeated row.
+    # The epoch interleaves each step with one that repeats its first row
+    # in place of its last, so it has one outside row more
     draws = 20_000
-    for n, count in ((3600, 64), (60, 5), (60, 30)):
+    for n, step, count in ((10, [2, 5, 9], 3), (60, [7, 7, 0, 59, 30], 30),
+                           (3600, [1200, 5, 3599], 64)):
         b = make_bank(np.random.default_rng(13), n=n, d=2)
-        own = np.full(draws, n // 3)
-        rows = draw_in_steps(b, own, count, 14)
-        freq = np.bincount(rows.ravel(), minlength=n)
-        assert freq[n // 3] == 0
-        p = count / (n - 1)
-        mean, sd = draws * p, np.sqrt(draws * p * (1 - p))
-        assert np.abs(np.delete(freq, n // 3) - mean).max() < 5 * sd, (n, count)
+        steps = [np.array(step), np.array(step[:-1] + step[:1])]
+        out = bank.negative_rows(b, steps * draws, count,
+                                 np.random.default_rng(14))
+        for k, s in enumerate(steps):
+            freq = np.bincount(np.ravel(out[k::2]), minlength=n)
+            inside = np.unique(s)
+            assert not freq[inside].any()
+            p = count / (n - inside.size)
+            mean, sd = draws * p, np.sqrt(draws * p * (1 - p))
+            assert np.abs(np.delete(freq, inside) - mean).max() < 5 * sd, n
 
 
 def test_negative_rows_follow_the_generator():
     b = make_bank(np.random.default_rng(15), n=300, d=2)
-    own = np.arange(0, 300, 7)
+    steps = np.array_split(np.arange(0, 300, 7), 3)
     for count in (10, 200):
-        a = draw_in_steps(b, own, count, 16)
-        c = draw_in_steps(b, own, count, 16)
+        a = bank.negative_rows(b, steps, count, np.random.default_rng(16))
+        c = bank.negative_rows(b, steps, count, np.random.default_rng(16))
         np.testing.assert_array_equal(a, c)
-        d = draw_in_steps(b, own, count, 17)
+        d = bank.negative_rows(b, steps, count, np.random.default_rng(17))
         assert not np.array_equal(np.sort(a, axis=1), np.sort(d, axis=1))
 
 
 def test_negative_rows_do_not_depend_on_the_step_cuts():
-    # both draws read the generator in query order, so cutting the same
-    # queries into more steps moves no draw
+    # the draws see the cut of an epoch's rows into steps only through each
+    # step's count of distinct rows: moving rows between steps of equal
+    # size, reordering a step or repeating one of its rows moves no
+    # negative's rank among its step's outside rows
     b = make_bank(np.random.default_rng(19), n=300, d=2)
-    own = np.arange(0, 300, 3)
+    rows = np.random.default_rng(20).permutation(300)[:140]
     for count in (10, 200):
-        whole = draw_in_steps(b, own, count, 20, n_steps=1)
-        np.testing.assert_array_equal(
-            draw_in_steps(b, own, count, 20, n_steps=7), whole)
+        cut = np.split(rows, 7)
+        recut = [np.concatenate((r[::-1], r[:1]))
+                 for r in np.split(np.roll(rows, 9), 7)]
+        whole = bank.negative_rows(b, cut, count, np.random.default_rng(21))
+        moved = bank.negative_rows(b, recut, count, np.random.default_rng(21))
+        for s, t, neg, other in zip(cut, recut, whole, moved):
+            assert not np.isin(other, t).any()
+            np.testing.assert_array_equal(outside_ranks(s, neg),
+                                          outside_ranks(t, other))
 
 
 def test_distinct_rows_draw_every_subset_equally():

@@ -241,13 +241,18 @@ def test_run_exit_codes(tmp_path):
     assert cli.main(["run", cfg_path]) == 2
 
 
-def test_run_exit_code_negatives_above_bank_size(tmp_path):
-    # more negatives than the bank holds is a setting the run cannot use:
-    # a config error, found once the data is loaded
+def test_run_exit_code_negatives_above_bank_size(tmp_path, capsys):
+    # more negatives than the bank holds outside one batch is a setting the
+    # run cannot use: a config error, found once the data is loaded.  The
+    # warm-up's bank is the source split, and a batch of 16 leaves
+    # bank - 16 rows outside it, so bank - 8 is too many
     data = write_tiny_dataset(tmp_path / "data")
-    cfg_path = write_cfg(tmp_path / "run.json",
-                         tiny_cfg(data, tmp_path / "o", negatives=5000))
-    assert cli.main(["run", cfg_path]) == 2
+    bank_rows = len(cli.import_dataset(data)[0].train)
+    for negatives in (5000, bank_rows - 8):
+        cfg = tiny_cfg(data, tmp_path / "o", negatives=negatives)
+        cfg_path = write_cfg(tmp_path / "run.json", cfg)
+        assert cli.main(["run", cfg_path]) == 2
+        assert "outside a batch" in capsys.readouterr().err
 
 
 def test_run_exit_code_malformed_dataset(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contda import bank, contrastive, model
-from contda.errors import DimensionError
+from contda.errors import ContractViolationError, DimensionError
 
 
 def nce_direct(query, positive, negatives, tau):
@@ -35,43 +35,31 @@ def rows_of(batch):
     return np.arange(len(batch))
 
 
+def outside(fbank, batch):
+    """The count of bank rows outside the batch: every one a negative."""
+    return len(fbank) - len(batch)
+
+
 def nce_grad(forward, rows, fbank, tau, count, rng):
-    """contrastive_grad against `count` negatives per row drawn from rng."""
+    """contrastive_grad against `count` shared negatives drawn from rng."""
     (negatives,) = bank.negative_rows(fbank, [rows], count, rng)
     return contrastive.contrastive_grad(forward, rows, negatives, fbank, tau)
 
 
-def force_side(monkeypatch, sparse):
-    """Put the negative draw on one side of the fill-ratio predicate: the
-    rejection draw when sparse, else the ranking of uniform keys."""
-    monkeypatch.setattr(bank, "is_sparse", lambda size, count: sparse)
-
-
-def recorded_draws(monkeypatch):
-    """The negative rows of every later contrastive_grad call, in order."""
-    seen = []
-    real = bank.negative_rows
-    monkeypatch.setattr(bank, "negative_rows",
-                        lambda *a: seen.append(list(real(*a))) or seen[-1])
-    return seen
-
-
-def test_nce_matches_direct_formula(monkeypatch):
-    # bank sizes up to 80 put the natural predicate on both sides
-    draws = recorded_draws(monkeypatch)
+def test_nce_matches_direct_formula():
     rng = np.random.default_rng(0)
     for _ in range(100):
         params, batch, fbank = make_setup(int(rng.integers(1000)),
                                           n=int(rng.integers(1, 6)),
                                           extra=int(rng.integers(7, 75)))
-        count = int(rng.integers(0, len(fbank)))
+        count = int(rng.integers(0, outside(fbank, batch) + 1))
         tau = float(rng.uniform(0.03, 1.0))
-        loss, _ = nce_grad(
-            fw(params, batch), rows_of(batch), fbank, tau, count,
-            np.random.default_rng(int(rng.integers(1000))))
-        (neg,) = draws.pop()
+        draw = np.random.default_rng(int(rng.integers(1000)))
+        (neg,) = bank.negative_rows(fbank, [rows_of(batch)], count, draw)
+        loss, _ = contrastive.contrastive_grad(fw(params, batch),
+                                               rows_of(batch), neg, fbank, tau)
         Q = model.encode_project_batch(params, batch)
-        want = [nce_direct(Q[i], fbank.keys[i], fbank.keys[neg[i]], tau)
+        want = [nce_direct(Q[i], fbank.keys[i], fbank.keys[neg], tau)
                 for i in range(len(batch))]
         assert abs(loss - math.fsum(want) / len(want)) < 1e-12
 
@@ -90,24 +78,25 @@ def supcon_direct(query, keys, positive, tau):
 
 
 def bank_labels(rng, fbank, n_batch, classes=2):
-    """One label per bank row from a few classes, so a labeled query meets
-    several same-label columns, with the batch's last row unlabeled."""
-    labels = rng.integers(classes, size=len(fbank))
+    """One label per bank row from a few classes or -1, so a labeled query
+    meets several same-label columns, with the batch's last row unlabeled."""
+    labels = rng.integers(-1, classes, size=len(fbank))
     labels[n_batch - 1] = -1
     return labels
 
 
-def test_contrastive_grad_matches_per_row_oracle(monkeypatch):
-    # sampled negatives: the gradient w.r.t. each query is (sum_j p_j k_j - mean of its positive keys) / (tau n); with
-    # labels a labeled query's positives are its own key and every column of
-    # its label, without them its own key alone
+def test_contrastive_grad_matches_per_row_oracle():
+    # shared negatives: the gradient w.r.t. each query is
+    # (sum_j p_j k_j - mean of its positive keys) / (tau n) over its own key
+    # and the step's negatives; with labels a labeled query's positives are
+    # its own key and every negative of its label, without them its own key
+    # alone
     tau, count = 0.2, 5
-    multi = 0
+    multi = unlabeled = 0
     for seed in range(8):
-        force_side(monkeypatch, seed % 2 == 0)
         params, batch, fbank = make_setup(80 + seed, n=6)
         labels = (bank_labels(np.random.default_rng(seed), fbank, len(batch))
-                  if seed % 4 < 2 else None)
+                  if seed % 2 else None)
         forward = fw(params, batch)
         (neg,) = bank.negative_rows(fbank, [rows_of(batch)], count,
                                     np.random.default_rng(seed))
@@ -117,17 +106,21 @@ def test_contrastive_grad_matches_per_row_oracle(monkeypatch):
         n = len(batch)
         losses, want = [], np.zeros_like(Q)
         for i in range(n):
-            cols = np.concatenate(([i], neg[i]))
+            cols = np.concatenate(([i], neg))
             positive = [True] + [labels is not None and labels[i] >= 0
-                                 and labels[c] == labels[i] for c in neg[i]]
+                                 and labels[c] == labels[i] for c in neg]
             multi += sum(positive) > 1
+            unlabeled += labels is not None and labels[i] == -1 and any(
+                labels[neg] == -1)
             loss_i, grad_i = supcon_direct(Q[i], fbank.keys[cols], positive,
                                            tau)
             losses.append(loss_i)
             want[i] = grad_i / n
         assert abs(loss - math.fsum(losses) / n) < 1e-12
         np.testing.assert_allclose(dQ, want, rtol=0, atol=1e-12)
-    assert multi > 0
+    # labeled queries with several positives, and unlabeled queries facing
+    # unlabeled columns, which stay negatives
+    assert multi > 0 and unlabeled > 0
 
 
 def test_labeled_row_without_same_label_column_keeps_instance_loss():
@@ -145,7 +138,7 @@ def test_labeled_row_without_same_label_column_keeps_instance_loss():
                                            fbank, 0.2)
     assert with_labels[0] == without[0]
     np.testing.assert_array_equal(with_labels[1], without[1])
-    # the same bank with the labels made shared moves the loss
+    # the same negatives with the batch relabeled into their classes move it
     labels[rows_of(batch)] = 0
     assert contrastive.contrastive_grad(forward, rows_of(batch), neg, fbank,
                                         0.2, labels)[0] != without[0]
@@ -175,7 +168,7 @@ def test_nce_temperature_sharpens():
     # concentrates mass on it
     params, batch, fbank = make_setup(3)
     losses = [nce_grad(
-        fw(params, batch), rows_of(batch), fbank, t, len(fbank) - 1,
+        fw(params, batch), rows_of(batch), fbank, t, outside(fbank, batch),
         np.random.default_rng(0))[0] for t in (0.5, 0.2, 0.05)]
     assert losses[0] > losses[1] > losses[2]
 
@@ -190,41 +183,52 @@ def test_nce_validates_shapes():
                                 np.random.default_rng(0))
     for rows, negatives in ((rows_of(batch) + len(fbank), neg),
                             (rows_of(batch), neg + len(fbank)),
-                            (rows_of(batch), neg[:-1]), (rows_of(batch), neg[0])):
+                            (rows_of(batch), neg[None])):
         with pytest.raises(DimensionError):
             contrastive.contrastive_grad(fw(params, batch), rows, negatives,
                                          fbank, 0.2)
+    with pytest.raises(DimensionError):
+        contrastive.contrastive_grad(fw(params, batch), rows_of(batch), neg,
+                                     fbank, 0.2, np.zeros(len(fbank) - 1))
+    # a negative on a row of the batch, repeated or not, breaks the draw's
+    # contract
+    for row in (0, len(batch) - 1):
+        with pytest.raises(ContractViolationError):
+            contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
+                                         np.append(neg, row), fbank, 0.2)
 
 
 def test_contrastive_loss_matches_per_sample_mean():
+    # with every row outside the batch a negative, each sample's loss is
+    # the softmax over its own key and all of them
     params, batch, fbank = make_setup(10)
     loss, _ = nce_grad(fw(params, batch), rows_of(batch),
-                       fbank, 0.2, len(fbank) - 1,
+                       fbank, 0.2, outside(fbank, batch),
                        np.random.default_rng(0))
     Q = model.encode_project_batch(params, batch)
     want = 0.0
     for row in rows_of(batch):
         want += nce_direct(Q[row], fbank.keys[row],
-                           np.delete(fbank.keys, row, axis=0), 0.2)
+                           fbank.keys[len(batch):], 0.2)
     np.testing.assert_allclose(loss, want / len(batch), atol=1e-12)
 
 
-def test_contrastive_grad_matches_finite_differences(monkeypatch):
-    # full-bank negatives make the loss a deterministic function of params,
-    # up to the order in which the draw lists them; the parameter gradient
-    # is the embedding row of model.backward.  Odd trials label the bank, so
-    # labeled queries have several positives
+def test_contrastive_grad_matches_finite_differences():
+    # every row outside the batch as a negative makes the loss a
+    # deterministic function of params, up to the order in which the draw
+    # lists them; the parameter gradient is the embedding row of
+    # model.backward.  Odd trials label the bank, so labeled queries have
+    # several positives
     for trial in range(4):
-        force_side(monkeypatch, trial % 2 == 0)
         params, batch, fbank = make_setup(20 + trial, n=4)
-        every = len(fbank) - 1
         labels = (bank_labels(np.random.default_rng(trial), fbank, len(batch))
                   if trial % 2 else None)
+        (neg,) = bank.negative_rows(fbank, [rows_of(batch)],
+                                    outside(fbank, batch),
+                                    np.random.default_rng(99))
 
         def grad_at(p):
             forward = model.forward(p, batch)
-            (neg,) = bank.negative_rows(fbank, [rows_of(batch)], every,
-                                        np.random.default_rng(99))
             return forward, contrastive.contrastive_grad(
                 forward, rows_of(batch), neg, fbank, 0.15, labels)
 
@@ -248,7 +252,7 @@ def test_contrastive_grad_classifier_blocks_zero():
     params, batch, fbank = make_setup(30)
     forward = fw(params, batch)
     _, dQ = nce_grad(forward, rows_of(batch), fbank, 0.07,
-                     len(fbank) - 1,
+                     outside(fbank, batch),
                      np.random.default_rng(0))
     g = model.backward(params, forward, dQ)[1][0]
     slices = params.block_slices()
@@ -263,11 +267,11 @@ def test_bank_keys_receive_no_gradient():
     # identical keys but different array objects agree exactly
     params, batch, fbank = make_setup(40)
     _, g1 = nce_grad(fw(params, batch), rows_of(batch),
-                     fbank, 0.07, len(fbank) - 1,
+                     fbank, 0.07, outside(fbank, batch),
                      np.random.default_rng(0))
     clone = bank.FeatureBank(embed_dim=fbank.embed_dim, keys=fbank.keys.copy())
     _, g2 = nce_grad(fw(params, batch), rows_of(batch),
-                     clone, 0.07, len(clone) - 1,
+                     clone, 0.07, outside(clone, batch),
                      np.random.default_rng(0))
     np.testing.assert_array_equal(g1, g2)
 
@@ -289,7 +293,7 @@ def test_empty_batch_rejected():
     params, batch, fbank = make_setup(60)
     with pytest.raises(DimensionError):
         contrastive.contrastive_grad(model.forward(params, np.zeros((0, 2))),
-                                     [], np.zeros((0, 5), dtype=np.int32),
+                                     [], np.zeros(5, dtype=np.int32),
                                      fbank, 0.2)
 
 
@@ -299,4 +303,3 @@ def test_rows_must_match_forward_rows():
     (neg,) = bank.negative_rows(fbank, [rows], 5, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         contrastive.contrastive_grad(fw(params, batch), rows, neg, fbank, 0.2)
-

@@ -414,14 +414,15 @@ def test_warm_projector_improves_objective_without_losing_source():
     assert after >= before - 0.05
 
     def source_nce(p):
-        """Warm-phase objective against the embeddings' own snapshot bank."""
+        """Warm-phase objective against the embeddings' own snapshot bank:
+        each sample its own step, so its negatives are every other row."""
         fb = bank.init_bank(p, [src.X])
-        rows = np.arange(len(src))
-        (neg,) = bank.negative_rows(fb, [rows], len(fb) - 1,
-                                    np.random.default_rng(0))
-        loss, _ = contrastive.contrastive_grad(model.forward(p, src.X), rows,
-                                               neg, fb, plan.temperature)
-        return loss
+        steps = [[i] for i in range(len(src))]
+        negs = bank.negative_rows(fb, steps, len(fb) - 1,
+                                  np.random.default_rng(0))
+        return np.mean([contrastive.contrastive_grad(
+            model.forward(p, src.X[i]), i, neg, fb, plan.temperature)[0]
+            for i, neg in zip(steps, negs)])
 
     assert source_nce(warmed) < source_nce(params)
 
@@ -508,12 +509,8 @@ def test_two_forward_passes_per_iteration(monkeypatch):
     # the warm-up adds only the bank snapshot of its one source pool
     _, total, marks, counts, _, draws = phases[0]
     assert total == 1 + 2 * len(marks)
-    # its 48-row bank puts 8 negatives on the dense side of the draw, and
-    # adaptation banks of at least 96 rows on the sparse side; either way
     # one negative_rows call per epoch, before the epoch's first step, and
     # under adaptation one batch gather per epoch
-    assert not bank.is_sparse(len(domains[0].train), plan.negatives)
-    assert bank.is_sparse(2 * len(domains[0].train), plan.negatives)
     for (name, _, marks, counts, _, draws), epochs in zip(
             phases, [plan.warm_epochs] + [plan.epochs_per_domain] * 3):
         iters = len(marks) // epochs
@@ -621,15 +618,15 @@ def test_grcl_groups_are_slices_of_one_memory_domain_each():
                 assert np.all(np.diff(groups[0]) >= 0)
 
 
-def test_epoch_negatives_exclude_own_row_on_both_sides():
-    # one draw for the epoch on the sparse side, one per step on the dense
-    # side; neither includes a step's own rows
+def test_epoch_negatives_exclude_every_batch_row():
+    # one draw for the epoch, one shared array per step; none includes a
+    # row of its step, at a small fill and a large one
     for n_bank, count in ((400, 8), (40, 20)):
         fbank = bank.FeatureBank(embed_dim=2, keys=np.ones((n_bank, 2)))
         steps = np.random.default_rng(3).integers(n_bank, size=(30, 16))
-        negs = list(bank.negative_rows(fbank, steps, count,
-                                       np.random.default_rng(4)))
+        negs = bank.negative_rows(fbank, steps, count,
+                                  np.random.default_rng(4))
         assert len(negs) == 30
         for own, neg in zip(steps, negs):
-            assert neg.shape == (16, count)
-            assert not np.any(neg == own[:, None])
+            assert neg.shape == (count,)
+            assert not np.isin(neg, own).any()

@@ -48,8 +48,7 @@ ADAPT = "harness.adapt_domain"
 MEMORY = "harness.pseudo_label_memory"
 # stage -> the functions (module, attribute) whose self time it sums
 STAGES = {
-    # the reference run's draw is sparse, all of it inside this call; a
-    # dense draw runs lazily in the step loop, as the caller's self time
+    # every step's negatives of an epoch, drawn in this one call
     "negative_draw": (("contda.bank", "negative_rows"),),
     "infonce": (("contda.contrastive", "contrastive_grad"),),
     "backward": (("contda.model", "backward"),),
