@@ -8,28 +8,44 @@ batch and shared by its queries as a MoCo queue is (bank.negative_rows draws
 them, an epoch of steps at a time).  A labeled query (a source row, or a
 memory row with its pseudo-label) also counts each negative of its label as
 a positive, with its target uniform over its positives (SupCon's L_out).
-Bank keys are constants.  The gradient w.r.t. the unit embeddings goes to
-model.backward with the step's cross-entropy terms.
+Since the negatives are shared, a query's positive side is its own key plus
+the step's key sum of its class, so the only (queries, negatives) arrays are
+the logits and their exponentials.  Bank keys are constants.  The gradient
+w.r.t. the unit embeddings goes to model.backward with the step's
+cross-entropy terms.
 """
 
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError
-from .numerics import log_softmax_rows
 
 
-def nce_columns(Q, own, shared, temperature, positive):
+def nce_columns(Q, own, shared, temperature, own_labels, shared_labels):
     """Per query: the loss over the logits [q . k_own | Q Kn^T] / tau, its
     own key first and then the shared negative keys Kn, with its target
-    spread evenly over its `positive` columns, and the gradient of that loss
-    w.r.t. its embedding, (w_0 k_own + W Kn) / tau."""
-    logits = np.concatenate((np.einsum("ij,ij->i", Q, own)[:, None],
-                             Q @ shared.T), axis=1)
-    logp = log_softmax_rows(logits / temperature)
-    target = positive / positive.sum(axis=1, keepdims=True)
-    W = np.exp(logp) - target
-    return (-(target * logp).sum(axis=1),
-            (W[:, :1] * own + W[:, 1:] @ shared) / temperature)
+    spread evenly over its positives, and the gradient of that loss w.r.t.
+    its embedding.  A query's positives are its own key and each negative
+    whose label equals its own; label -1 matches none.  With E = exp(S - m)
+    over S = Q Kn^T / tau, Z its row sum plus p_0's numerator, and P the
+    sum of a query's n_pos positive keys, the loss is log Z + m - q . P /
+    (tau n_pos) and the gradient (p_0 k_own + E Kn / Z - P / n_pos) / tau."""
+    Q = Q / temperature
+    s0 = np.einsum("ij,ij->i", Q, own)
+    E = Q @ shared.T
+    m = np.maximum(s0, E.max(axis=1, initial=-np.inf))
+    E -= m[:, None]
+    np.exp(E, out=E)
+    e0 = np.exp(s0 - m)
+    Z = e0 + E.sum(axis=1)
+    # one row per class, and a last row, picked by label -1, that no
+    # negative fills
+    classes = max(own_labels.max(), shared_labels.max(initial=-1)) + 1
+    onehot = np.equal.outer(np.arange(classes + 1), shared_labels)
+    positives = own + (onehot @ shared)[own_labels]
+    n_pos = 1 + np.count_nonzero(onehot, axis=1)[own_labels]
+    losses = np.log(Z) + m - np.einsum("ij,ij->i", Q, positives) / n_pos
+    return losses, ((e0 / Z)[:, None] * own + (E @ shared) / Z[:, None]
+                    - positives / n_pos[:, None]) / temperature
 
 
 def contrastive_grad(fw, rows, negatives, bank, temperature: float,
@@ -40,9 +56,9 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float,
     fw holds the activations of the samples stored at these bank rows, in
     order.  Each sample's positive is its own row and its negatives are the
     bank rows in `negatives`, which every sample shares and none of which
-    may be a row of the batch.  labels, one per bank row with -1 meaning
-    unlabeled (the default for all), adds to a labeled sample's positives
-    each negative of its label.
+    may be a row of the batch.  labels, one integer per bank row with -1
+    meaning unlabeled (the default for all), adds to a labeled sample's
+    positives each negative of its label.
     """
     n = len(rows)
     if n == 0:
@@ -60,9 +76,9 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float,
     labels = np.full(len(bank), -1) if labels is None else np.asarray(labels)
     if labels.shape != (len(bank),):
         raise DimensionError(f"{labels.shape} labels for {len(bank)} rows")
-    own = labels[rows, None]
-    positive = np.concatenate((np.ones((n, 1), dtype=bool),
-                               (own >= 0) & (labels[negatives] == own)), 1)
+    if labels.dtype.kind not in "iu" or labels.min() < -1:
+        raise ContractViolationError("labels must be integers of -1 or more")
     losses, dQ = nce_columns(fw.embeddings(), bank.keys[rows],
-                             bank.keys[negatives], temperature, positive)
+                             bank.keys[negatives], temperature,
+                             labels[rows], labels[negatives])
     return float(losses.mean()), dQ / n

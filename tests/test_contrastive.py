@@ -144,6 +144,77 @@ def test_labeled_row_without_same_label_column_keeps_instance_loss():
                                         0.2, labels)[0] != without[0]
 
 
+def dense_setup(seed):
+    """A dense step: 32 queries, 512 shared negatives from a 1,300-row bank
+    labeled from two classes or -1, and one query of a third class that the
+    bank holds only on rows outside the draw.  The queries come from moved
+    parameters, so no query equals its own key."""
+    params, batch, fbank = make_setup(seed, n=32, extra=1268)
+    rng = np.random.default_rng(seed)
+    params = model.ModelParams(params.config, params.flat + 0.3
+                               * rng.standard_normal(params.num_params))
+    (neg,) = bank.negative_rows(fbank, [rows_of(batch)], 512, rng)
+    labels = rng.integers(-1, 2, size=len(fbank))
+    undrawn = np.setdiff1d(np.arange(len(batch), len(fbank)), neg)
+    labels[undrawn[:5]] = 2
+    labels[0] = 2
+    return fw(params, batch), rows_of(batch), neg, fbank, labels
+
+
+def test_contrastive_grad_matches_oracle_at_dense_shapes():
+    tau = 0.1
+    forward, rows, neg, fbank, labels = dense_setup(5)
+    loss, dQ = contrastive.contrastive_grad(forward, rows, neg, fbank, tau,
+                                            labels)
+    Q = forward.embeddings()
+    n = len(rows)
+    losses, want, n_pos = [], np.zeros_like(Q), []
+    for i in rows:
+        positive = np.concatenate(([True], (labels[i] >= 0)
+                                   & (labels[neg] == labels[i])))
+        n_pos.append(positive.sum())
+        loss_i, grad_i = supcon_direct(
+            Q[i], fbank.keys[np.concatenate(([i], neg))], positive, tau)
+        losses.append(loss_i)
+        want[i] = grad_i / n
+    assert abs(loss - math.fsum(losses) / n) < 1e-12
+    np.testing.assert_allclose(dQ, want, rtol=0, atol=1e-12)
+    # the query whose class no negative carries, labeled queries with
+    # hundreds of positives, and unlabeled ones
+    n_pos = np.array(n_pos)
+    assert n_pos[0] == 1 and n_pos[1:][labels[1:len(rows)] >= 0].min() > 100
+    assert np.any(labels[rows] == -1)
+
+
+def test_relabelling_classes_leaves_loss_and_gradient():
+    forward, rows, neg, fbank, labels = dense_setup(6)
+    renamed = np.where(labels >= 0, np.array([2, 0, 1])[labels], -1)
+    loss, dQ = contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1,
+                                            labels)
+    loss2, dQ2 = contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1,
+                                              renamed)
+    assert abs(loss - loss2) < 1e-12
+    np.testing.assert_allclose(dQ, dQ2, rtol=0, atol=1e-12)
+
+
+def test_all_unlabeled_rows_match_no_labels():
+    forward, rows, neg, fbank, _ = dense_setup(7)
+    unlabeled = contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1,
+                                             np.full(len(fbank), -1))
+    without = contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1)
+    assert unlabeled[0] == without[0]
+    np.testing.assert_array_equal(unlabeled[1], without[1])
+
+
+def test_labels_must_be_integers_from_minus_one():
+    forward, rows, neg, fbank, labels = dense_setup(8)
+    below = labels.copy()
+    below[neg[0]] = -2
+    for bad in (labels.astype(float), below):
+        with pytest.raises(ContractViolationError):
+            contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1, bad)
+
+
 def test_nce_zero_without_negatives():
     params, batch, fbank = make_setup(1)
     loss, dQ = nce_grad(fw(params, batch), rows_of(batch),

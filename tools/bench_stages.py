@@ -1,21 +1,24 @@
-"""Per-stage cost of the reference run, written to BENCH_<label>.json.
+"""Per-stage cost of the reference run and of the dense run, written to
+BENCH_<label>.json.
 
     python3 tools/bench_stages.py --label baseline
 
 The reference run is `rot-blobs-5`, `grcl`, seed 11 through
 `contda.cli.run_config`, in this process with one BLAS thread, importing
-contda from this checkout's src/.  It runs three times untraced, for the
-median wall time, then once under perfbench's span tracer.  Each untraced
-run is also given in units of perfbench's reference kernel, sampled before,
-during and after it as perfbench/run.py does: the wall time of one tree
-drifts by up to 40% between rounds on a shared host, and the kernel drifts
-with it, so these figures compare across rounds.  A stage is a set
-of wrapped functions; its cost is the self time of their spans inside
-`harness.adapt_domain`, divided by the number of adaptation iterations, or,
-for the memory stages, inside `harness.pseudo_label_memory`, divided by the
-number of memories built.  A wrapped
-function that no longer exists stops the script, so a stage never reads zero
-because its code was renamed.
+contda from this checkout's src/.  The dense run, `moons-4`, `multitask`,
+512 negatives, seed 11, is perfbench's `multitask-moons-k512` at that seed;
+its figures sit under the key `dense_run`.  Each runs three times
+untraced, for the median wall time, then once under perfbench's span
+tracer.  Each untraced run is also given in units of perfbench's reference
+kernel, sampled before, during and after it as perfbench/run.py does: the
+wall time of one tree drifts by up to 40% between rounds on a shared host,
+and the kernel drifts with it, so these figures compare across rounds.  A
+stage is a set of wrapped functions; its cost is the self time of their
+spans inside `harness.adapt_domain`, divided by the number of adaptation
+iterations, or, for the memory stages, inside `harness.pseudo_label_memory`,
+divided by the number of memories built.  A wrapped function that no longer
+exists stops the script, so a stage never reads zero because its code was
+renamed.
 """
 
 import os
@@ -43,6 +46,9 @@ from contda import cli  # noqa: E402
 from run import ReferenceKernel, Sampler  # noqa: E402
 
 REFERENCE = {"preset": "rot-blobs-5", "strategy": "grcl", "seed": 11}
+# 512 shared negatives from a ~1.3k-key bank: per-key arithmetic dominates
+DENSE = {"preset": "moons-4", "strategy": "multitask", "negatives": 512,
+         "seed": 11}
 RUNS = 3  # untraced reference runs behind the median wall time
 ADAPT = "harness.adapt_domain"
 MEMORY = "harness.pseudo_label_memory"
@@ -78,10 +84,11 @@ def wrap_points():
     return sorted(points)
 
 
-def run_reference(out_dir, sampler=None):
-    """Seconds of one reference run, without the time the sampler's ticks
-    took, and its reference-kernel seconds (None without a sampler)."""
-    cfg = cli.validate_config({**REFERENCE, "output_dir": out_dir})
+def run_reference(reference, out_dir, sampler=None):
+    """Seconds of one run of this config, without the time the sampler's
+    ticks took, and its reference-kernel seconds (None without a
+    sampler)."""
+    cfg = cli.validate_config({**reference, "output_dir": out_dir})
     with sampler or contextlib.nullcontext():
         start = time.perf_counter()
         cli.run_config(cfg)
@@ -110,7 +117,7 @@ def git(*args):
 
 def stage_costs(spans):
     """(adaptation iterations, stage -> us per iteration, stage -> ms per
-    memory built) from one traced reference run."""
+    memory built) from one traced run."""
     selfs = tracer_mod.self_times(spans)
     per_iter, per_memory = {}, {}
     inside = {parent: [i for i in range(len(spans))
@@ -129,33 +136,20 @@ def stage_costs(spans):
     return iters, per_iter, per_memory
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True,
-                        help="names the output file BENCH_<label>.json")
-    parser.add_argument("--output-dir", default=ROOT,
-                        help="directory of the output file")
-    args = parser.parse_args(argv)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        sampler = Sampler(ReferenceKernel())
-        runs = [run_reference(os.path.join(tmp, f"run{i}"), sampler)
-                for i in range(RUNS)]
-        tracer = tracer_mod.Tracer(points=wrap_points())
-        with tracer.installed():
-            traced, _ = run_reference(os.path.join(tmp, "traced"))
+def measure(reference, tmp):
+    """The wall-time and stage figures of one run config: RUNS untraced
+    runs, in reference-kernel units too, then one traced run."""
+    sampler = Sampler(ReferenceKernel())
+    runs = [run_reference(reference, os.path.join(tmp, f"run{i}"), sampler)
+            for i in range(RUNS)]
+    tracer = tracer_mod.Tracer(points=wrap_points())
+    with tracer.installed():
+        traced, _ = run_reference(reference, os.path.join(tmp, "traced"))
     if tracer.absent:
         sys.exit(f"error: wrap points name missing code: {tracer.absent}")
     iters, per_iter, per_memory = stage_costs(tracer.spans)
-
-    result = {
-        "label": args.label,
-        "commit": git("rev-parse", "HEAD"),
-        "uncommitted_changes": bool(git("status", "--porcelain", "--", "src")),
-        "blas_threads": int(os.environ["OMP_NUM_THREADS"]),
-        "machine": {"cpus": os.cpu_count(), "processor": cpu_model(),
-                    "python": platform.python_version()},
-        "reference_run": REFERENCE,
+    return {
+        "reference_run": reference,
         "reference_run_s": round(statistics.median(w for w, _ in runs), 3),
         "reference_run_s_each": [round(w, 3) for w, _ in runs],
         "reference_run_ref": round(statistics.median(w / k for w, k in runs), 1),
@@ -165,6 +159,29 @@ def main(argv=None):
         "adapt_iters": iters,
         "stage_us_per_iter": per_iter,
         "stage_ms_per_memory": per_memory,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True,
+                        help="names the output file BENCH_<label>.json")
+    parser.add_argument("--output-dir", default=ROOT,
+                        help="directory of the output file")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        reference = measure(REFERENCE, os.path.join(tmp, "reference"))
+        dense = measure(DENSE, os.path.join(tmp, "dense"))
+    result = {
+        "label": args.label,
+        "commit": git("rev-parse", "HEAD"),
+        "uncommitted_changes": bool(git("status", "--porcelain", "--", "src")),
+        "blas_threads": int(os.environ["OMP_NUM_THREADS"]),
+        "machine": {"cpus": os.cpu_count(), "processor": cpu_model(),
+                    "python": platform.python_version()},
+        **reference,
+        "dense_run": dense,
     }
     path = os.path.join(args.output_dir, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
