@@ -21,24 +21,21 @@ from .errors import ContractViolationError, DimensionError
 
 
 def nce_columns(Q, own, shared, temperature, own_labels, shared_labels):
-    """Per query: the loss over the logits [q . k_own | Q Kn^T] / tau, its
-    own key first and then the shared negative keys Kn, with its target
-    spread evenly over its positives, and the gradient of that loss w.r.t.
-    its embedding.  A query's positives are its own key and each negative
-    whose label equals its own; label -1 matches none.  With E = exp(S - m)
-    over S = Q Kn^T / tau, Z its row sum plus p_0's numerator, and P the
-    sum of a query's n_pos positive keys, the loss is log Z + m - q . P /
-    (tau n_pos) and the gradient (p_0 k_own + E Kn / Z - P / n_pos) / tau."""
+    """Per query: the loss over the logits [q . k_own | Q Kn^T] / tau, own
+    key first, then the shared negative keys Kn, with its target spread
+    evenly over its positives: its own key and each negative of its label
+    (-1 matches none).  With m the row max, E = exp(Q Kn^T / tau - m), Z the
+    softmax normalizer and P the sum of the n_pos positive keys, the loss is
+    log Z + m - q . P / (tau n_pos) and its gradient w.r.t. the embedding
+    (p_0 k_own + E Kn / Z - P / n_pos) / tau."""
     Q = Q / temperature
     s0 = np.einsum("ij,ij->i", Q, own)
     E = Q @ shared.T
     m = np.maximum(s0, E.max(axis=1, initial=-np.inf))
-    E -= m[:, None]
-    np.exp(E, out=E)
+    E = np.exp(np.subtract(E, m[:, None], out=E), out=E)
     e0 = np.exp(s0 - m)
     Z = e0 + E.sum(axis=1)
-    # one row per class, and a last row, picked by label -1, that no
-    # negative fills
+    # a row per class, and a last row, picked by label -1, that stays empty
     classes = max(own_labels.max(), shared_labels.max(initial=-1)) + 1
     onehot = np.equal.outer(np.arange(classes + 1), shared_labels)
     positives = own + (onehot @ shared)[own_labels]
