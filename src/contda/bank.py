@@ -68,8 +68,8 @@ def momentum_update(bank: FeatureBank, rows, embeddings,
     if rows.size != embeddings.shape[0]:
         raise DimensionError("rows and embeddings disagree on sample count")
     blended = momentum * bank.keys[rows] + (1.0 - momentum) * embeddings
-    norms = np.linalg.norm(blended, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
+    norms = np.sqrt(np.add.reduce(blended * blended, axis=1, keepdims=True))
+    if (norms == 0.0).any():
         raise DegenerateInputError("momentum blend produced a zero key")
     bank.keys[rows] = blended / norms
     return bank

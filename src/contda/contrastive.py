@@ -10,9 +10,9 @@ memory row with its pseudo-label) also counts each negative of its label as
 a positive, with its target uniform over its positives (SupCon's L_out).
 Since the negatives are shared, a query's positive side is its own key plus
 the step's key sum of its class, so the only (queries, negatives) arrays are
-the logits and their exponentials.  Bank keys are constants.  The gradient
-w.r.t. the unit embeddings goes to model.backward with the step's
-cross-entropy terms.
+the logits and their exponentials.  epoch_plans checks a drawn epoch and
+builds each step's label side once.  Bank keys are constants; the gradient
+w.r.t. the unit embeddings goes to model.backward.
 """
 
 import numpy as np
@@ -20,14 +20,15 @@ import numpy as np
 from .errors import ContractViolationError, DimensionError
 
 
-def nce_columns(Q, own, shared, temperature, own_labels, shared_labels):
+def nce_columns(Q, own, shared, temperature, onehot, own_labels, n_pos):
     """Per query: the loss over the logits [q . k_own | Q Kn^T] / tau, own
     key first, then the shared negative keys Kn, with its target spread
-    evenly over its positives: its own key and each negative of its label
-    (-1 matches none).  With m the row max, E = exp(Q Kn^T / tau - m), Z the
-    softmax normalizer and P the sum of the n_pos positive keys, the loss is
-    log Z + m - q . P / (tau n_pos) and its gradient w.r.t. the embedding
-    (p_0 k_own + E Kn / Z - P / n_pos) / tau."""
+    evenly over its n_pos positives: its own key and each negative of its
+    label (own_labels picks its row of onehot, see epoch_plans).  With m the
+    row max, E = exp(Q Kn^T / tau - m), Z the softmax normalizer and P the
+    sum of the positive keys, the loss is log Z + m - q . P / (tau n_pos)
+    and its gradient w.r.t. the embedding (p_0 k_own + E Kn / Z - P / n_pos)
+    / tau."""
     Q = Q / temperature
     s0 = np.einsum("ij,ij->i", Q, own)
     E = Q @ shared.T
@@ -35,18 +36,45 @@ def nce_columns(Q, own, shared, temperature, own_labels, shared_labels):
     E = np.exp(np.subtract(E, m[:, None], out=E), out=E)
     e0 = np.exp(s0 - m)
     Z = e0 + E.sum(axis=1)
-    # a row per class, and a last row, picked by label -1, that stays empty
-    classes = max(own_labels.max(), shared_labels.max(initial=-1)) + 1
-    onehot = np.equal.outer(np.arange(classes + 1), shared_labels)
     positives = own + (onehot @ shared)[own_labels]
-    n_pos = 1 + np.count_nonzero(onehot, axis=1)[own_labels]
     losses = np.log(Z) + m - np.einsum("ij,ij->i", Q, positives) / n_pos
     return losses, ((e0 / Z)[:, None] * own + (E @ shared) / Z[:, None]
                     - positives / n_pos[:, None]) / temperature
 
 
+def epoch_plans(bank, steps, negatives, labels=None) -> list:
+    """Per step of an epoch (its bank rows, and as many negatives as every
+    step): the negatives' one-hot over the classes up to the largest label,
+    plus an empty last row for label -1, the rows' labels and their counts
+    1 + the negatives of their label.  Checked once for all steps: rows and
+    negatives lie in the bank, no negative is a row of its step, and labels
+    (one per bank row, -1 unlabeled and the default) are integers >= -1."""
+    sizes = [len(r) for r in steps]
+    rows = bank.check_rows(np.concatenate(steps))
+    negatives = np.asarray(negatives, dtype=np.int64)
+    if negatives.ndim != 2:
+        raise DimensionError(f"negatives of shape {negatives.shape} per epoch")
+    bank.check_rows(negatives.ravel())
+    # step i's rows shifted by i len(bank), and a -1 below all: one search
+    shift = len(bank) * np.arange(len(steps))
+    inside = np.sort(np.concatenate([[-1], rows + np.repeat(shift, sizes)]))
+    probe = (negatives + shift[:, None]).ravel()
+    if (inside[np.searchsorted(inside, probe, "right") - 1] == probe).any():
+        raise ContractViolationError("a negative is a row of the batch")
+    labels = np.full(len(bank), -1) if labels is None else np.asarray(labels)
+    if labels.shape != (len(bank),):
+        raise DimensionError(f"{labels.shape} labels for {len(bank)} rows")
+    if labels.dtype.kind not in "iu" or labels.min() < -1:
+        raise ContractViolationError("labels must be integers of -1 or more")
+    onehot = labels[negatives][:, None] == np.arange(labels.max() + 2)[:, None]
+    counts = 1 + np.count_nonzero(onehot, axis=2)
+    own = np.split(labels[rows], np.cumsum(sizes)[:-1])
+    return [(h, y, n[y]) for h, y, n in zip(onehot.astype(np.float64), own,
+                                             counts, strict=True)]
+
+
 def contrastive_grad(fw, rows, negatives, bank, temperature: float,
-                     labels=None):
+                     labels=None, plan=None):
     """Mean contrastive loss over the rows of a forward pass and its
     gradient dQ w.r.t. their unit embeddings, one row per sample.
 
@@ -55,7 +83,8 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float,
     bank rows in `negatives`, which every sample shares and none of which
     may be a row of the batch.  labels, one integer per bank row with -1
     meaning unlabeled (the default for all), adds to a labeled sample's
-    positives each negative of its label.
+    positives each negative of its label.  plan, this step's entry of
+    epoch_plans, replaces labels and the row checks; else one is built.
     """
     n = len(rows)
     if n == 0:
@@ -65,17 +94,8 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float,
     if bank.embed_dim != fw.Z.shape[1]:
         raise DimensionError(f"bank keys have dimension {bank.embed_dim}, "
                              f"embeddings {fw.Z.shape[1]}")
-    rows, negatives = bank.check_rows(rows), bank.check_rows(negatives)
-    inside = np.zeros(len(bank), dtype=bool)
-    inside[rows] = True
-    if inside[negatives].any():
-        raise ContractViolationError("a negative is a row of the batch")
-    labels = np.full(len(bank), -1) if labels is None else np.asarray(labels)
-    if labels.shape != (len(bank),):
-        raise DimensionError(f"{labels.shape} labels for {len(bank)} rows")
-    if labels.dtype.kind not in "iu" or labels.min() < -1:
-        raise ContractViolationError("labels must be integers of -1 or more")
+    if plan is None:
+        (plan,) = epoch_plans(bank, [rows], [negatives], labels)
     losses, dQ = nce_columns(fw.embeddings(), bank.keys[rows],
-                             bank.keys[negatives], temperature,
-                             labels[rows], labels[negatives])
-    return float(losses.mean()), dQ / n
+                             bank.keys[negatives], temperature, *plan)
+    return float(losses.sum() / n), dQ / n

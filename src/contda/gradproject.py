@@ -32,15 +32,15 @@ KKT_FLAGS = ("primal_feasible", "dual_feasible", "complementary", "stationary")
 def kkt_check(w, u, g, constraints, eps) -> dict:
     """Boolean KKT diagnostics plus the residuals they were judged on."""
     u = np.asarray(u, dtype=np.float64)
-    C = np.reshape(np.asarray(constraints, dtype=np.float64),
-                   (u.size, np.size(w)))
+    C = np.asarray(constraints, dtype=np.float64).reshape(u.size, len(w))
     slacks = C @ w
-    stat = float(np.linalg.norm(w - g - u @ C))
+    r = w - g - u @ C
+    stat = math.sqrt(r.dot(r))
     return {
         "primal_feasible": bool(slacks.min(initial=np.inf) >= -eps),
         "dual_feasible": bool(u.min(initial=np.inf) >= -eps),
-        "complementary": bool(np.all(np.abs(u * slacks)
-                                     <= eps * np.maximum(1.0, np.abs(u)))),
+        "complementary": bool((np.abs(u * slacks)
+                               <= eps * np.maximum(1.0, np.abs(u))).all()),
         "stationary": bool(stat <= eps),
         "slacks": slacks,
         "stationarity_residual": stat,
@@ -59,7 +59,8 @@ def gram(J):
         raise DimensionError(f"gradient stack has shape {J.shape}")
     # one matrix-vector product per row: BLAS runs J @ J.T at half the speed
     K = np.array([J @ row for row in J])
-    require_finite(K, "gradient Gram matrix")
+    if not np.isfinite(K).all():
+        require_finite(K, "gradient Gram matrix")
     return K, EPS_SCALE * max(1.0, math.sqrt(K.diagonal().max()))
 
 
@@ -103,8 +104,9 @@ def _nnls(G, b, eps):
         passive[np.argmin(slack)] = True
         while True:
             z = np.zeros(m)
-            z[passive] = np.linalg.solve(G[np.ix_(passive, passive)], -b[passive])
-            if z[passive].min() > 0.0:
+            p = np.flatnonzero(passive)
+            z[p] = np.linalg.solve(G[p[:, None], p], -b[p])
+            if z[p].min() > 0.0:
                 break
             bad = np.flatnonzero(passive & (z <= 0.0))
             step = u[bad] / np.maximum(u[bad] - z[bad], np.finfo(float).tiny)

@@ -20,10 +20,10 @@ unlabeled: every target row and no other, checked once when it is built.
 They are the bank rows' classes for the contrastive loss's positives; the
 warm-up passes none.
 
-Each epoch draws its randomness before its step loop: every step's batch
-rows, laid out as [source | memory d1 | ... | target] so GRCL's memory
-groups are slices, one gather of their inputs and labels, and every step's
-shared negatives (bank.negative_rows).
+Each epoch draws and checks before its step loop: every step's batch rows,
+laid out as [source | memory d1 | ... | target] so GRCL's memory groups are
+slices, one gather of their inputs and labels, every step's shared negatives
+(bank.negative_rows), and their checks and label plans (epoch_plans).
 """
 
 import math
@@ -246,10 +246,11 @@ def warm_projector(params, source_train, plan, rng):
         order = rng.permutation(n)
         steps = np.split(order, range(plan.batch_size, n, plan.batch_size))
         negs = bank_mod.negative_rows(fbank, steps, plan.negatives, rng)
-        for idx, neg in zip(steps, negs):
+        nces = contrastive_mod.epoch_plans(fbank, steps, negs)
+        for idx, neg, nce in zip(steps, negs, nces):
             fw = model_mod.forward(params, source_train.X[idx])
             _, dQ = contrastive_mod.contrastive_grad(
-                fw, idx, neg, fbank, plan.temperature)
+                fw, idx, neg, fbank, plan.temperature, plan=nce)
             _, J = model_mod.backward(params, fw, dQ, source_train.y[idx],
                                       [slice(None)])
             w, _, _ = project_step(J, *gradproject.gram(J))
@@ -362,10 +363,11 @@ def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
         rows, X, y, cuts = _draw_epoch(pool, offsets, counts, iters,
                                        plan.strategy == GRCL, batch_rng)
         negs = bank_mod.negative_rows(fbank, rows, plan.negatives, neg_rng)
-        for r, neg, inputs, labels, cut in zip(rows, negs, X, y, cuts):
+        nces = contrastive_mod.epoch_plans(fbank, rows, negs, pool[1])
+        for r, neg, inputs, labels, cut, nce in zip(rows, negs, X, y, cuts, nces):
             fw = model_mod.forward(params, inputs)
             loss_con, dQ = contrastive_mod.contrastive_grad(
-                fw, r, neg, fbank, plan.temperature, pool[1])
+                fw, r, neg, fbank, plan.temperature, plan=nce)
             groups = [slice(0, n_s)] + [slice(a, b) for a, b
                                         in zip(cut, cut[1:]) if b > a]
             losses, J = model_mod.backward(params, fw, dQ, labels, groups)

@@ -29,34 +29,34 @@ class ClusterModel:
     inertia: float
 
 
-def _pairwise_sq_dists(X, centers):
-    # ||x - c||^2 expanded; clipped at zero to survive cancellation
-    d = (X * X).sum(axis=1)[:, None] - 2.0 * X @ centers.T \
-        + (centers * centers).sum(axis=1)[None, :]
+def _pairwise_sq_dists(X, centers, xx=None):
+    # ||x - c||^2 expanded, clipped at zero to survive cancellation; xx = ||x||^2
+    xx = (X * X).sum(axis=1)[:, None] if xx is None else xx
+    d = xx - 2.0 * X @ centers.T + (centers * centers).sum(axis=1)[None, :]
     return np.maximum(d, 0.0)
 
 
-def _plusplus_seed(X, k, rng):
+def _plusplus_seed(X, xx, k, rng):
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    closest = _pairwise_sq_dists(X, centers[:1]).ravel()
+    closest = _pairwise_sq_dists(X, centers[:1], xx).ravel()
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
             centers[j] = X[rng.integers(n)]
         else:
             centers[j] = X[rng.choice(n, p=closest / total)]
-        closest = np.minimum(closest, _pairwise_sq_dists(X, centers[j:j + 1]).ravel())
+        closest = np.minimum(closest, _pairwise_sq_dists(X, centers[j:j + 1], xx).ravel())
     return centers
 
 
-def _lloyd(X, k, rng, max_iter):
+def _lloyd(X, xx, k, rng, max_iter):
     n = X.shape[0]
-    centers = _plusplus_seed(X, k, rng)
+    centers = _plusplus_seed(X, xx, k, rng)
     labels = None
     for _ in range(max_iter):
-        d = _pairwise_sq_dists(X, centers)
+        d = _pairwise_sq_dists(X, centers, xx)
         new_labels = d.argmin(axis=1)
         sizes = np.bincount(new_labels, minlength=k)
         served = d[np.arange(n), new_labels]
@@ -73,7 +73,7 @@ def _lloyd(X, k, rng, max_iter):
             break
         labels = new_labels
         centers = np.stack([X[labels == j].mean(axis=0) for j in range(k)])
-    inertia = float(_pairwise_sq_dists(X, centers)[np.arange(n), labels].sum())
+    inertia = float(_pairwise_sq_dists(X, centers, xx)[np.arange(n), labels].sum())
     return ClusterModel(centers=centers, labels=labels, inertia=inertia)
 
 
@@ -94,8 +94,9 @@ def kmeans(X, k, rng, max_iter: int = 300, restarts: int = 8) -> ClusterModel:
     if restarts < 1:
         raise DegenerateInputError("kmeans needs at least one restart")
     best = None
+    xx = (X * X).sum(axis=1)[:, None]
     for _ in range(restarts):
-        cand = _lloyd(X, k, rng, max_iter)
+        cand = _lloyd(X, xx, k, rng, max_iter)
         if best is None or cand.inertia < best.inertia:
             best = cand
     return best

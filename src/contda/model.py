@@ -5,9 +5,10 @@ linear output that gets l2-normalized, and the classifier a linear head on the
 encoder features (it bypasses the projector).  All parameters live in a single
 flat float64 vector of length P, and every weight block is a view of it;
 gradients and update directions are expressed in that same space.  One
-forward pass keeps a batch's activations, and one backward pass from them
-stacks every gradient of that batch (the embedding gradient, and the
-cross-entropy of each group of its rows) as the rows of one (r, P) matrix.
+forward pass keeps a batch's activations and their norms, and one backward
+pass from them stacks every gradient of that batch (the embedding gradient,
+and the cross-entropy of each group of its rows) as the rows of one (r, P)
+matrix, with index arrays built once per tuple of group sizes.
 A batch is its inputs and one integer label per row; every row that a
 cross-entropy group reads must carry a label in the class range.
 """
@@ -118,29 +119,37 @@ class Forward:
     P1: np.ndarray = None
     Z: np.ndarray = None
 
+    @cached_property
+    def normalized(self):
+        """Read-only row norms of Z, shape (n, 1), and unit embeddings: the
+        norms as np.linalg.norm forms them, without its Python wrappers."""
+        norms = np.sqrt(np.add.reduce(self.Z * self.Z, axis=1, keepdims=True))
+        if (norms == 0.0).any():
+            raise DegenerateInputError("zero pre-normalization embedding in batch")
+        unit = self.Z / norms
+        norms.flags.writeable = unit.flags.writeable = False
+        return norms, unit
+
     def embeddings(self) -> np.ndarray:
         """Unit-norm embeddings, one row per sample."""
-        norms = np.linalg.norm(self.Z, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise DegenerateInputError("zero pre-normalization embedding in batch")
-        return self.Z / norms
+        return self.normalized[1]
 
 
 def forward(params: ModelParams, X, project: bool = True) -> Forward:
     """One forward pass over a batch of inputs; project=False stops at the
-    encoder."""
+    encoder.  Biases and tanh apply in place, leaving X untouched."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != params.config.input_dim:
         raise DimensionError(f"inputs have shape {X.shape}, model expects "
                              f"dimension {params.config.input_dim}")
-    H1 = np.tanh(X @ params.enc1_w.T + params.enc1_b)
-    H2 = np.tanh(H1 @ params.enc2_w.T + params.enc2_b)
-    if not project:
-        return Forward(X, H1, H2)
-    P1 = np.tanh(H2 @ params.proj1_w.T + params.proj1_b)
-    return Forward(X, H1, H2, P1, P1 @ params.proj2_w.T + params.proj2_b)
+    B, layers = params.blocks, [X]
+    for name in ("enc1", "enc2", "proj1", "proj2")[:4 if project else 2]:
+        H = layers[-1] @ B[name + "_w"].T
+        H += B[name + "_b"]
+        layers.append(H if name == "proj2" else np.tanh(H, out=H))
+    return Forward(*layers)
 
 
 def encode_batch(params: ModelParams, X) -> np.ndarray:
@@ -157,6 +166,17 @@ def classify_batch(params: ModelParams, X) -> np.ndarray:
     return forward(params, X, project=False).H2 @ params.cls_w.T + params.cls_b
 
 
+@lru_cache(maxsize=128)
+def _group_layout(counts: tuple, lead: int):
+    """backward's read-only segment sums, CE pair positions and group sizes."""
+    seg = np.repeat(np.eye(len(counts)), counts, axis=1)
+    sizes = np.array(counts[lead:], dtype=np.int64)
+    layout = seg, np.arange(sizes.sum()), sizes.repeat(sizes)[:, None]
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
              groups=()):
     """Flat gradients of several losses on one forward pass, stacked as the
@@ -165,30 +185,33 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
     Row 0 is the loss whose gradient w.r.t. fw's unit embeddings is dQ,
     when dQ is given; then one row per entry of groups (an index array or
     a slice of fw's rows), the mean softmax cross-entropy of labels over
-    those rows (NaN loss and a zero row for an empty group).  The chain through the encoder runs once over
-    every stacked (row, sample) pair, and only the weight reductions are
-    taken per row.  Projector blocks of the cross-entropy rows and
-    classifier blocks of the embedding row are exactly zero.
+    those rows (NaN loss and a zero row for an empty group).  The chain
+    through the encoder runs once over every stacked (row, sample) pair,
+    and only the weight reductions are taken per row, each into its block
+    of J.  Projector blocks of the cross-entropy rows and classifier blocks
+    of the embedding row are exactly zero.
     """
     n = fw.X.shape[0]
     lead = 0 if dQ is None else 1
     rows = [np.arange(n)[g] for g in groups]
-    counts = [n] * lead + [r.size for r in rows]
-    S = params.block_slices()
+    counts = (n,) * lead + tuple(r.size for r in rows)
+    seg, at, sizes = _group_layout(counts, lead)
+    B, L = params.blocks, _layout(params.config)
     J = np.zeros((len(counts), params.num_params))
+    def block(r, name):  # row r of J as one parameter block
+        return J[r, L[name][0]].reshape(L[name][1])
     pairs, dH2, losses = [slice(None)] * lead, [], []
     if lead:
-        norms = np.linalg.norm(fw.Z, axis=1, keepdims=True)
-        Q = fw.Z / norms
         # through q = z/||z||:  dz = (dq - (dq.q) q) / ||z||
+        norms, Q = fw.normalized
         dZ = (dQ - (dQ * Q).sum(axis=1, keepdims=True) * Q) / norms
-        J[0, S["proj2_w"]] = (dZ.T @ fw.P1).ravel()
-        J[0, S["proj2_b"]] = dZ.sum(axis=0)
-        dZ3 = dZ @ params.proj2_w
+        np.matmul(dZ.T, fw.P1, out=block(0, "proj2_w"))
+        J[0, L["proj2_b"][0]] = dZ.sum(axis=0)
+        dZ3 = dZ @ B["proj2_w"]
         dZ3 *= 1.0 - fw.P1 * fw.P1
-        J[0, S["proj1_w"]] = (dZ3.T @ fw.H2).ravel()
-        J[0, S["proj1_b"]] = dZ3.sum(axis=0)
-        dH2.append(dZ3 @ params.proj1_w)
+        np.matmul(dZ3.T, fw.H2, out=block(0, "proj1_w"))
+        J[0, L["proj1_b"][0]] = dZ3.sum(axis=0)
+        dH2.append(dZ3 @ B["proj1_w"])
     if groups:
         y = np.asarray(labels, dtype=np.int64)
         if y.shape != (n,):
@@ -196,38 +219,35 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
         # a single group indexes fw as given, so a slice copies nothing
         pairs.append(groups[0] if len(groups) == 1 else np.concatenate(rows))
         y, Hc = y[pairs[-1]], fw.H2[pairs[-1]]
-        if np.any((y < 0) | (y >= params.config.n_classes)):
+        if y.size and (y.min() < 0 or y.max() >= params.config.n_classes):
             raise ContractViolationError("cross-entropy needs a label in the "
                                          "model's class range on every sample")
-        logp = log_softmax_rows(Hc @ params.cls_w.T + params.cls_b)
-        at = np.arange(y.size)
+        logp = log_softmax_rows(Hc @ B["cls_w"].T + B["cls_b"])
         nll = -logp[at, y]
         dlogits = np.exp(logp)
         dlogits[at, y] -= 1.0
-        sizes = np.array(counts[lead:])
-        dlogits /= sizes.repeat(sizes)[:, None]
-        dH2.append(dlogits @ params.cls_w)
+        dlogits /= sizes
+        dH2.append(dlogits @ B["cls_w"])
 
     idx = pairs[0] if len(pairs) == 1 else np.concatenate([np.arange(n)] + rows)
     X, H1, H2 = fw.X[idx], fw.H1[idx], fw.H2[idx]
     dZ2 = np.concatenate(dH2) if len(dH2) > 1 else dH2[0]
     dZ2 *= 1.0 - H2 * H2
-    dZ1 = dZ2 @ params.enc2_w
+    dZ1 = dZ2 @ B["enc2_w"]
     dZ1 *= 1.0 - H1 * H1
     # bias gradients sum each row's segment of pairs: one product for all rows
-    seg = np.repeat(np.eye(len(counts)), counts, axis=1)
-    J[:, S["enc2_b"]] = seg @ dZ2
-    J[:, S["enc1_b"]] = seg @ dZ1
+    J[:, L["enc2_b"][0]] = seg @ dZ2
+    J[:, L["enc1_b"][0]] = seg @ dZ1
     if groups:
-        J[lead:, S["cls_b"]] = seg[lead:, lead * n:] @ dlogits
+        J[lead:, L["cls_b"][0]] = seg[lead:, lead * n:] @ dlogits
     a = 0
     for r, count in enumerate(counts):
         b = a + count
-        J[r, S["enc2_w"]] = (dZ2[a:b].T @ H1[a:b]).ravel()
-        J[r, S["enc1_w"]] = (dZ1[a:b].T @ X[a:b]).ravel()
+        np.matmul(dZ2[a:b].T, H1[a:b], out=block(r, "enc2_w"))
+        np.matmul(dZ1[a:b].T, X[a:b], out=block(r, "enc1_w"))
         if r >= lead:
             c = slice(a - lead * n, b - lead * n)
-            J[r, S["cls_w"]] = (dlogits[c].T @ Hc[c]).ravel()
+            np.matmul(dlogits[c].T, Hc[c], out=block(r, "cls_w"))
             losses.append(nll[c].sum() / count if count else np.nan)
         a = b
     return np.array(losses), J

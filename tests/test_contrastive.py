@@ -374,3 +374,53 @@ def test_rows_must_match_forward_rows():
     (neg,) = bank.negative_rows(fbank, [rows], 5, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         contrastive.contrastive_grad(fw(params, batch), rows, neg, fbank, 0.2)
+
+
+def drawn_epoch(seed, steps=5, b=6, count=10, n=60):
+    """Params, inputs and a bank holding them row for row, and one drawn
+    epoch: each step's b rows and its `count` shared negatives."""
+    params, X, fbank = make_setup(seed, n=n, extra=0)
+    rng = np.random.default_rng(seed)
+    rows = bank.distinct_rows(rng, n, b, steps).astype(np.int64)
+    return params, X, fbank, rows, bank.negative_rows(fbank, rows, count, rng)
+
+
+def test_epoch_plans_reject_one_bad_step():
+    # a fault in one step of the epoch raises before any step runs, while
+    # a negative that is a row of another step's batch is allowed
+    params, X, fbank, rows, negs = drawn_epoch(10)
+    labels = np.random.default_rng(0).integers(-1, 3, size=len(fbank))
+    other = [x.copy() for x in negs]
+    other[1][0] = rows[2][0]
+    assert rows[2][0] not in rows[1]
+    assert len(contrastive.epoch_plans(fbank, rows, other, labels)) == 5
+    own = [x.copy() for x in negs]
+    own[3][-1] = rows[3][2]
+    with pytest.raises(ContractViolationError):
+        contrastive.epoch_plans(fbank, rows, own, labels)
+    beyond = rows.copy()
+    beyond[4, -1] = len(fbank)
+    with pytest.raises(DimensionError):
+        contrastive.epoch_plans(fbank, beyond, negs, labels)
+    below = labels.copy()
+    below[negs[2][0]] = -2
+    for bad in (labels.astype(float), below):
+        with pytest.raises(ContractViolationError):
+            contrastive.epoch_plans(fbank, rows, negs, bad)
+
+
+def test_planned_steps_equal_plan_free_calls():
+    params, X, fbank, rows, negs = drawn_epoch(11)
+    labels = np.random.default_rng(1).integers(-1, 3, size=len(fbank))
+    # rows 0..9 unlabeled, so unlabeled queries occur too
+    labels[:10] = -1
+    for lab in (labels, None):
+        plans = contrastive.epoch_plans(fbank, rows, negs, lab)
+        for r, neg, plan in zip(rows, negs, plans):
+            forward = fw(params, X[r])
+            loss, dQ = contrastive.contrastive_grad(forward, r, neg, fbank,
+                                                    0.2, plan=plan)
+            want_loss, want = contrastive.contrastive_grad(
+                forward, r, neg, fbank, 0.2, lab)
+            assert loss == want_loss
+            np.testing.assert_array_equal(dQ, want)

@@ -5,7 +5,8 @@ import pytest
 
 from backward_oracle import ce_oracle, embedding_oracle
 from contda import model
-from contda.errors import ContractViolationError, DimensionError
+from contda.errors import (ContractViolationError, DegenerateInputError,
+                           DimensionError)
 
 
 def small_config():
@@ -308,3 +309,57 @@ def test_ce_grad_on_row_subset_matches_sub_batch():
         assert abs(by_slice[0][0] - by_rows[0][0]) <= 1e-15
     with pytest.raises(DimensionError):
         model.backward(p, fw, labels=labels[:3], groups=[sel])
+
+
+def test_repeated_group_shapes_match_oracle_and_layouts_are_read_only():
+    # steps of one shape share a cached layout; each still matches the
+    # per-loss oracle, and the shared arrays cannot be written
+    rng = np.random.default_rng(79)
+    cfg = model.ModelConfig(input_dim=3, n_classes=4, hidden_dim=7,
+                            proj_hidden_dim=6, embed_dim=5)
+    shapes = [(slice(0, 4), slice(4, 7), slice(7, 11)), (slice(0, 5),)]
+    hits = model._group_layout.cache_info().hits
+    for trial in range(6):
+        p = make_params(500 + trial, cfg)
+        groups = shapes[trial % 2]
+        X = rng.standard_normal((12, 3))
+        labels = np.where(np.arange(12) < 11, rng.integers(0, 4, size=12), -1)
+        fw = model.forward(p, X)
+        dQ = rng.standard_normal((12, 5))
+        losses, J = model.backward(p, fw, dQ, labels, groups)
+        np.testing.assert_allclose(J[0], embedding_oracle(p, fw, dQ),
+                                   rtol=0, atol=1e-12)
+        for g, rows in enumerate(groups):
+            want_loss, want = ce_oracle(p, fw, np.arange(12)[rows], labels)
+            assert abs(losses[g] - want_loss) <= 1e-12
+            np.testing.assert_allclose(J[1 + g], want, rtol=0, atol=1e-12)
+    assert model._group_layout.cache_info().hits >= hits + 4
+    for a in model._group_layout((12, 4, 3, 4), 1):
+        with pytest.raises(ValueError):
+            a.flat[0] = 1
+    assert model._group_layout((12, 4, 3, 4), 1) \
+        is model._group_layout((12, 4, 3, 4), 1)
+
+
+def test_zero_embedding_raises_and_forward_leaves_input():
+    p = make_params(80)
+    flat = p.flat.copy()
+    for name in ("proj2_w", "proj2_b"):
+        flat[p.block_slices()[name]] = 0.0
+    p = model.ModelParams(p.config, flat)
+    X = np.random.default_rng(81).standard_normal((4, 2))
+    before = X.copy()
+    fw = model.forward(p, X)
+    np.testing.assert_array_equal(X, before)
+    assert not any(np.shares_memory(X, a) for a in (fw.H1, fw.H2, fw.P1, fw.Z))
+    with pytest.raises(DegenerateInputError):
+        fw.embeddings()
+    with pytest.raises(DegenerateInputError):
+        model.backward(p, model.forward(p, X), np.ones((4, 3)))
+    # the cached unit embeddings and norms are shared and read-only
+    fw = model.forward(make_params(82), X)
+    assert fw.embeddings() is fw.embeddings()
+    for a in fw.normalized:
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    np.testing.assert_array_equal(X, before)

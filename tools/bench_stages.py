@@ -18,7 +18,10 @@ spans inside `harness.adapt_domain`, divided by the number of adaptation
 iterations, or, for the memory stages, inside `harness.pseudo_label_memory`,
 divided by the number of memories built.  A wrapped function that no longer
 exists stops the script, so a stage never reads zero because its code was
-renamed.
+renamed.  The stage figures are given raw and, under the keys ending in
+`_ref_per_`, in units of the reference kernel timed just before and just
+after the traced run (with no ticks inside it, so no span absorbs one): a
+stage's raw time drifts with the host as a run's does.
 """
 
 import os
@@ -50,6 +53,7 @@ REFERENCE = {"preset": "rot-blobs-5", "strategy": "grcl", "seed": 11}
 DENSE = {"preset": "moons-4", "strategy": "multitask", "negatives": 512,
          "seed": 11}
 RUNS = 3  # untraced reference runs behind the median wall time
+KERNELS = 3  # reference-kernel samples just before and just after the trace
 ADAPT = "harness.adapt_domain"
 MEMORY = "harness.pseudo_label_memory"
 # stage -> the functions (module, attribute) whose self time it sums
@@ -61,8 +65,10 @@ STAGES = {
     "forward": (("contda.model", "forward"),),
     "projection": (("contda.gradproject", "gram"),
                    ("contda.harness", "project_step")),
-    # drawn once per epoch, charged per iteration like every stage
-    "batch_composition": (("contda.harness", "_draw_epoch"),),
+    # drawn and checked once per epoch, charged per iteration like every
+    # stage
+    "batch_composition": (("contda.harness", "_draw_epoch"),
+                          ("contda.contrastive", "epoch_plans")),
     "bank_update": (("contda.bank", "momentum_update"),),
 }
 PER_MEMORY = {
@@ -136,18 +142,29 @@ def stage_costs(spans):
     return iters, per_iter, per_memory
 
 
+def in_kernels(costs, scale, ref_s):
+    """Stage costs in units of `scale` seconds as reference-kernel units,
+    to four significant digits."""
+    return {stage: float(f"{cost * scale / ref_s:.4g}")
+            for stage, cost in costs.items()}
+
+
 def measure(reference, tmp):
     """The wall-time and stage figures of one run config: RUNS untraced
     runs, in reference-kernel units too, then one traced run."""
-    sampler = Sampler(ReferenceKernel())
+    kernel = ReferenceKernel()
+    sampler = Sampler(kernel)
     runs = [run_reference(reference, os.path.join(tmp, f"run{i}"), sampler)
             for i in range(RUNS)]
     tracer = tracer_mod.Tracer(points=wrap_points())
+    kernels = [kernel() for _ in range(KERNELS)]
     with tracer.installed():
         traced, _ = run_reference(reference, os.path.join(tmp, "traced"))
+    kernels += [kernel() for _ in range(KERNELS)]
     if tracer.absent:
         sys.exit(f"error: wrap points name missing code: {tracer.absent}")
     iters, per_iter, per_memory = stage_costs(tracer.spans)
+    ref_s = statistics.median(kernels)
     return {
         "reference_run": reference,
         "reference_run_s": round(statistics.median(w for w, _ in runs), 3),
@@ -159,6 +176,9 @@ def measure(reference, tmp):
         "adapt_iters": iters,
         "stage_us_per_iter": per_iter,
         "stage_ms_per_memory": per_memory,
+        "traced_kernel_s_each": [round(k, 5) for k in kernels],
+        "stage_ref_per_iter": in_kernels(per_iter, 1e-6, ref_s),
+        "stage_ref_per_memory": in_kernels(per_memory, 1e-3, ref_s),
     }
 
 
