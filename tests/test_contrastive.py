@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -414,9 +415,14 @@ def test_planned_steps_equal_plan_free_calls():
     labels = np.random.default_rng(1).integers(-1, 3, size=len(fbank))
     # rows 0..9 unlabeled, so unlabeled queries occur too
     labels[:10] = -1
-    for lab in (labels, None):
-        plans = contrastive.epoch_plans(fbank, rows, negs, lab)
-        for r, neg, plan in zip(rows, negs, plans):
+    # and an epoch whose last step is shorter, as the warm-up's can be
+    short = list(rows[:-1]) + [rows[-1][:3]]
+    epochs = [(rows, negs), (short, bank.negative_rows(
+        fbank, short, 10, np.random.default_rng(2)))]
+    for (steps, drawn), lab in itertools.product(epochs, (labels, None)):
+        plans = contrastive.epoch_plans(fbank, steps, drawn, lab)
+        assert len(plans) == len(steps)
+        for r, neg, plan in zip(steps, drawn, plans):
             forward = fw(params, X[r])
             loss, dQ = contrastive.contrastive_grad(forward, r, neg, fbank,
                                                     0.2, plan=plan)
