@@ -7,27 +7,29 @@ of each target domain but the last, whose memory no later domain would read.
 Strategies mirror the ablation family: a frozen source model, fixed-weight
 multitask combinations, a source-constrained projection, and GRCL, which
 projects onto the source constraint plus one memory constraint per earlier
-target domain.  Every iteration runs two forward passes: one before the
-step, whose activations feed one model.backward call that stacks the
-contrastive, source and memory gradients as the rows of one matrix J, and
-one after it, whose embeddings refresh the bank.  gradproject.gram forms
-J J^T once per step; the fixed-weight strategies step along a weighted sum
-of J's rows, and the warm-up, crt_sdc and GRCL take project_step, one
-KKT-guarded projection on that Gram matrix.  A domain's bank and batch pool
-are built from the same parts in the same order, so a batch's pool rows are
-its bank rows.  The pool is inputs and one label per row, -1 meaning
-unlabeled: every target row and no other, checked once when it is built.
-They are the bank rows' classes for the contrastive loss's positives; the
-warm-up passes none.
+target domain.  One step loop, _train_epoch, serves the warm-up and every
+adaptive strategy.  Each step runs two forward passes: one before it, whose
+activations feed one model.backward call that stacks the contrastive,
+source and memory gradients as the rows of one matrix J, and one after it,
+whose embeddings refresh the bank.  gradproject.gram forms J J^T once per
+step; the fixed-weight strategies step along a weighted sum of J's rows,
+and crt_sdc and GRCL take project_step, one KKT-guarded projection on that
+Gram matrix.  The warm-up steps as crt_sdc on whole source batches and
+passes no labels, so it projects onto the source row and a query's only
+positive is its own key.  A domain's bank and batch pool are built from the
+same parts in the same order, so a batch's pool rows are its bank rows.
+The pool is inputs and one label per row, -1 meaning unlabeled: every
+target row and no other, checked once when it is built.  They are the bank
+rows' classes for the contrastive loss's positives.
 
 Each epoch draws and checks before its step loop: every step's batch rows,
-laid out as [source | memory d1 | ... | target] so GRCL's memory groups are
-slices, one gather of their inputs and labels, every step's shared negatives
+laid out as [source | memory d1 | ... | target] so its cross-entropy groups
+are slices, one gather of their inputs and labels, every step's negatives
 (bank.negative_rows), and their checks and label plans (epoch_plans).
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -240,25 +242,15 @@ def warm_projector(params, source_train, plan, rng):
     # bank row i holds source sample i, so a batch's indices are its rows
     fbank = bank_mod.init_bank(params, [source_train.X])
     iters = math.ceil(n / plan.batch_size)
-    total = plan.warm_epochs * iters
-    step = 0
-    for _ in range(plan.warm_epochs):
+    cut = range(plan.batch_size, n, plan.batch_size)
+    warm = replace(plan, strategy=CRT_SDC)
+    for epoch in range(plan.warm_epochs):
         order = rng.permutation(n)
-        steps = np.split(order, range(plan.batch_size, n, plan.batch_size))
-        negs = bank_mod.negative_rows(fbank, steps, plan.negatives, rng)
-        nces = contrastive_mod.epoch_plans(fbank, steps, negs)
-        for idx, neg, nce in zip(steps, negs, nces):
-            fw = model_mod.forward(params, source_train.X[idx])
-            _, dQ = contrastive_mod.contrastive_grad(
-                fw, idx, neg, fbank, plan.temperature, plan=nce)
-            _, J = model_mod.backward(params, fw, dQ, source_train.y[idx],
-                                      [slice(None)])
-            w, _, _ = project_step(J, *gradproject.gram(J))
-            params = model_mod.sgd_step(params, w,
-                                        _cosine_lr(plan.lr, step, total))
-            fresh = model_mod.encode_project_batch(params, fw.X)
-            bank_mod.momentum_update(fbank, idx, fresh, plan.bank_momentum)
-            step += 1
+        params = _train_epoch(
+            params, fbank, np.split(order, cut),
+            np.split(source_train.X[order], cut),
+            np.split(source_train.y[order], cut), [[slice(None)]] * iters,
+            None, warm, rng, epoch * iters, plan.warm_epochs * iters, [])
     return params
 
 
@@ -284,14 +276,15 @@ def _batch_pool(parts):
 
 def _draw_epoch(pool, offsets, counts, iters, by_domain, rng):
     """One epoch's batches: every step's pool rows (iters, batch), their
-    inputs and labels with one leading row per step, and each step's memory
-    cut points.
+    inputs and labels with one leading row per step, and each step's
+    cross-entropy groups.
 
     A step draws counts[i] rows of part i (source, memories, target),
     distinct when the part holds that many, in sorted order.  Parts occupy
     increasing pool ranges, so each batch reads [source | memory d1 | d2 |
-    ... | target].  Memory groups run between consecutive cut points: one
-    per memory domain under by_domain, else one over all memory rows.
+    ... | target], and its groups are slices: the source rows, then the
+    non-empty memory groups, one per memory domain under by_domain, else
+    one over all memory rows.
     """
     edges = offsets[[0, 1, -2, -1]]
     rows = np.concatenate(
@@ -300,7 +293,9 @@ def _draw_epoch(pool, offsets, counts, iters, by_domain, rng):
     n_s, n_m, _ = counts
     bounds = offsets[1:-1] if by_domain else offsets[[1, -2]]
     cuts = n_s + (rows[:, n_s:n_s + n_m, None] < bounds).sum(axis=1)
-    return rows, pool[0][rows], pool[1][rows], cuts.tolist()
+    groups = [[slice(0, n_s)] + [slice(a, b) for a, b in zip(cut, cut[1:])
+                                 if b > a] for cut in cuts.tolist()]
+    return rows, pool[0][rows], pool[1][rows], groups
 
 
 CASE_NAMES = {(): "interior", (0,): "source-active",
@@ -341,6 +336,41 @@ def _step_direction(plan, J, K, eps):
     return project_step(J[:m], K[:m, :m], eps)
 
 
+def _train_epoch(params, fbank, rows, X, y, groups, labels, plan, rng, step,
+                 total, log, **tag):
+    """Steps on bank rows rows[i], inputs X[i], labels y[i] and groups[i]
+    (source group first), with negatives drawn from rng and labels (one per
+    bank row, or None) for positives; appends one diagnostics row per step,
+    tagged with tag, to log and returns the new params."""
+    negs = bank_mod.negative_rows(fbank, rows, plan.negatives, rng)
+    nces = contrastive_mod.epoch_plans(fbank, rows, negs, labels)
+    for r, neg, inputs, yb, group, nce in zip(rows, negs, X, y, groups, nces):
+        fw = model_mod.forward(params, inputs)
+        loss_con, dQ = contrastive_mod.contrastive_grad(
+            fw, r, neg, fbank, plan.temperature, plan=nce)
+        losses, J = model_mod.backward(params, fw, dQ, yb, group)
+        K, eps = gradproject.gram(J)
+        w, u_star, case = _step_direction(plan, J, K, eps)
+        # the pooled memory loss and slack mix the groups' by their shares
+        sizes = [g.stop - g.start for g in group[1:]]
+        shares = np.array(sizes) / sum(sizes)
+        slacks = J[1:] @ w
+        lr = _cosine_lr(plan.lr, step, total)
+        params = model_mod.sgd_step(params, w, lr)
+        fresh = model_mod.encode_project_batch(params, inputs)
+        bank_mod.momentum_update(fbank, r, fresh, plan.bank_momentum)
+        log.append({
+            **tag, "iteration": step, "lr": lr,
+            "loss_con": loss_con, "loss_src": float(losses[0]),
+            "loss_mem": float(shares @ losses[1:]) if sizes else np.nan,
+            "slack_src": float(slacks[0]),
+            "slack_mem": float(shares @ slacks[1:]) if sizes else np.nan,
+            "u_src": float(u_star[0]), "u_mem": float(u_star[1]),
+            "case": case, "eps": eps})
+        step += 1
+    return params
+
+
 def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
                  diagnostics):
     """Train on target domain t from the previous parameters, replaying the
@@ -354,44 +384,14 @@ def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
     fbank = bank_mod.init_bank(params, [X for X, _ in parts])
     pool, offsets = _batch_pool(parts)
     counts = plan.batch_counts(len(memories) > 0)
-    n_s, n_m, n_t = counts
-    iters = math.ceil(len(target_train) / n_t)
+    iters = math.ceil(len(target_train) / counts[2])
     total = plan.epochs_per_domain * iters
-
-    step = 0
     for epoch in range(plan.epochs_per_domain):
-        rows, X, y, cuts = _draw_epoch(pool, offsets, counts, iters,
-                                       plan.strategy == GRCL, batch_rng)
-        negs = bank_mod.negative_rows(fbank, rows, plan.negatives, neg_rng)
-        nces = contrastive_mod.epoch_plans(fbank, rows, negs, pool[1])
-        for r, neg, inputs, labels, cut, nce in zip(rows, negs, X, y, cuts, nces):
-            fw = model_mod.forward(params, inputs)
-            loss_con, dQ = contrastive_mod.contrastive_grad(
-                fw, r, neg, fbank, plan.temperature, plan=nce)
-            groups = [slice(0, n_s)] + [slice(a, b) for a, b
-                                        in zip(cut, cut[1:]) if b > a]
-            losses, J = model_mod.backward(params, fw, dQ, labels, groups)
-            K, eps = gradproject.gram(J)
-            w, u_star, case = _step_direction(plan, J, K, eps)
-            # the pooled memory loss and slack are the share-weighted mix
-            # of the per-group ones
-            shares = np.array([g.stop - g.start for g in groups[1:]]) / n_m
-            slacks = J[1:] @ w
-            lr = _cosine_lr(plan.lr, step, total)
-            params = model_mod.sgd_step(params, w, lr)
-            fresh = model_mod.encode_project_batch(params, inputs)
-            bank_mod.momentum_update(fbank, r, fresh, plan.bank_momentum)
-
-            diagnostics.append({
-                "domain": t, "epoch": epoch, "iteration": step, "lr": lr,
-                "loss_con": loss_con, "loss_src": float(losses[0]),
-                "loss_mem": float(shares @ losses[1:]) if n_m else np.nan,
-                "slack_src": float(slacks[0]),
-                "slack_mem": float(shares @ slacks[1:]) if n_m else np.nan,
-                "u_src": float(u_star[0]), "u_mem": float(u_star[1]),
-                "case": case, "eps": eps,
-            })
-            step += 1
+        rows, X, y, groups = _draw_epoch(pool, offsets, counts, iters,
+                                         plan.strategy == GRCL, batch_rng)
+        params = _train_epoch(params, fbank, rows, X, y, groups, pool[1],
+                              plan, neg_rng, epoch * iters, total,
+                              diagnostics, domain=t, epoch=epoch)
     return params
 
 

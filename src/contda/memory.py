@@ -154,7 +154,9 @@ def build_memory(domain_index, ids, inputs, pseudo_labels, confidences,
 
     Each class's candidates are ranked by confidence (original order breaks
     ties) and one sample per still-nonempty class is taken per sweep until
-    capacity is reached or every candidate is used.
+    capacity is reached or every candidate is used.  One stable sort by
+    class and confidence gives each candidate its rank in its class, and
+    ordering by rank, then class, is the sweep order.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     pseudo_labels = np.asarray(pseudo_labels, dtype=np.int64)
@@ -163,17 +165,11 @@ def build_memory(domain_index, ids, inputs, pseudo_labels, confidences,
     if not (inputs.shape[0] == n == pseudo_labels.shape[0] == confidences.shape[0]):
         raise DimensionError("memory candidate fields disagree on sample count")
 
-    queues = []
-    for c in range(n_classes):
-        idx = np.flatnonzero(pseudo_labels == c)
-        ranked = idx[np.argsort(-confidences[idx], kind="stable")]
-        queues.append(list(ranked))
-    chosen = []
-    while len(chosen) < capacity and any(queues):
-        for c in range(n_classes):
-            if queues[c] and len(chosen) < capacity:
-                chosen.append(queues[c].pop(0))
-    chosen = np.array(chosen, dtype=np.int64)
+    keep = np.flatnonzero((pseudo_labels >= 0) & (pseudo_labels < n_classes))
+    keep = keep[np.lexsort((-confidences[keep], pseudo_labels[keep]))]
+    labels = pseudo_labels[keep]
+    rank = np.arange(keep.size) - np.searchsorted(labels, labels)
+    chosen = keep[np.lexsort((labels, rank))][:max(capacity, 0)]
     return EpisodicMemory(
         domain_index=domain_index,
         ids=[ids[i] for i in chosen],

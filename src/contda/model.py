@@ -61,7 +61,7 @@ def _blocks(config: ModelConfig, vec: np.ndarray) -> dict:
 class ModelParams:
     """Immutable parameters: a config and a read-only copy of one flat vector.
 
-    The blocks enc1_w ... cls_b are views of flat; sgd_step derives new
+    blocks maps enc1_w ... cls_b to views of flat; sgd_step derives new
     parameters.
     """
 
@@ -84,15 +84,6 @@ class ModelParams:
     @cached_property
     def blocks(self) -> dict:
         return _blocks(self.config, self.flat)
-
-    def block_slices(self) -> dict:
-        """Map field name -> slice of the flat vector it occupies."""
-        return {name: s for name, (s, _) in _layout(self.config).items()}
-
-
-for _name in _PARAM_FIELDS:
-    setattr(ModelParams, _name,
-            property(lambda self, name=_name: self.blocks[name]))
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -163,7 +154,8 @@ def encode_project_batch(params: ModelParams, X) -> np.ndarray:
 
 
 def classify_batch(params: ModelParams, X) -> np.ndarray:
-    return forward(params, X, project=False).H2 @ params.cls_w.T + params.cls_b
+    B = params.blocks
+    return forward(params, X, project=False).H2 @ B["cls_w"].T + B["cls_b"]
 
 
 @lru_cache(maxsize=128)

@@ -14,7 +14,7 @@ def _encoder_backward(params, X, H1, H2, dH2, G):
     dZ2 = dH2 * (1.0 - H2 * H2)
     G["enc2_w"] += dZ2.T @ H1
     G["enc2_b"] += dZ2.sum(axis=0)
-    dZ1 = (dZ2 @ params.enc2_w) * (1.0 - H1 * H1)
+    dZ1 = (dZ2 @ params.blocks["enc2_w"]) * (1.0 - H1 * H1)
     G["enc1_w"] += dZ1.T @ X
     G["enc1_b"] += dZ1.sum(axis=0)
 
@@ -26,7 +26,7 @@ def ce_oracle(params, fw, rows, y):
     X, H1, H2 = fw.X[rows], fw.H1[rows], fw.H2[rows]
     y = np.asarray(y)[rows]
     n = rows.size
-    logits = H2 @ params.cls_w.T + params.cls_b
+    logits = H2 @ params.blocks["cls_w"].T + params.blocks["cls_b"]
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = float(-logp[np.arange(n), y].mean())
@@ -37,7 +37,7 @@ def ce_oracle(params, fw, rows, y):
     G = model._blocks(params.config, grad)
     G["cls_w"][...] = dlogits.T @ H2
     G["cls_b"][...] = dlogits.sum(axis=0)
-    _encoder_backward(params, X, H1, H2, dlogits @ params.cls_w, G)
+    _encoder_backward(params, X, H1, H2, dlogits @ params.blocks["cls_w"], G)
     return loss, grad
 
 
@@ -51,8 +51,9 @@ def embedding_oracle(params, fw, dQ):
     G = model._blocks(params.config, grad)
     G["proj2_w"][...] = dZ.T @ fw.P1
     G["proj2_b"][...] = dZ.sum(axis=0)
-    dZ3 = (dZ @ params.proj2_w) * (1.0 - fw.P1 * fw.P1)
+    dZ3 = (dZ @ params.blocks["proj2_w"]) * (1.0 - fw.P1 * fw.P1)
     G["proj1_w"][...] = dZ3.T @ fw.H2
     G["proj1_b"][...] = dZ3.sum(axis=0)
-    _encoder_backward(params, fw.X, fw.H1, fw.H2, dZ3 @ params.proj1_w, G)
+    _encoder_backward(params, fw.X, fw.H1, fw.H2,
+                      dZ3 @ params.blocks["proj1_w"], G)
     return grad

@@ -427,6 +427,37 @@ def test_warm_projector_improves_objective_without_losing_source():
     assert source_nce(warmed) < source_nce(params)
 
 
+def test_warm_up_projects_onto_the_source_row_without_labels(monkeypatch):
+    # the warm-up shares adaptation's step loop but not its plan: under a
+    # fixed-weight strategy it still projects every step's two rows (the
+    # contrastive and source gradients), and its positives read no labels
+    from contda import contrastive
+
+    plan = tiny_plan(harness.MULTITASK, warm_epochs=2)
+    src = tiny_domains()[0].train
+    cfg = model.ModelConfig(input_dim=2, n_classes=3, hidden_dim=plan.hidden_dim,
+                            proj_hidden_dim=plan.proj_hidden_dim,
+                            embed_dim=plan.embed_dim)
+    params = model.init_params(cfg, np.random.default_rng(0))
+    projected, planned = [], []
+    real_project, real_plans = harness.project_step, contrastive.epoch_plans
+
+    def project(J, K, eps):
+        projected.append(J.shape[0])
+        return real_project(J, K, eps)
+
+    def plans(fbank, steps, negatives, labels=None):
+        planned.append(labels)
+        return real_plans(fbank, steps, negatives, labels)
+
+    monkeypatch.setattr(harness, "project_step", project)
+    monkeypatch.setattr(contrastive, "epoch_plans", plans)
+    harness.warm_projector(params, src, plan, np.random.default_rng(1))
+    iters = math.ceil(len(src) / plan.batch_size)
+    assert projected == [2] * (plan.warm_epochs * iters)
+    assert planned == [None] * plan.warm_epochs
+
+
 def test_run_plan_rejects_trivial_sequences():
     domains = tiny_domains()
     with pytest.raises(ContractViolationError):
@@ -591,8 +622,9 @@ def test_epoch_batch_rows_are_uniform():
 
 def test_grcl_groups_are_slices_of_one_memory_domain_each():
     # sorting lays each batch out as [source | memory d1 | d2 | target], so
-    # each memory domain's rows sit between consecutive cut points, inside
-    # that memory's pool range [offsets[d], offsets[d + 1])
+    # a step's cross-entropy groups are slices: the source rows, then the
+    # non-empty memory groups, which tile the memory rows, each inside one
+    # memory's pool range [offsets[d], offsets[d + 1]) under GRCL
     pool, offsets = epoch_pool(memory_sizes=(10, 14, 6))
     counts = (16, 16, 32)
 
@@ -600,22 +632,31 @@ def test_grcl_groups_are_slices_of_one_memory_domain_each():
         return np.all((offsets[lo] <= rows) & (rows < offsets[hi]))
 
     for by_domain in (True, False):
-        rows, _, labels, cuts = harness._draw_epoch(
+        rows, _, labels, groups = harness._draw_epoch(
             pool, offsets, counts, 200, by_domain, np.random.default_rng(2))
         assert np.all(labels[:, :32] >= 0) and np.all(labels[:, 32:] == -1)
-        for step_rows, cut in zip(rows, cuts):
-            assert cut[0] == 16 and cut[-1] == 32
-            assert within(step_rows[:16], 0, 1)
+        assert len(groups) == 200
+        for step_rows, (source, *mem) in zip(rows, groups):
+            assert source == slice(0, 16)
+            assert within(step_rows[source], 0, 1)
             assert within(step_rows[32:], -2, -1)
-            groups = [step_rows[a:b] for a, b in zip(cut, cut[1:])]
+            assert [g.start for g in mem] == [16] + [g.stop for g in mem[:-1]]
+            assert mem[-1].stop == 32
+            assert all(g.stop > g.start for g in mem)
             if by_domain:
-                assert len(groups) == 3
-                for d, group in enumerate(groups, start=1):
-                    assert within(group, d, d + 1)
+                domain = [int(np.searchsorted(offsets, step_rows[g.start],
+                                              "right")) - 1 for g in mem]
+                assert np.all(np.diff(domain) > 0)
+                for d, g in zip(domain, mem):
+                    assert within(step_rows[g], d, d + 1)
             else:
-                assert len(groups) == 1
-                assert within(groups[0], 1, -2)
-                assert np.all(np.diff(groups[0]) >= 0)
+                assert len(mem) == 1
+                assert within(step_rows[mem[0]], 1, -2)
+                assert np.all(np.diff(step_rows[mem[0]]) >= 0)
+        if by_domain:
+            # a 6-row memory can miss a step's 16 memory draws: its empty
+            # group is dropped, and other steps hold all three domains
+            assert {len(g) for g in groups} == {3, 4}
 
 
 def test_epoch_negatives_exclude_every_batch_row():

@@ -188,6 +188,37 @@ def test_build_memory_validates_lengths():
                             np.array([0.1, 0.2]), 2)
 
 
+def round_robin_sweep(labels, conf, n_classes, capacity):
+    """Reference selection: each class's candidates ranked by confidence
+    (original order breaks ties), one per still-nonempty class per sweep."""
+    queues = [list(np.flatnonzero(labels == c)[
+        np.argsort(-conf[labels == c], kind="stable")])
+        for c in range(n_classes)]
+    chosen = []
+    while len(chosen) < capacity and any(queues):
+        for queue in queues:
+            if queue and len(chosen) < capacity:
+                chosen.append(queue.pop(0))
+    return chosen
+
+
+def test_build_memory_matches_the_round_robin_sweep():
+    # tied confidences, labels outside [0, n_classes), empty candidate sets
+    # and capacities above the pool
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        n, k = int(rng.integers(0, 40)), int(rng.integers(1, 5))
+        labels = rng.integers(-1, k + 2, n)
+        conf = rng.integers(0, 3, n) / 2 if case % 2 else rng.random(n)
+        capacity = int(rng.integers(1, 45))
+        ids = [f"t{i}" for i in range(n)]
+        mem = memory.build_memory(1, ids, np.zeros((n, 1)), labels, conf, k,
+                                  capacity)
+        want = round_robin_sweep(labels, conf, k, capacity)
+        assert mem.ids == [ids[i] for i in want], case
+        np.testing.assert_array_equal(mem.labels, labels[want])
+
+
 def test_memory_round_robin_interleaves_classes():
     # capacity 3 over two classes: sweep takes one of each, then the next
     ids = ["a", "b", "c", "d"]

@@ -14,6 +14,11 @@ def small_config():
                              proj_hidden_dim=4, embed_dim=3)
 
 
+def block_slices(p):
+    """Map block name -> the slice of p's flat vector it occupies."""
+    return {name: s for name, (s, _) in model._layout(p.config).items()}
+
+
 def make_params(seed=0, config=None):
     return model.init_params(config or small_config(), np.random.default_rng(seed))
 
@@ -27,9 +32,9 @@ def labeled_batch(rng, params, n=6):
 
 def test_param_shapes_and_count():
     p = make_params()
-    assert p.enc1_w.shape == (5, 2)
-    assert p.proj2_w.shape == (3, 4)
-    assert p.cls_w.shape == (3, 5)
+    assert p.blocks["enc1_w"].shape == (5, 2)
+    assert p.blocks["proj2_w"].shape == (3, 4)
+    assert p.blocks["cls_w"].shape == (3, 5)
     want = 5 * 2 + 5 + 5 * 5 + 5 + 4 * 5 + 4 + 3 * 4 + 3 + 3 * 5 + 3
     assert p.num_params == want
     assert p.flat.copy().shape == (want,)
@@ -40,10 +45,10 @@ def test_flatten_unflatten_roundtrip():
     flat = p.flat.copy()
     q = model.ModelParams(p.config, flat)
     for f in ("enc1_w", "enc2_b", "proj1_w", "proj2_w", "cls_w", "cls_b"):
-        np.testing.assert_array_equal(getattr(p, f), getattr(q, f))
+        np.testing.assert_array_equal(p.blocks[f], q.blocks[f])
         # every block is a read-only view of the one flat vector
-        assert np.shares_memory(getattr(q, f), q.flat)
-        assert not getattr(q, f).flags.writeable
+        assert np.shares_memory(q.blocks[f], q.flat)
+        assert not q.blocks[f].flags.writeable
     # the params own a copy: the caller's vector stays theirs
     flat[0] += 1.0
     assert q.flat[0] == p.flat[0]
@@ -53,15 +58,16 @@ def test_flatten_unflatten_roundtrip():
 
 def test_block_slices_partition_the_flat_vector():
     p = make_params(4)
-    slices = p.block_slices()
+    slices = block_slices(p)
     covered = np.zeros(p.num_params, dtype=int)
     for s in slices.values():
         covered[s] += 1
     assert np.all(covered == 1)
     # each slice reproduces its own block
     flat = p.flat.copy()
-    np.testing.assert_array_equal(flat[slices["cls_b"]], p.cls_b)
-    np.testing.assert_array_equal(flat[slices["enc1_w"]], p.enc1_w.ravel())
+    np.testing.assert_array_equal(flat[slices["cls_b"]], p.blocks["cls_b"])
+    np.testing.assert_array_equal(flat[slices["enc1_w"]],
+                                  p.blocks["enc1_w"].ravel())
 
 
 def test_init_bounds_and_zero_biases():
@@ -69,8 +75,8 @@ def test_init_bounds_and_zero_biases():
                             proj_hidden_dim=6, embed_dim=5)
     p = make_params(9, cfg)
     a = math.sqrt(6.0 / (7 + 9))
-    assert np.all(np.abs(p.enc1_w) <= a)
-    assert np.all(p.enc1_b == 0) and np.all(p.cls_b == 0)
+    assert np.all(np.abs(p.blocks["enc1_w"]) <= a)
+    assert np.all(p.blocks["enc1_b"] == 0) and np.all(p.blocks["cls_b"] == 0)
     # seeded determinism
     q = make_params(9, cfg)
     np.testing.assert_array_equal(p.flat.copy(), q.flat.copy())
@@ -156,7 +162,7 @@ def test_ce_grad_projector_blocks_exactly_zero():
     p = make_params(31)
     _, g = model.ce_loss_and_grad(
         p, *labeled_batch(np.random.default_rng(32), p, n=6))
-    slices = p.block_slices()
+    slices = block_slices(p)
     for f in ("proj1_w", "proj1_b", "proj2_w", "proj2_b"):
         assert np.all(g[slices[f]] == 0.0), f
     # classifier and encoder blocks carry signal
@@ -192,7 +198,7 @@ def test_embedding_backward_classifier_blocks_exactly_zero():
     _, J = model.backward(p, model.forward(p, rng.standard_normal((3, 2))),
                           rng.standard_normal((3, 3)))
     g = J[0]
-    slices = p.block_slices()
+    slices = block_slices(p)
     assert np.all(g[slices["cls_w"]] == 0.0)
     assert np.all(g[slices["cls_b"]] == 0.0)
     assert np.any(g[slices["proj2_w"]] != 0.0)
@@ -345,7 +351,7 @@ def test_zero_embedding_raises_and_forward_leaves_input():
     p = make_params(80)
     flat = p.flat.copy()
     for name in ("proj2_w", "proj2_b"):
-        flat[p.block_slices()[name]] = 0.0
+        flat[block_slices(p)[name]] = 0.0
     p = model.ModelParams(p.config, flat)
     X = np.random.default_rng(81).standard_normal((4, 2))
     before = X.copy()
