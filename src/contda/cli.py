@@ -72,10 +72,13 @@ def validate_config(raw: dict) -> dict:
         if not isinstance(value, want):
             raise ConfigError(f"field {key} must be of type {want.__name__}")
         cfg[key] = value
+    if cfg.get("seed", 0) < 0:
+        raise ConfigError("field seed must be a non-negative integer")
     if "seeds" in cfg:
-        if not cfg["seeds"] or not all(
-                isinstance(s, int) and not isinstance(s, bool) for s in cfg["seeds"]):
-            raise ConfigError("field seeds must be a non-empty list of integers")
+        if not cfg["seeds"] or not all(isinstance(s, int) and not isinstance(s, bool)
+                                       and s >= 0 for s in cfg["seeds"]):
+            raise ConfigError("field seeds must be a non-empty list of "
+                              "non-negative integers")
         # a repeated seed reruns into the same seed_<s>/ directory
         if len(set(cfg["seeds"])) < len(cfg["seeds"]):
             raise ConfigError("field seeds must not repeat a seed")
@@ -152,18 +155,22 @@ def _metric_value(v: float):
     return None if (isinstance(v, float) and math.isnan(v)) else v
 
 
-def write_metrics_json(metrics: harness.Metrics, path) -> None:
-    payload = {"acc": _metric_value(metrics.acc),
-               "acc_mean": _metric_value(metrics.acc_mean),
-               "bwt": _metric_value(metrics.bwt)}
+def _write_json(payload, path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def run_config(cfg: dict) -> list:
-    """Execute the config's seed(s); returns the per-seed Metrics list."""
-    out_dir = os.environ.get("CONTDA_OUTPUT_DIR", cfg["output_dir"])
+def write_metrics_json(metrics: harness.Metrics, path) -> None:
+    _write_json({"acc": _metric_value(metrics.acc),
+                 "acc_mean": _metric_value(metrics.acc_mean),
+                 "bwt": _metric_value(metrics.bwt)}, path)
+
+
+def run_config(cfg: dict) -> dict:
+    """Execute the config's seed(s) under cfg["output_dir"]; returns the
+    aggregate metrics that it writes to metrics.json there."""
+    out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     seeds = cfg["seeds"] if "seeds" in cfg else [cfg["seed"]]
     diagnostics = cfg.get("diagnostics", "full")
@@ -174,9 +181,7 @@ def run_config(cfg: dict) -> list:
         "package_version": __version__,
         "numpy_version": np.__version__,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
     collected = []
     for seed in seeds:
@@ -202,10 +207,8 @@ def run_config(cfg: dict) -> list:
         "acc_mean": _mean_std([m.acc_mean for m in collected]),
         "bwt": _mean_std([m.bwt for m in collected]),
     }
-    with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
-        json.dump(aggregate, fh, indent=2)
-        fh.write("\n")
-    return collected
+    _write_json(aggregate, os.path.join(out_dir, "metrics.json"))
+    return aggregate
 
 
 def _mean_std(values):
@@ -229,10 +232,9 @@ def cmd_compare(args) -> None:
 
     rows = []
     for cfg in configs:
-        collected = run_config(cfg)
-        acc = _mean_std([m.acc for m in collected])
-        bwt = _mean_std([m.bwt for m in collected])
-        rows.append([cfg["strategy"], str(len(collected)),
+        aggregate = run_config(cfg)
+        acc, bwt = aggregate["acc"], aggregate["bwt"]
+        rows.append([cfg["strategy"], str(len(aggregate["seeds"])),
                      _float_cell(acc["mean"]), _float_cell(acc["std"]),
                      "" if bwt["mean"] is None else _float_cell(bwt["mean"]),
                      "" if bwt["std"] is None else _float_cell(bwt["std"])])
@@ -249,13 +251,8 @@ def export_dataset(preset: str, seed: int, out_dir: str) -> None:
     specs = datagen.preset_specs(preset)
     domains = datagen.generate_sequence(specs, seed)
     meta = {"preset": preset, "seed": seed,
-            "specs": [{"kind": s.kind, "n_classes": s.n_classes,
-                       "per_class": s.per_class, "rotation_deg": s.rotation_deg,
-                       "scale": s.scale, "translation": list(s.translation),
-                       "radius": s.radius, "std": s.std} for s in specs]}
-    with open(os.path.join(out_dir, "data_manifest.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+            "specs": [dataclasses.asdict(s) for s in specs]}
+    _write_json(meta, os.path.join(out_dir, "data_manifest.json"))
     for d in domains:
         datagen.export_domain_csv(d, os.path.join(out_dir, f"domain_{d.index}.csv"))
 
@@ -300,6 +297,8 @@ def import_dataset(path):
 def cmd_export_data(args) -> None:
     if args.preset not in datagen.PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}")
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     export_dataset(args.preset, args.seed, args.output)
 
 

@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .numerics import require_finite
 
 EPS_SCALE = 1e-9
 KKT_FLAGS = ("primal_feasible", "dual_feasible", "complementary", "stationary")
@@ -60,7 +59,7 @@ def gram(J):
     # one matrix-vector product per row: BLAS runs J @ J.T at half the speed
     K = np.array([J @ row for row in J])
     if not np.isfinite(K).all():
-        require_finite(K, "gradient Gram matrix")
+        raise NumericError("gradient Gram matrix contains NaN or Inf")
     return K, EPS_SCALE * max(1.0, math.sqrt(K.diagonal().max()))
 
 

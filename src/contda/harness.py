@@ -44,16 +44,15 @@ from .model import ModelConfig
 SRC_ONLY = "src_only"
 MULTITASK = "multitask"
 CRT_SRC = "crt_src"
-CRT_SRC_MEM = "crt_src_mem"
 CRT_SDC = "crt_sdc"
 GRCL = "grcl"
-STRATEGIES = (SRC_ONLY, MULTITASK, CRT_SRC, CRT_SRC_MEM, CRT_SDC, GRCL)
+STRATEGIES = (SRC_ONLY, MULTITASK, CRT_SRC, CRT_SDC, GRCL)
 
 # every adaptive strategy builds memories and contrasts against their
 # features (label-free retention); strategies differ only in whether the
 # memory cross-entropy gradient enters the step as a fixed weight, a
 # constraint, or not at all
-_FIXED_WEIGHT = {MULTITASK, CRT_SRC, CRT_SRC_MEM}
+_FIXED_WEIGHT = {MULTITASK, CRT_SRC}
 
 
 @dataclass(frozen=True)

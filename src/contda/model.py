@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError, DimensionError
-from .numerics import log_softmax_rows
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -156,6 +155,14 @@ def encode_project_batch(params: ModelParams, X) -> np.ndarray:
 def classify_batch(params: ModelParams, X) -> np.ndarray:
     B = params.blocks
     return forward(params, X, project=False).H2 @ B["cls_w"].T + B["cls_b"]
+
+
+def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise, shift-stabilized log-softmax for a 2-D array of logits."""
+    if logits.ndim != 2 or logits.shape[1] == 0:
+        raise DimensionError(f"expected a non-empty 2-D array, got shape {logits.shape}")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 @lru_cache(maxsize=128)

@@ -63,12 +63,13 @@ def test_validate_config_rejections():
         ({**ok, "batch_size": True}, "must be an integer"),
         ({**ok, "preset": "no-such"}, "unknown preset"),
         ({**ok, "diagnostics": "verbose"}, "diagnostics"),
+        ({**ok, "seed": -1}, "non-negative"),
     ]
     for raw, fragment in cases:
         with pytest.raises(cli.ConfigError, match=fragment):
             cli.validate_config(raw)
     seeds_cfg = {k: v for k, v in ok.items() if k != "seed"}
-    for bad_seeds in ([], [1, True], ["a"]):
+    for bad_seeds in ([], [1, True], ["a"], [3, -2]):
         with pytest.raises(cli.ConfigError):
             cli.validate_config({**seeds_cfg, "seeds": bad_seeds})
     # a repeated seed would run twice into one seed_<s>/ directory
@@ -85,8 +86,10 @@ def test_validate_config_coerces_int_to_float():
 def test_validate_config_rejects_bad_plan_settings():
     ok = {"strategy": "grcl", "output_dir": "o", "preset": "rot-blobs-5",
           "seed": 1}
-    with pytest.raises(cli.ConfigError, match="invalid plan settings"):
-        cli.validate_config({**ok, "strategy": "warp_drive"})
+    for name in ("warp_drive", "crt_src_mem"):
+        with pytest.raises(cli.ConfigError,
+                           match="invalid plan settings: unknown strategy"):
+            cli.validate_config({**ok, "strategy": name})
     with pytest.raises(cli.ConfigError, match="invalid plan settings"):
         cli.validate_config({**ok, "batch_size": 2})
     with pytest.raises(cli.ConfigError, match="invalid plan settings"):
@@ -213,15 +216,18 @@ def test_run_command_multi_seed_aggregate(tmp_path):
     np.testing.assert_allclose(aggregate["acc"]["std"], accs.std())
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
+def test_run_writes_only_under_output_dir(tmp_path, monkeypatch):
+    # the config's output_dir is the one place a run writes, whatever
+    # the environment holds
     data = write_tiny_dataset(tmp_path / "data")
-    override = tmp_path / "elsewhere"
-    monkeypatch.setenv("CONTDA_OUTPUT_DIR", str(override))
-    cfg_path = write_cfg(tmp_path / "run.json",
-                         tiny_cfg(data, tmp_path / "ignored"))
+    elsewhere = tmp_path / "elsewhere"
+    monkeypatch.setenv("CONTDA_OUTPUT_DIR", str(elsewhere))
+    out = tmp_path / "out"
+    cfg_path = write_cfg(tmp_path / "run.json", tiny_cfg(data, out))
     assert cli.main(["run", cfg_path]) == 0
-    assert (override / "seed_3" / "rmatrix.csv").exists()
-    assert not (tmp_path / "ignored").exists()
+    assert (out / "manifest.json").exists()
+    assert (out / "seed_3" / "rmatrix.csv").exists()
+    assert not elsewhere.exists()
 
 
 def test_run_exit_codes(tmp_path):
@@ -239,6 +245,14 @@ def test_run_exit_codes(tmp_path):
     cfg_path = write_cfg(tmp_path / "nodata.json",
                          tiny_cfg(tmp_path / "nope", tmp_path / "o2"))
     assert cli.main(["run", cfg_path]) == 2
+    # a negative seed is refused before anything is written, also when
+    # an earlier entry of seeds is valid
+    cfg = tiny_cfg(data, tmp_path / "o3", seed=-1)
+    assert cli.main(["run", write_cfg(tmp_path / "neg.json", cfg)]) == 2
+    del cfg["seed"]
+    cfg["seeds"] = [3, -2]
+    assert cli.main(["run", write_cfg(tmp_path / "negs.json", cfg)]) == 2
+    assert not (tmp_path / "o3").exists()
 
 
 def test_run_exit_code_negatives_above_bank_size(tmp_path, capsys):
@@ -412,6 +426,9 @@ def test_compare_command(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("src_only,1,")
     assert lines[2].startswith("crt_src,1,")
+    for line, out in zip(lines[1:], ("o1", "o2")):
+        aggregate = json.loads((tmp_path / out / "metrics.json").read_text())
+        assert float(line.split(",")[2]) == aggregate["acc"]["mean"]
 
 
 def test_compare_rejects_mismatched_sources(tmp_path):
@@ -437,3 +454,6 @@ def test_export_data_roundtrip(tmp_path):
         np.testing.assert_array_equal(a.holdout.y, b.holdout.y)
     assert cli.main(["export-data", "--preset", "bogus", "--seed", "1",
                      "--output", str(tmp_path / "x")]) == 2
+    assert cli.main(["export-data", "--preset", "moons-4", "--seed", "-1",
+                     "--output", str(tmp_path / "neg")]) == 2
+    assert not (tmp_path / "neg").exists()

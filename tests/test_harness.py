@@ -33,8 +33,9 @@ def tiny_domains(n_domains=3, per_class=20, seed=5):
 
 
 def test_plan_validation():
-    with pytest.raises(ContractViolationError):
-        tiny_plan("no_such_strategy")
+    for name in ("no_such_strategy", "crt_src_mem"):
+        with pytest.raises(ContractViolationError, match="unknown strategy"):
+            tiny_plan(name)
     with pytest.raises(ContractViolationError):
         tiny_plan(harness.GRCL, ratio_source=0.5, ratio_memory=0.5,
                   ratio_target=0.5)
@@ -238,15 +239,6 @@ def test_run_plan_is_deterministic():
         assert same_diag_row(ra, rb)
     c = harness.run_plan(domains, tiny_plan(harness.GRCL, seed=8))
     assert not np.array_equal(a.matrix.values, c.matrix.values)
-
-
-def test_crt_src_mem_trajectory_equals_multitask():
-    domains = tiny_domains()
-    a = harness.run_plan(domains, tiny_plan(harness.CRT_SRC_MEM,
-                                            lambda_source=1.0, lambda_memory=1.0))
-    b = harness.run_plan(domains, tiny_plan(harness.MULTITASK,
-                                            lambda_source=1.0, lambda_memory=1.0))
-    np.testing.assert_array_equal(a.matrix.values, b.matrix.values)
 
 
 def test_multitask_matches_crt_src_before_memories_exist():

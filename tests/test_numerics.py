@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from contda.errors import DimensionError, NumericError
-from contda.numerics import log_softmax_rows, require_finite
+from contda.errors import DimensionError
+from contda.model import log_softmax_rows
 
 NTRIES = 200
-
-
-def test_require_finite_rejects_nan_and_inf():
-    with pytest.raises(NumericError):
-        require_finite(np.array([1.0, np.nan]), "x")
-    with pytest.raises(NumericError):
-        require_finite(np.array([np.inf]), "x")
 
 
 def _log_softmax_direct(logits):

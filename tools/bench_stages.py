@@ -29,7 +29,6 @@ import os
 # one BLAS thread; must be set before anything imports NumPy
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("CONTDA_OUTPUT_DIR", None)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
