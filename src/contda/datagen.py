@@ -94,7 +94,6 @@ def generate_domain(spec: DomainSpec, index: int, rng: np.random.Generator) -> D
     X, y = _BASES[spec.kind](spec, rng)
     X = spec.scale * (X @ rotation_matrix(spec.rotation_deg).T) \
         + np.asarray(spec.translation, dtype=np.float64)
-    ids = [f"d{index}:{i:05d}" for i in range(X.shape[0])]
 
     train_idx, hold_idx = [], []
     for c in range(spec.n_classes):
@@ -103,13 +102,14 @@ def generate_domain(spec: DomainSpec, index: int, rng: np.random.Generator) -> D
         cut = int(SPLIT_FRACTION * members.size)
         if cut == 0 or cut == members.size:
             raise DegenerateInputError("split leaves a class empty on one side")
-        train_idx.extend(members[:cut])
-        hold_idx.extend(members[cut:])
-    train_idx = np.array(sorted(train_idx))
-    hold_idx = np.array(sorted(hold_idx))
+        train_idx.append(members[:cut])
+        hold_idx.append(members[cut:])
 
-    def take(idx):
-        return Dataset(ids=[ids[i] for i in idx], X=X[idx].copy(), y=y[idx].copy())
+    def take(parts):
+        # rows in index order; fancy indexing copies X and y
+        idx = np.sort(np.concatenate(parts))
+        return Dataset(ids=[f"d{index}:{i:05d}" for i in idx.tolist()],
+                       X=X[idx], y=y[idx])
 
     return Domain(index=index, spec=spec, train=take(train_idx), holdout=take(hold_idx))
 

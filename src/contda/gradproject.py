@@ -15,7 +15,7 @@ The step's gradients arrive as the rows of one matrix J, g first.  gram
 forms K = J J^T once, with the step's tolerance; project is the one solver,
 for any number of rows: Lawson-Hanson on the non-negative dual, the QP that
 GEM also solves (Lopez-Paz & Ranzato 2017), which lives on K.  kkt_check
-judges a solution on the stepped w itself.
+judges a solution on the stepped w itself, with the solver's product u C.
 """
 
 import math
@@ -28,12 +28,14 @@ EPS_SCALE = 1e-9
 KKT_FLAGS = ("primal_feasible", "dual_feasible", "complementary", "stationary")
 
 
-def kkt_check(w, u, g, constraints, eps) -> dict:
-    """Boolean KKT diagnostics plus the residuals they were judged on."""
+def kkt_check(w, u, g, constraints, eps, uC) -> dict:
+    """Boolean KKT diagnostics plus the residuals they were judged on, for
+    w stepped from g by uC, the product u C of the multipliers and the
+    constraint rows."""
     u = np.asarray(u, dtype=np.float64)
     C = np.asarray(constraints, dtype=np.float64).reshape(u.size, len(w))
     slacks = C @ w
-    r = w - g - u @ C
+    r = w - g - uC
     stat = math.sqrt(r.dot(r))
     return {
         "primal_feasible": bool(slacks.min(initial=np.inf) >= -eps),
@@ -50,21 +52,24 @@ def gram(J):
     """Gram matrix K = J J^T of stacked gradient rows and the feasibility
     tolerance scaled to the largest row norm, sqrt(max diag K).
 
-    A NaN or Inf in J shows in K, which raises NumericError; J must be a
-    2-D stack of at least one row (DimensionError).
+    A NaN or Inf in J shows in K, which raises NumericError and no
+    floating-point warning; J must be a 2-D stack of at least one row
+    (DimensionError).
     """
     J = np.asarray(J, dtype=np.float64)
     if J.ndim != 2 or J.shape[0] == 0:
         raise DimensionError(f"gradient stack has shape {J.shape}")
     # one matrix-vector product per row: BLAS runs J @ J.T at half the speed
-    K = np.array([J @ row for row in J])
+    with np.errstate(invalid="ignore", over="ignore"):
+        K = np.array([J @ row for row in J])
     if not np.isfinite(K).all():
         raise NumericError("gradient Gram matrix contains NaN or Inf")
     return K, EPS_SCALE * max(1.0, math.sqrt(K.diagonal().max()))
 
 
 def project(J, K, eps):
-    """(w, u): J[0] projected onto the half-spaces of the constraint rows J[1:].
+    """(w, u, uC): J[0] projected onto the half-spaces of the constraint
+    rows J[1:], w = J[0] + uC with uC = u J[1:].
 
     The rows enter only through the Gram matrix K = J J^T from gram: the
     dual reads G = K[1:, 1:] and b = K[1:, 0], multipliers u give the
@@ -78,7 +83,8 @@ def project(J, K, eps):
         raise DimensionError(f"Gram matrix of shape {np.shape(K)} for a "
                              f"gradient stack of shape {J.shape}")
     u = _nnls(K[1:, 1:], K[1:, 0], eps)
-    return J[0] + u @ J[1:], u
+    uC = u @ J[1:]
+    return J[0] + uC, u, uC
 
 
 def _nnls(G, b, eps):

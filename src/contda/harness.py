@@ -217,11 +217,12 @@ def pretrain_source(params, source_train, plan, rng):
     total = plan.pretrain_epochs * iters
     step = 0
     for _ in range(plan.pretrain_epochs):
+        # one gather per epoch; a step's batch is a slice of it
         order = rng.permutation(n)
+        X, y = source_train.X[order], source_train.y[order]
         for i in range(iters):
-            idx = order[i * plan.batch_size:(i + 1) * plan.batch_size]
-            _, grad = model_mod.ce_loss_and_grad(params, source_train.X[idx],
-                                                 source_train.y[idx])
+            rows = slice(i * plan.batch_size, (i + 1) * plan.batch_size)
+            _, grad = model_mod.ce_loss_and_grad(params, X[rows], y[rows])
             params = model_mod.sgd_step(
                 params, grad, _cosine_lr(plan.pretrain_lr, step, total))
             step += 1
@@ -306,33 +307,40 @@ def project_step(J, K, eps):
     source row J[1] and of any further (memory) rows, from the Gram matrix
     K = J J^T, guarded by the KKT diagnostics on the stepped w.
 
-    Returns w, u_star = (source multiplier, sum of the memory multipliers)
-    and the case name saying which of the two are positive.
+    Returns w, u_star = (source multiplier, sum of the memory multipliers),
+    the case name saying which of the two are positive, and the slacks
+    J[1:] w the check judged.
     """
-    w, u = gradproject.project(J, K, eps)
-    diag = gradproject.kkt_check(w, u, J[0], J[1:], eps)
+    w, u, uC = gradproject.project(J, K, eps)
+    diag = gradproject.kkt_check(w, u, J[0], J[1:], eps, uC)
     if not all(diag[k] for k in gradproject.KKT_FLAGS):
         raise ContractViolationError(
             f"projection failed KKT diagnostics: {diag}")
     u_star = np.array([u[0], u[1:].sum()])
-    return w, u_star, CASE_NAMES[tuple(i for i in range(2) if u_star[i] > 0.0)]
+    case = CASE_NAMES[tuple(i for i in range(2) if u_star[i] > 0.0)]
+    return w, u_star, case, diag["slacks"]
 
 
 def _step_direction(plan, J, K, eps):
-    """Strategy-resolved update direction plus projection bookkeeping.
+    """Strategy-resolved update direction plus projection bookkeeping and
+    the slacks J[1:] w.
 
     J stacks the contrastive, the source and the memory gradients, the
     last being the pooled memory gradient, which the fixed-weight
     strategies weigh in, or under GRCL one row per earlier target domain
-    in the batch, each a constraint; crt_sdc is constrained by the source
-    row alone.  K = J J^T and eps come from gradproject.gram.
+    in the batch, each a constraint, so its slacks are the KKT check's;
+    crt_sdc is constrained by the source row alone.  K = J J^T and eps
+    come from gradproject.gram.
     """
+    if plan.strategy == GRCL:
+        return project_step(J, K, eps)
     if plan.strategy in _FIXED_WEIGHT:
         lam_m = plan.lambda_memory if plan.strategy != CRT_SRC else 0.0
         weights = np.array([1.0, plan.lambda_source, lam_m])[:len(J)]
-        return weights @ J, np.zeros(2), "fixed-weight"
-    m = len(J) if plan.strategy == GRCL else 2
-    return project_step(J[:m], K[:m, :m], eps)
+        w, u_star, case = weights @ J, np.zeros(2), "fixed-weight"
+    else:
+        w, u_star, case, _ = project_step(J[:2], K[:2, :2], eps)
+    return w, u_star, case, J[1:] @ w
 
 
 def _train_epoch(params, fbank, rows, X, y, groups, labels, plan, rng, step,
@@ -349,11 +357,10 @@ def _train_epoch(params, fbank, rows, X, y, groups, labels, plan, rng, step,
             fw, r, neg, fbank, plan.temperature, plan=nce)
         losses, J = model_mod.backward(params, fw, dQ, yb, group)
         K, eps = gradproject.gram(J)
-        w, u_star, case = _step_direction(plan, J, K, eps)
+        w, u_star, case, slacks = _step_direction(plan, J, K, eps)
         # the pooled memory loss and slack mix the groups' by their shares
         sizes = [g.stop - g.start for g in group[1:]]
         shares = np.array(sizes) / sum(sizes)
-        slacks = J[1:] @ w
         lr = _cosine_lr(plan.lr, step, total)
         params = model_mod.sgd_step(params, w, lr)
         fresh = model_mod.encode_project_batch(params, inputs)
@@ -441,12 +448,11 @@ def run_plan(domains, plan: AdaptationPlan) -> RunResult:
 
     matrix = AccuracyMatrix.empty(n_targets)
     holdouts = [d.holdout for d in domains]
-    matrix.set_row(0, evaluate(params, holdouts[:1]))
-
     diagnostics = []
     memories = []
-    for t in range(1, n_targets + 1):
-        if plan.strategy != SRC_ONLY:
+    accs, evaluated = [], None  # the last evaluated state's accuracies
+    for t in range(n_targets + 1):
+        if t and plan.strategy != SRC_ONLY:
             batch_rng, neg_rng, memory_rng = map(
                 np.random.default_rng, domain_seeds[3 * (t - 1):3 * t])
             params = adapt_domain(params, domains, t, memories, plan,
@@ -455,7 +461,11 @@ def run_plan(domains, plan: AdaptationPlan) -> RunResult:
             if t < n_targets:
                 memories.append(pseudo_label_memory(params, domains, t, plan,
                                                     memory_rng))
-        matrix.set_row(t, evaluate(params, holdouts[:t + 1]))
+        # a state no domain changed is evaluated on the new holdout only
+        if params is not evaluated:
+            accs, evaluated = [], params
+        accs.extend(evaluate(params, holdouts[len(accs):t + 1]))
+        matrix.set_row(t, accs)
 
     metrics = compute_metrics(matrix, n_targets)
     return RunResult(matrix=matrix, metrics=metrics, diagnostics=diagnostics,

@@ -61,7 +61,7 @@ class ModelParams:
     """Immutable parameters: a config and a read-only copy of one flat vector.
 
     blocks maps enc1_w ... cls_b to views of flat; sgd_step derives new
-    parameters.
+    parameters around a vector it made, without the copy.
     """
 
     config: ModelConfig
@@ -265,4 +265,11 @@ def sgd_step(params: ModelParams, w: np.ndarray, lr: float) -> ModelParams:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != params.flat.shape:
         raise DimensionError(f"update has shape {w.shape}, expected {params.flat.shape}")
-    return ModelParams(params.config, params.flat - lr * w)
+    flat = np.multiply(w, lr)
+    np.subtract(params.flat, flat, out=flat)
+    flat.flags.writeable = False
+    # flat is new, checked and read-only: skip __post_init__'s copy
+    stepped = object.__new__(ModelParams)
+    object.__setattr__(stepped, "config", params.config)
+    object.__setattr__(stepped, "flat", flat)
+    return stepped

@@ -110,13 +110,13 @@ def test_projection_matches_brute_force_oracle():
         g_t, g_s, g_dm = _rand_projection_instance(rng, dim, patterns[i % 5])
         J = np.stack([g_t, g_s, g_dm])
         K, eps = gradproject.gram(J)
-        w, u = gradproject.project(J, K, eps)
+        w, u, _ = gradproject.project(J, K, eps)
         ref_w = brute_force_project(g_t, J[1:])
         obj = 0.5 * float(np.sum((w - g_t) ** 2))
         ref_obj = 0.5 * float(np.sum((ref_w - g_t) ** 2))
         worst_obj = max(worst_obj, abs(obj - ref_obj))
         worst_w = max(worst_w, float(np.max(np.abs(w - ref_w))))
-        diag = gradproject.kkt_check(w, u, g_t, J[1:], eps)
+        diag = gradproject.kkt_check(w, u, g_t, J[1:], eps, u @ J[1:])
         assert all(diag[k] for k in gradproject.KKT_FLAGS), \
             f"instance {i}: KKT diagnostics failed"
     elapsed = time.perf_counter() - start

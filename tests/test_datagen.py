@@ -80,6 +80,42 @@ def test_moons_shape():
     assert set(d.train.y) == {0, 1}
 
 
+def sorted_list_split(spec, index, rng):
+    """generate_domain's split as a per-class loop that extends Python
+    lists, sorts them and indexes ids formatted for every row: (ids, X, y)
+    of the train and the holdout split."""
+    X, y = datagen._BASES[spec.kind](spec, rng)
+    X = spec.scale * (X @ datagen.rotation_matrix(spec.rotation_deg).T) \
+        + np.asarray(spec.translation, dtype=np.float64)
+    ids = [f"d{index}:{i:05d}" for i in range(X.shape[0])]
+    train_idx, hold_idx = [], []
+    for c in range(spec.n_classes):
+        members = np.flatnonzero(y == c)
+        members = members[rng.permutation(members.size)]
+        cut = int(datagen.SPLIT_FRACTION * members.size)
+        train_idx.extend(members[:cut])
+        hold_idx.extend(members[cut:])
+    return [([ids[i] for i in idx], X[idx].copy(), y[idx].copy())
+            for idx in (np.array(sorted(train_idx)), np.array(sorted(hold_idx)))]
+
+
+@pytest.mark.parametrize("spec", [
+    blob_spec(n_classes=5, per_class=37, rotation_deg=33.0, scale=1.7,
+              translation=(0.5, -2.0)),
+    datagen.DomainSpec(kind=datagen.KIND_MOONS, n_classes=2, per_class=61,
+                       rotation_deg=-20.0, scale=0.8, translation=(1.0, 0.0),
+                       std=0.1)])
+def test_split_matches_sorted_list_oracle(spec):
+    for seed in range(3):
+        d = datagen.generate_domain(spec, 12, np.random.default_rng(seed))
+        want = sorted_list_split(spec, 12, np.random.default_rng(seed))
+        for ds, (ids, X, y) in zip((d.train, d.holdout), want):
+            assert ds.ids == ids
+            np.testing.assert_array_equal(ds.X, X)
+            np.testing.assert_array_equal(ds.y, y)
+            assert (ds.X.dtype, ds.y.dtype) == (X.dtype, y.dtype)
+
+
 def test_generate_sequence_deterministic_and_independent():
     specs = [blob_spec(per_class=20), blob_spec(per_class=20, rotation_deg=30.0)]
     a = datagen.generate_sequence(specs, 42)

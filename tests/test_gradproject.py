@@ -29,16 +29,25 @@ def project_rows(g, C):
     takes it: g and C stacked into one matrix J, its Gram matrix formed
     once."""
     J = np.vstack([g, np.reshape(C, (-1, np.size(g)))])
-    return gp.project(J, *gp.gram(J))
+    w, u, uC = gp.project(J, *gp.gram(J))
+    # the product handed on is the one the step took
+    np.testing.assert_array_equal(uC, u @ J[1:])
+    np.testing.assert_array_equal(w, J[0] + uC)
+    return w, u
 
 
 def objective(w, g):
     return 0.5 * float((w - g) @ (w - g))
 
 
+def kkt(w, u, g, C, eps):
+    """kkt_check of w against its own product u C."""
+    return gp.kkt_check(w, u, g, C, eps, np.asarray(u) @ np.asarray(C))
+
+
 def kkt_ok(w, u, g, C):
     rows = list(C)
-    diag = gp.kkt_check(w, u, g, rows, tolerance(g, rows))
+    diag = kkt(w, u, g, rows, tolerance(g, rows))
     return all(diag[k] for k in gp.KKT_FLAGS)
 
 
@@ -181,21 +190,26 @@ def test_kkt_check_flags_fabricated_failures():
     c = np.array([1.0, 0.0])
     cons = [c, np.zeros(2)]
     eps = tolerance(g, cons)
-    good = gp.kkt_check(np.array([0.0, 0.0]), np.array([1.0, 0.0]), g, cons, eps)
+    good = kkt(np.array([0.0, 0.0]), np.array([1.0, 0.0]), g, cons, eps)
     assert all(good[k] for k in ("primal_feasible", "dual_feasible",
                                  "complementary", "stationary"))
     # raw g violates primal feasibility
-    bad1 = gp.kkt_check(g, np.zeros(2), g, cons, eps)
+    bad1 = kkt(g, np.zeros(2), g, cons, eps)
     assert not bad1["primal_feasible"]
     # negative multiplier violates dual feasibility
-    bad2 = gp.kkt_check(np.array([1.0, 0.0]), np.array([-2.0, 0.0]), g, cons, eps)
+    bad2 = kkt(np.array([1.0, 0.0]), np.array([-2.0, 0.0]), g, cons, eps)
     assert not bad2["dual_feasible"]
     # positive multiplier on a slack constraint breaks complementarity
-    bad3 = gp.kkt_check(np.array([1.0, 0.0]), np.array([2.0, 0.0]), g, cons, eps)
+    bad3 = kkt(np.array([1.0, 0.0]), np.array([2.0, 0.0]), g, cons, eps)
     assert not bad3["complementary"]
     # w unrelated to g + u c breaks stationarity
-    bad4 = gp.kkt_check(np.array([5.0, 5.0]), np.array([1.0, 0.0]), g, cons, eps)
+    bad4 = kkt(np.array([5.0, 5.0]), np.array([1.0, 0.0]), g, cons, eps)
     assert not bad4["stationary"]
+    # so does a product u C that w was not stepped by
+    bad5 = gp.kkt_check(np.array([0.0, 0.0]), np.array([1.0, 0.0]), g, cons,
+                        eps, np.zeros(2))
+    assert not bad5["stationary"]
+    np.testing.assert_array_equal(bad5["slacks"], good["slacks"])
 
 
 def test_tolerance_scales_with_largest_norm():
@@ -205,6 +219,7 @@ def test_tolerance_scales_with_largest_norm():
     assert tolerance(np.zeros(3), [np.zeros(3)]) == 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 def test_gradient_set_validation():
     # the stacked gradients handed to gram are checked as one set: a 2-D
     # stack of at least one row, all finite
@@ -278,7 +293,7 @@ def test_project_n_handles_degenerate_rows():
             C[3] = C[0] + C[1]
         w, u = project_rows(g, C)
         eps = tolerance(g, list(C))
-        diag = gp.kkt_check(w, u, g, list(C), eps)
+        diag = kkt(w, u, g, C, eps)
         assert all(diag[k] for k in ("primal_feasible", "dual_feasible",
                                      "complementary", "stationary")), diag
         w_oracle = brute_force_project(g, C)

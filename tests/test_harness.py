@@ -89,8 +89,13 @@ def test_accuracy_matrix_contract():
 
 
 def step(plan, *rows):
+    """Direction, multipliers and case of a step on the stacked rows; the
+    slacks it returns beside them must be J[1:] w, bit for bit."""
     J = np.stack(rows)
-    return harness._step_direction(plan, J, *gradproject.gram(J))
+    w, u_star, case, slacks = harness._step_direction(
+        plan, J, *gradproject.gram(J))
+    np.testing.assert_array_equal(slacks, J[1:] @ w)
+    return w, u_star, case
 
 
 def test_multitask_step_grad_weights():
@@ -181,6 +186,34 @@ def test_src_only_freezes_model_and_bwt_zero():
     assert res.metrics.bwt == 0.0
     assert res.diagnostics == []
     assert res.memories == []
+
+
+def test_each_parameter_state_is_evaluated_once(monkeypatch):
+    # a state that a domain left unchanged (every src_only row, a domain of
+    # zero epochs) is evaluated on the new holdout only; the matrix is the
+    # one built by evaluating every row in full
+    domains = tiny_domains(n_domains=4)
+    holdouts = [d.holdout for d in domains]
+    n = len(domains)
+    real, calls = model.classify_batch, []
+
+    def counting(params, X):
+        calls.append(len(X))
+        return real(params, X)
+
+    monkeypatch.setattr(model, "classify_batch", counting)
+    for plan, want in ((tiny_plan(harness.SRC_ONLY), n),
+                       (tiny_plan(harness.GRCL, epochs_per_domain=0), n),
+                       (tiny_plan(harness.GRCL), n * (n + 1) // 2)):
+        calls.clear()
+        res = harness.run_plan(domains, plan)
+        assert len(calls) == want
+        if want == n:
+            assert calls == [len(ds) for ds in holdouts]
+            full = harness.AccuracyMatrix.empty(n - 1)
+            for t in range(n):
+                full.set_row(t, harness.evaluate(res.params, holdouts[:t + 1]))
+            np.testing.assert_array_equal(res.matrix.values, full.values)
 
 
 def test_run_plan_fills_lower_triangle_only():
@@ -295,11 +328,12 @@ def test_project_step_case_names():
     ]
     for g_t, g_mem, want_case, want_u in cases:
         J = np.stack([g_t, c0] + (g_mem or []))
-        w, u_star, case = harness.project_step(J, *gradproject.gram(J))
+        w, u_star, case, slacks = harness.project_step(J, *gradproject.gram(J))
         assert case == want_case
         np.testing.assert_allclose(u_star, want_u, atol=1e-12)
+        np.testing.assert_array_equal(slacks, J[1:] @ w)
     J = np.stack([cases[0][0], c0])
-    w, _, _ = harness.project_step(J, *gradproject.gram(J))
+    w, _, _, _ = harness.project_step(J, *gradproject.gram(J))
     np.testing.assert_array_equal(w, cases[0][0])
     # crt_sdc steps under the source row alone, though it measures memory
     g_t = np.array([3.0, -2.0, -1.0])
@@ -312,7 +346,8 @@ def test_project_step_rejects_failed_kkt(monkeypatch):
     # a solver answer that leaves the source slack negative must not be
     # taken as a step, in the warm-up as in the adaptation loop
     monkeypatch.setattr(gradproject, "project",
-                        lambda J, K, eps: (J[0], np.zeros(len(J) - 1)))
+                        lambda J, K, eps: (J[0], np.zeros(len(J) - 1),
+                                           np.zeros(J.shape[1])))
     J = np.array([[-1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ContractViolationError):
         harness.project_step(J, *gradproject.gram(J))

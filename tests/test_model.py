@@ -292,6 +292,23 @@ def test_sgd_step_leaves_old_params_untouched():
         p.flat[0] = 0.0
 
 
+def test_sgd_step_owns_a_read_only_result():
+    # one new vector: read-only, sharing memory with neither input, and
+    # params.flat - lr * w bit for bit
+    p = make_params(73)
+    w = np.random.default_rng(3).standard_normal(p.num_params)
+    for lr in (0.1, 0.037):
+        q = model.sgd_step(p, w, lr)
+        assert not q.flat.flags.writeable
+        assert not np.shares_memory(q.flat, p.flat)
+        assert not np.shares_memory(q.flat, w)
+        np.testing.assert_array_equal(q.flat, p.flat - lr * w)
+        assert q.config is p.config
+        assert np.shares_memory(q.blocks["cls_w"], q.flat)
+        with pytest.raises(ValueError):
+            q.flat[0] = 0.0
+
+
 def test_ce_grad_on_row_subset_matches_sub_batch():
     # one forward over the whole batch serves the cross-entropy of any
     # subset of its rows

@@ -15,7 +15,8 @@ def test_bench_stages_wrap_points_resolve():
     code = ("import importlib, json, sys\n"
             "sys.path.insert(0, 'tools')\n"
             "import bench_stages\n"
-            "points = bench_stages.wrap_points()\n"
+            "points = (bench_stages.wrap_points()\n"
+            "          + bench_stages.source_points())\n"
             "missing = [(m, a) for _, m, a in points\n"
             "           if not hasattr(importlib.import_module(m), a)]\n"
             "print(json.dumps([len(points), missing]))\n")

@@ -1,5 +1,5 @@
-"""Per-stage cost of the reference run and of the dense run, written to
-BENCH_<label>.json.
+"""Per-stage cost of the reference run, the dense run and the source-only
+run, written to BENCH_<label>.json.
 
     python3 tools/bench_stages.py --label baseline
 
@@ -7,9 +7,11 @@ The reference run is `rot-blobs-5`, `grcl`, seed 11 through
 `contda.cli.run_config`, in this process with one BLAS thread, importing
 contda from this checkout's src/.  The dense run, `moons-4`, `multitask`,
 512 negatives, seed 11, is perfbench's `multitask-moons-k512` at that seed;
-its figures sit under the key `dense_run`.  Each runs three times
-untraced, for the median wall time, then once under perfbench's span
-tracer.  Each untraced run is also given in units of perfbench's reference
+its figures sit under the key `dense_run`.  The source-only run,
+`rot-blobs-5`, `src_only`, seeds 11, 22, 33, 44 and 55, is perfbench's
+`srconly-blobs` at seed 11; its figures sit under the key
+`source_only_run`.  Each runs three times untraced, for the median wall
+time, then once under perfbench's span tracer.  Each untraced run is also given in units of perfbench's reference
 kernel, sampled before, during and after it as perfbench/run.py does: the
 wall time of one tree drifts by up to 40% between rounds on a shared host,
 and the kernel drifts with it, so these figures compare across rounds.  A
@@ -21,7 +23,10 @@ exists stops the script, so a stage never reads zero because its code was
 renamed.  The stage figures are given raw and, under the keys ending in
 `_ref_per_`, in units of the reference kernel timed just before and just
 after the traced run (with no ticks inside it, so no span absorbs one): a
-stage's raw time drifts with the host as a run's does.
+stage's raw time drifts with the host as a run's does.  The source-only
+run has no adaptation iteration; its traced run wraps only the functions
+of the path every run shares, data generation, source pretraining and
+evaluation, and gives each one's time, its callees' included, per seed.
 """
 
 import os
@@ -51,6 +56,10 @@ REFERENCE = {"preset": "rot-blobs-5", "strategy": "grcl", "seed": 11}
 # 512 shared negatives from a ~1.3k-key bank: per-key arithmetic dominates
 DENSE = {"preset": "moons-4", "strategy": "multitask", "negatives": 512,
          "seed": 11}
+# perfbench's srconly-blobs at seed 11: data generation, pretraining and
+# evaluation only
+SOURCE_ONLY = {"preset": "rot-blobs-5", "strategy": "src_only",
+               "seeds": [11, 22, 33, 44, 55]}
 RUNS = 3  # untraced reference runs behind the median wall time
 KERNELS = 3  # reference-kernel samples just before and just after the trace
 ADAPT = "harness.adapt_domain"
@@ -75,6 +84,12 @@ PER_MEMORY = {
     "memory_build": (("contda.memory", "build_memory"),),
 }
 ITERATION = "gradproject.gram"  # one call per adaptation iteration
+# the source-only run's wrap points, timed with their callees, per seed:
+# one harness.run_plan call each
+SOURCE_PATH = (("contda.datagen", "generate_sequence"),
+               ("contda.harness", "pretrain_source"),
+               ("contda.harness", "evaluate"))
+SEED = "harness.run_plan"
 
 
 def span_name(module, attr):
@@ -87,6 +102,11 @@ def wrap_points():
     points |= {(ADAPT, "contda.harness", "adapt_domain"),
                (MEMORY, "contda.harness", "pseudo_label_memory")}
     return sorted(points)
+
+
+def source_points():
+    return sorted({(span_name(m, a), m, a) for m, a in SOURCE_PATH}
+                  | {(SEED, "contda.harness", "run_plan")})
 
 
 def run_reference(reference, out_dir, sampler=None):
@@ -148,22 +168,46 @@ def in_kernels(costs, scale, ref_s):
             for stage, cost in costs.items()}
 
 
-def measure(reference, tmp):
-    """The wall-time and stage figures of one run config: RUNS untraced
-    runs, in reference-kernel units too, then one traced run."""
+def stage_figures(spans, ref_s):
+    """An adaptation run's stage costs, raw and in kernel units."""
+    iters, per_iter, per_memory = stage_costs(spans)
+    return {
+        "adapt_iters": iters,
+        "stage_us_per_iter": per_iter,
+        "stage_ms_per_memory": per_memory,
+        "stage_ref_per_iter": in_kernels(per_iter, 1e-6, ref_s),
+        "stage_ref_per_memory": in_kernels(per_memory, 1e-3, ref_s),
+    }
+
+
+def source_figures(spans, ref_s):
+    """ms per seed of each function of SOURCE_PATH, its callees included,
+    raw and in kernel units."""
+    seeds = sum(1 for rec in spans if rec[0] == SEED)
+    per_seed = {}
+    for m, a in SOURCE_PATH:
+        name = span_name(m, a)
+        total = sum(rec[2] - rec[1] for rec in spans if rec[0] == name)
+        per_seed[name] = round(total * 1e3 / seeds, 2)
+    return {"seeds": seeds, "ms_per_seed": per_seed,
+            "ref_per_seed": in_kernels(per_seed, 1e-3, ref_s)}
+
+
+def measure(reference, tmp, points=None, figures=stage_figures):
+    """The wall-time figures of one run config, RUNS untraced runs, in
+    reference-kernel units too, then those that `figures` takes from one
+    run traced at `points` (by default the adaptation stages')."""
     kernel = ReferenceKernel()
     sampler = Sampler(kernel)
     runs = [run_reference(reference, os.path.join(tmp, f"run{i}"), sampler)
             for i in range(RUNS)]
-    tracer = tracer_mod.Tracer(points=wrap_points())
+    tracer = tracer_mod.Tracer(points=points or wrap_points())
     kernels = [kernel() for _ in range(KERNELS)]
     with tracer.installed():
         traced, _ = run_reference(reference, os.path.join(tmp, "traced"))
     kernels += [kernel() for _ in range(KERNELS)]
     if tracer.absent:
         sys.exit(f"error: wrap points name missing code: {tracer.absent}")
-    iters, per_iter, per_memory = stage_costs(tracer.spans)
-    ref_s = statistics.median(kernels)
     return {
         "reference_run": reference,
         "reference_run_s": round(statistics.median(w for w, _ in runs), 3),
@@ -172,12 +216,8 @@ def measure(reference, tmp):
         "reference_run_ref_each": [round(w / k, 1) for w, k in runs],
         "reference_kernel_s_each": [round(k, 5) for _, k in runs],
         "traced_run_s": round(traced, 3),
-        "adapt_iters": iters,
-        "stage_us_per_iter": per_iter,
-        "stage_ms_per_memory": per_memory,
         "traced_kernel_s_each": [round(k, 5) for k in kernels],
-        "stage_ref_per_iter": in_kernels(per_iter, 1e-6, ref_s),
-        "stage_ref_per_memory": in_kernels(per_memory, 1e-3, ref_s),
+        **figures(tracer.spans, statistics.median(kernels)),
     }
 
 
@@ -192,6 +232,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         reference = measure(REFERENCE, os.path.join(tmp, "reference"))
         dense = measure(DENSE, os.path.join(tmp, "dense"))
+        source_only = measure(SOURCE_ONLY, os.path.join(tmp, "source_only"),
+                              source_points(), source_figures)
     result = {
         "label": args.label,
         "commit": git("rev-parse", "HEAD"),
@@ -201,6 +243,7 @@ def main(argv=None):
                     "python": platform.python_version()},
         **reference,
         "dense_run": dense,
+        "source_only_run": source_only,
     }
     path = os.path.join(args.output_dir, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
