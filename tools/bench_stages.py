@@ -11,11 +11,11 @@ its figures sit under the key `dense_run`.  The source-only run,
 `rot-blobs-5`, `src_only`, seeds 11, 22, 33, 44 and 55, is perfbench's
 `srconly-blobs` at seed 11; its figures sit under the key
 `source_only_run`.  Each runs three times untraced, for the median wall
-time, then once under perfbench's span tracer.  Each untraced run is also given in units of perfbench's reference
-kernel, sampled before, during and after it as perfbench/run.py does: the
-wall time of one tree drifts by up to 40% between rounds on a shared host,
-and the kernel drifts with it, so these figures compare across rounds.  A
-stage is a set of wrapped functions; its cost is the self time of their
+time, then once under perfbench's span tracer.  Each untraced run is also
+given in units of perfbench's reference kernel, sampled before, during
+and after it as perfbench/run.py does: the wall time of one tree drifts by
+up to 40% between rounds on a shared host, and the kernel drifts with it,
+so these figures compare across rounds.  A stage is a set of wrapped functions; its cost is the self time of their
 spans inside `harness.adapt_domain`, divided by the number of adaptation
 iterations, or, for the memory stages, inside `harness.pseudo_label_memory`,
 divided by the number of memories built.  A wrapped function that no longer
@@ -193,15 +193,15 @@ def source_figures(spans, ref_s):
             "ref_per_seed": in_kernels(per_seed, 1e-3, ref_s)}
 
 
-def measure(reference, tmp, points=None, figures=stage_figures):
+def measure(reference, tmp, points, figures):
     """The wall-time figures of one run config, RUNS untraced runs, in
     reference-kernel units too, then those that `figures` takes from one
-    run traced at `points` (by default the adaptation stages')."""
+    run traced at `points`."""
     kernel = ReferenceKernel()
     sampler = Sampler(kernel)
     runs = [run_reference(reference, os.path.join(tmp, f"run{i}"), sampler)
             for i in range(RUNS)]
-    tracer = tracer_mod.Tracer(points=points or wrap_points())
+    tracer = tracer_mod.Tracer(points=points)
     kernels = [kernel() for _ in range(KERNELS)]
     with tracer.installed():
         traced, _ = run_reference(reference, os.path.join(tmp, "traced"))
@@ -230,8 +230,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        reference = measure(REFERENCE, os.path.join(tmp, "reference"))
-        dense = measure(DENSE, os.path.join(tmp, "dense"))
+        reference = measure(REFERENCE, os.path.join(tmp, "reference"),
+                            wrap_points(), stage_figures)
+        dense = measure(DENSE, os.path.join(tmp, "dense"), wrap_points(),
+                        stage_figures)
         source_only = measure(SOURCE_ONLY, os.path.join(tmp, "source_only"),
                               source_points(), source_figures)
     result = {
