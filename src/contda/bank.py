@@ -1,6 +1,6 @@
-"""Unified feature bank: one unit-norm key per row, where row i holds row i
-of the pool it was built from (source, each memory, then the target), so a
-batch's pool rows are its bank rows.
+"""Unified feature bank: a plain (rows, d) float64 matrix of unit-norm keys,
+where row i holds row i of the pool it was built from (source, each memory,
+then the target), so a batch's pool rows are its bank rows.
 
 Keys start from a frozen parameter snapshot and are then blended toward fresh
 embeddings with a momentum coefficient and re-normalized.  A single writer
@@ -10,48 +10,31 @@ queries share, as a MoCo queue is shared; distinct_rows, which also draws
 the batch rows, draws every step of an epoch at once.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, InsufficientNegativesError
 from . import model as model_mod
 
-DEFAULT_MOMENTUM = 0.5
+
+def check_rows(rows, n: int) -> np.ndarray:
+    """rows as a 1-D int64 array, each a row of an n-row bank."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1:
+        raise DimensionError(f"bank rows have shape {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise DimensionError(f"bank rows outside [0, {n})")
+    return rows
 
 
-@dataclass
-class FeatureBank:
-    embed_dim: int
-    keys: np.ndarray
-
-    def __post_init__(self):
-        self.keys = np.asarray(self.keys, dtype=np.float64)
-        if self.keys.ndim != 2 or self.keys.shape[1] != self.embed_dim:
-            raise DimensionError(f"bank keys have shape {self.keys.shape}")
-
-    def __len__(self) -> int:
-        return self.keys.shape[0]
-
-    def check_rows(self, rows) -> np.ndarray:
-        """rows as a 1-D int64 array, each a row of this bank."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1:
-            raise DimensionError(f"bank rows have shape {rows.shape}")
-        if rows.size and (rows.min() < 0 or rows.max() >= len(self)):
-            raise DimensionError(f"bank rows outside [0, {len(self)})")
-        return rows
-
-
-def init_bank(params, blocks) -> FeatureBank:
+def init_bank(params, blocks) -> np.ndarray:
     """A bank of the unit embeddings of each input block in turn under the
-    frozen snapshot params; one pass per block bounds live activations."""
-    return FeatureBank(embed_dim=params.config.embed_dim, keys=np.concatenate(
-        [model_mod.encode_project_batch(params, X) for X in blocks]))
+    frozen snapshot params, one (rows, embed_dim) float64 key matrix; one
+    pass per block bounds live activations."""
+    return np.concatenate(
+        [model_mod.encode_project_batch(params, X) for X in blocks])
 
 
-def momentum_update(bank: FeatureBank, rows, embeddings,
-                    momentum: float = DEFAULT_MOMENTUM) -> FeatureBank:
+def momentum_update(bank, rows, embeddings, momentum: float) -> np.ndarray:
     """Blend the keys at these rows toward fresh unit embeddings and
     re-normalize.
 
@@ -62,16 +45,16 @@ def momentum_update(bank: FeatureBank, rows, embeddings,
     if not (0.0 <= momentum <= 1.0):
         raise DegenerateInputError(f"momentum {momentum} outside [0, 1]")
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 or embeddings.shape[1] != bank.embed_dim:
+    if embeddings.ndim != 2 or embeddings.shape[1] != bank.shape[1]:
         raise DimensionError(f"embeddings have shape {embeddings.shape}")
-    rows = bank.check_rows(rows)
+    rows = check_rows(rows, len(bank))
     if rows.size != embeddings.shape[0]:
         raise DimensionError("rows and embeddings disagree on sample count")
-    blended = momentum * bank.keys[rows] + (1.0 - momentum) * embeddings
+    blended = momentum * bank[rows] + (1.0 - momentum) * embeddings
     norms = np.sqrt(np.add.reduce(blended * blended, axis=1, keepdims=True))
     if (norms == 0.0).any():
         raise DegenerateInputError("momentum blend produced a zero key")
-    bank.keys[rows] = blended / norms
+    bank[rows] = blended / norms
     return bank
 
 
@@ -102,8 +85,7 @@ def distinct_rows(rng: np.random.Generator, size, count: int,
     return rows
 
 
-def negative_rows(bank: FeatureBank, steps, count: int,
-                  rng: np.random.Generator) -> list:
+def negative_rows(bank, steps, count: int, rng: np.random.Generator) -> list:
     """For each step's bank rows, `count` distinct rows outside them drawn
     uniformly, which all of the step's queries share: one int32 (count,)
     array per step, in step order.
@@ -114,9 +96,10 @@ def negative_rows(bank: FeatureBank, steps, count: int,
     reaches the draw, not the keys or which rows a step holds or repeats.
     Raises when a step leaves fewer than count rows outside it.
     """
-    own = [np.flatnonzero(np.bincount(bank.check_rows(r), minlength=len(bank)))
+    n = len(bank)
+    own = [np.flatnonzero(np.bincount(check_rows(r, n), minlength=n))
            for r in steps]
-    outside = len(bank) - np.array([u.size for u in own], dtype=np.int64)
+    outside = n - np.array([u.size for u in own], dtype=np.int64)
     if count > outside.min(initial=count):
         raise InsufficientNegativesError(
             f"bank holds {outside.min()} rows outside a batch, need {count}")

@@ -263,16 +263,15 @@ def import_dataset(path):
     try:
         with open(os.path.join(path, "data_manifest.json")) as fh:
             meta = json.load(fh)
-        specs = [datagen.DomainSpec(kind=s["kind"], n_classes=s["n_classes"],
-                                    per_class=s["per_class"],
-                                    rotation_deg=s["rotation_deg"],
-                                    scale=s["scale"],
-                                    translation=tuple(s["translation"]),
-                                    radius=s["radius"], std=s["std"])
+        specs = [datagen.DomainSpec(**{**s, "translation": tuple(s["translation"])})
                  for s in meta["specs"]]
+        # DomainSpec rejects an unknown field; a missing one would default
+        if any(len(s) != len(dataclasses.fields(datagen.DomainSpec))
+               for s in meta["specs"]):
+            raise KeyError("a domain spec lacks a field")
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
-    # invalid JSON, a missing field or a spec the data cannot have
+    # invalid JSON, a missing or unknown field or a spec the data cannot have
     except (ValueError, KeyError, TypeError, ContdaError) as exc:
         raise ConfigError(f"malformed dataset manifest: {exc!r}") from exc
     domains = []

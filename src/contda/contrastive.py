@@ -17,6 +17,7 @@ w.r.t. the unit embeddings goes to model.backward.
 
 import numpy as np
 
+from .bank import check_rows
 from .errors import ContractViolationError, DimensionError
 
 
@@ -50,11 +51,11 @@ def epoch_plans(bank, steps, negatives, labels=None) -> list:
     negatives lie in the bank, no negative is a row of its step, and labels
     (one per bank row, -1 unlabeled and the default) are integers >= -1."""
     sizes = [len(r) for r in steps]
-    rows = bank.check_rows(np.concatenate(steps))
+    rows = check_rows(np.concatenate(steps), len(bank))
     negatives = np.asarray(negatives, dtype=np.int64)
     if negatives.ndim != 2:
         raise DimensionError(f"negatives of shape {negatives.shape} per epoch")
-    bank.check_rows(negatives.ravel())
+    check_rows(negatives.ravel(), len(bank))
     # step i's rows shifted by i len(bank), and a -1 below all: one search
     shift = len(bank) * np.arange(len(steps))
     inside = np.sort(np.concatenate([[-1], rows + np.repeat(shift, sizes)]))
@@ -91,11 +92,11 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float,
         raise DimensionError("empty batch")
     if fw.X.shape[0] != n:
         raise DimensionError(f"{n} bank rows for {fw.X.shape[0]} samples")
-    if bank.embed_dim != fw.Z.shape[1]:
-        raise DimensionError(f"bank keys have dimension {bank.embed_dim}, "
-                             f"embeddings {fw.Z.shape[1]}")
+    if bank.ndim != 2 or bank.shape[1] != fw.Z.shape[1]:
+        raise DimensionError(f"bank keys have shape {bank.shape}, "
+                             f"embeddings dimension {fw.Z.shape[1]}")
     if plan is None:
         (plan,) = epoch_plans(bank, [rows], [negatives], labels)
-    losses, dQ = nce_columns(fw.embeddings(), bank.keys[rows],
-                             bank.keys[negatives], temperature, *plan)
+    losses, dQ = nce_columns(fw.embeddings(), bank[rows], bank[negatives],
+                             temperature, *plan)
     return float(losses.sum() / n), dQ / n

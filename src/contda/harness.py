@@ -68,8 +68,8 @@ class AdaptationPlan:
     epochs_per_domain: int = 6
     batch_size: int = 64
     ratio_source: float = 0.25
+    # a batch's target share is 1 - ratio_source - ratio_memory
     ratio_memory: float = 0.25
-    ratio_target: float = 0.5
     lr: float = 0.05
     pretrain_lr: float = 0.1
     hidden_dim: int = 64
@@ -79,8 +79,8 @@ class AdaptationPlan:
     # sharp temperature saturates the softmax early
     temperature: float = 0.2
     negatives: int = 64
-    bank_momentum: float = bank_mod.DEFAULT_MOMENTUM
-    memory_capacity: int = memory_mod.DEFAULT_CAPACITY
+    bank_momentum: float = 0.5
+    memory_capacity: int = 128
     seed: int = 0
 
     def __post_init__(self):
@@ -91,16 +91,15 @@ class AdaptationPlan:
             raise ContractViolationError(f"plan values must be finite: {infinite}")
         if self.strategy not in STRATEGIES:
             raise ContractViolationError(f"unknown strategy {self.strategy!r}")
-        ratios = (self.ratio_source, self.ratio_memory, self.ratio_target)
-        if min(ratios) < 0.0 or abs(sum(ratios) - 1.0) > 1e-9:
+        if (min(self.ratio_source, self.ratio_memory) < 0.0
+                or self.ratio_source + self.ratio_memory >= 1.0):
             raise ContractViolationError(
-                "batch ratios must be non-negative and sum to 1")
+                "source and memory ratios must be non-negative and sum below "
+                "1, leaving the target its share")
         if self.lambda_source < 0.0 or self.lambda_memory < 0.0:
             raise ContractViolationError("loss weights must be non-negative")
         if self.batch_size < 4:
             raise ContractViolationError("batch size too small to compose")
-        if self.ratio_source + self.ratio_target <= 0.0:
-            raise ContractViolationError("source and target ratios both zero")
         if min(self.batch_counts(m)[2] for m in (False, True)) < 1:
             raise ContractViolationError(
                 "batch leaves no room for target samples")
@@ -128,8 +127,7 @@ class AdaptationPlan:
             n_s = int(round(self.ratio_source * b))
             n_m = int(round(self.ratio_memory * b))
         else:
-            n_s = int(round(self.ratio_source
-                            / (self.ratio_source + self.ratio_target) * b))
+            n_s = int(round(self.ratio_source / (1.0 - self.ratio_memory) * b))
             n_m = 0
         return n_s, n_m, b - n_s - n_m
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
 
-DEFAULT_CAPACITY = 128
 CONFIDENCE_DELTA = 1e-12
 
 
@@ -149,7 +148,7 @@ class EpisodicMemory:
 
 
 def build_memory(domain_index, ids, inputs, pseudo_labels, confidences,
-                 n_classes, capacity: int = DEFAULT_CAPACITY) -> EpisodicMemory:
+                 n_classes, capacity: int) -> EpisodicMemory:
     """Keep the highest-confidence samples, cycling over classes round-robin.
 
     Each class's candidates are ranked by confidence (original order breaks

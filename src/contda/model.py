@@ -25,9 +25,9 @@ from .errors import ContractViolationError, DegenerateInputError, DimensionError
 class ModelConfig:
     input_dim: int
     n_classes: int
-    hidden_dim: int = 64
-    proj_hidden_dim: int = 64
-    embed_dim: int = 16
+    hidden_dim: int
+    proj_hidden_dim: int
+    embed_dim: int
 
 
 # block order in the flat parameter vector

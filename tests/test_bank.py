@@ -11,22 +11,18 @@ def unit_rows(rng, n, d):
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
-def make_bank(rng, n=10, d=4):
-    return bank.FeatureBank(embed_dim=d, keys=unit_rows(rng, n, d))
-
-
 def test_lookup_and_shape_validation():
     rng = np.random.default_rng(0)
-    b = make_bank(rng, n=5, d=3)
+    b = unit_rows(rng, 5, 3)
     assert len(b) == 5
-    np.testing.assert_array_equal(b.check_rows([3, 0]), [3, 0])
+    np.testing.assert_array_equal(bank.check_rows([3, 0], len(b)), [3, 0])
     for bad in ([5], [-1], [[0, 1]]):
         with pytest.raises(DimensionError):
-            b.check_rows(bad)
+            bank.check_rows(bad, len(b))
     with pytest.raises(DimensionError):
-        bank.FeatureBank(embed_dim=3, keys=np.zeros((1, 2)))
+        bank.momentum_update(b, [5], unit_rows(rng, 1, 3), 0.5)
     with pytest.raises(DimensionError):
-        bank.momentum_update(b, [5], unit_rows(rng, 1, 3))
+        bank.momentum_update(b, [0], unit_rows(rng, 1, 2), 0.5)
 
 
 def test_init_bank_uses_frozen_snapshot_embeddings():
@@ -39,11 +35,11 @@ def test_init_bank_uses_frozen_snapshot_embeddings():
     b = bank.init_bank(params, [Xs, Xt])
     assert len(b) == 10
     # the blocks' rows follow each other in order
-    np.testing.assert_allclose(b.keys[:4],
+    np.testing.assert_allclose(b[:4],
                                model.encode_project_batch(params, Xs), atol=1e-15)
-    np.testing.assert_allclose(b.keys[4:],
+    np.testing.assert_allclose(b[4:],
                                model.encode_project_batch(params, Xt), atol=1e-15)
-    np.testing.assert_allclose(np.linalg.norm(b.keys, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(b, axis=1), 1.0, atol=1e-12)
 
 
 def test_init_bank_skips_empty_pools():
@@ -53,46 +49,46 @@ def test_init_bank_skips_empty_pools():
     b = bank.init_bank(params, [np.zeros((0, 2)), np.ones((1, 2))])
     assert len(b) == 1
     np.testing.assert_allclose(
-        b.keys, model.encode_project_batch(params, np.ones((1, 2))), atol=1e-15)
+        b, model.encode_project_batch(params, np.ones((1, 2))), atol=1e-15)
     with pytest.raises(InsufficientNegativesError):
         bank.negative_rows(b, [[0]], 1, np.random.default_rng(0))
 
 
 def test_momentum_update_halfway_blend():
     rng = np.random.default_rng(5)
-    b = make_bank(rng, n=6, d=4)
-    old = b.keys.copy()
+    b = unit_rows(rng, 6, 4)
+    old = b.copy()
     fresh = unit_rows(rng, 2, 4)
     bank.momentum_update(b, [1, 4], fresh, momentum=0.5)
     for row, q in ((1, fresh[0]), (4, fresh[1])):
         blend = 0.5 * old[row] + 0.5 * q
-        np.testing.assert_allclose(b.keys[row], blend / np.linalg.norm(blend),
+        np.testing.assert_allclose(b[row], blend / np.linalg.norm(blend),
                                    atol=1e-12)
     # untouched rows stay put
-    np.testing.assert_array_equal(b.keys[0], old[0])
-    np.testing.assert_allclose(np.linalg.norm(b.keys, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(b[0], old[0])
+    np.testing.assert_allclose(np.linalg.norm(b, axis=1), 1.0, atol=1e-12)
 
 
 def test_momentum_update_edge_coefficients():
     rng = np.random.default_rng(6)
-    b = make_bank(rng, n=3, d=4)
-    old = b.keys.copy()
+    b = unit_rows(rng, 3, 4)
+    old = b.copy()
     fresh = unit_rows(rng, 1, 4)
     bank.momentum_update(b, [0], fresh, momentum=1.0)
-    np.testing.assert_allclose(b.keys[0], old[0], atol=1e-12)
+    np.testing.assert_allclose(b[0], old[0], atol=1e-12)
     bank.momentum_update(b, [1], fresh, momentum=0.0)
-    np.testing.assert_allclose(b.keys[1], fresh[0], atol=1e-12)
+    np.testing.assert_allclose(b[1], fresh[0], atol=1e-12)
     with pytest.raises(DegenerateInputError):
         bank.momentum_update(b, [2], fresh, momentum=1.5)
     with pytest.raises(DimensionError):
-        bank.momentum_update(b, [0, 1], fresh)
+        bank.momentum_update(b, [0, 1], fresh, 0.5)
 
 
 def test_momentum_update_antipodal_blend_raises():
     rng = np.random.default_rng(7)
-    b = make_bank(rng, n=2, d=3)
+    b = unit_rows(rng, 2, 3)
     with pytest.raises(DegenerateInputError):
-        bank.momentum_update(b, [0], -b.keys[[0]], momentum=0.5)
+        bank.momentum_update(b, [0], -b[[0]], momentum=0.5)
 
 
 def outside_ranks(step, neg):
@@ -104,7 +100,7 @@ def test_draw_negatives_excludes_own_key_and_is_distinct():
     # one array per step, in step order, shared by the step's queries: count
     # distinct rows, none of them a row of the step, repeated or not
     for n, count in ((3600, 64), (200, 10), (12, 5), (1300, 512)):
-        b = make_bank(np.random.default_rng(8), n=n, d=2)
+        b = unit_rows(np.random.default_rng(8), n, 2)
         steps = [np.array([5, 0, n - 1, 5, n // 2, 1]),
                  np.array([n - 1] * 3), np.arange(6)]
         out = bank.negative_rows(b, steps, count, np.random.default_rng(9))
@@ -121,7 +117,7 @@ def test_draw_negatives_exhausts_bank():
     # outside the step; count 0 takes none; one more than n - b raises, and
     # one step that leaves too few rows fails the whole draw
     for n in (4, 9, 40):
-        b = make_bank(np.random.default_rng(10), n=n, d=3)
+        b = unit_rows(np.random.default_rng(10), n, 3)
         steps = [np.array([0]), np.array([n - 1, 1, n - 1]), np.arange(n // 2)]
         for step in steps:
             inside = set(step.tolist())
@@ -151,7 +147,7 @@ def test_negative_columns_are_uniform():
     draws = 20_000
     for n, step, count in ((10, [2, 5, 9], 3), (60, [7, 7, 0, 59, 30], 30),
                            (3600, [1200, 5, 3599], 64)):
-        b = make_bank(np.random.default_rng(13), n=n, d=2)
+        b = unit_rows(np.random.default_rng(13), n, 2)
         steps = [np.array(step), np.array(step[:-1] + step[:1])]
         out = bank.negative_rows(b, steps * draws, count,
                                  np.random.default_rng(14))
@@ -165,7 +161,7 @@ def test_negative_columns_are_uniform():
 
 
 def test_negative_rows_follow_the_generator():
-    b = make_bank(np.random.default_rng(15), n=300, d=2)
+    b = unit_rows(np.random.default_rng(15), 300, 2)
     steps = np.array_split(np.arange(0, 300, 7), 3)
     for count in (10, 200):
         a = bank.negative_rows(b, steps, count, np.random.default_rng(16))
@@ -180,7 +176,7 @@ def test_negative_rows_do_not_depend_on_the_step_cuts():
     # step's count of distinct rows: moving rows between steps of equal
     # size, reordering a step or repeating one of its rows moves no
     # negative's rank among its step's outside rows
-    b = make_bank(np.random.default_rng(19), n=300, d=2)
+    b = unit_rows(np.random.default_rng(19), 300, 2)
     rows = np.random.default_rng(20).permutation(300)[:140]
     for count in (10, 200):
         cut = np.split(rows, 7)

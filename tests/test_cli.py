@@ -93,8 +93,7 @@ def test_validate_config_rejects_bad_plan_settings():
     with pytest.raises(cli.ConfigError, match="invalid plan settings"):
         cli.validate_config({**ok, "batch_size": 2})
     with pytest.raises(cli.ConfigError, match="invalid plan settings"):
-        cli.validate_config({**ok, "ratio_source": 0.9, "ratio_memory": 0.9,
-                             "ratio_target": 0.2})
+        cli.validate_config({**ok, "ratio_source": 0.9, "ratio_memory": 0.9})
     for bad in ({"temperature": -0.2}, {"temperature": 0}, {"negatives": -1},
                 {"memory_capacity": 0}, {"bank_momentum": 1.5},
                 {"hidden_dim": 0}, {"proj_hidden_dim": 0}, {"embed_dim": 0},
@@ -104,7 +103,7 @@ def test_validate_config_rejects_bad_plan_settings():
             cli.validate_config({**ok, **bad})
     # JSON's NaN and Infinity parse to floats the range checks cannot see
     for name in ("lr", "pretrain_lr", "lambda_source", "lambda_memory",
-                 "ratio_source", "ratio_memory", "ratio_target"):
+                 "ratio_source", "ratio_memory"):
         for text in ("NaN", "Infinity", "-Infinity"):
             raw = json.loads(json.dumps(ok)[:-1] + f', "{name}": {text}}}')
             with pytest.raises(cli.ConfigError, match="must be finite"):
@@ -294,6 +293,8 @@ def test_run_exit_code_malformed_dataset(tmp_path):
         "no_specs": lambda m, root: rewrite(m, lambda meta: meta.pop("specs")),
         "no_spec_key": lambda m, root: rewrite(
             m, lambda meta: meta["specs"][1].pop("std")),
+        "unknown_spec_key": lambda m, root: rewrite(
+            m, lambda meta: meta["specs"][1].update(sigma=9.0)),
         "missing_csv": lambda m, root: os.remove(os.path.join(root, "domain_2.csv")),
         "garbled_csv": lambda m, root: write(os.path.join(root, "domain_1.csv"),
                                              "id,split,label,x0\nd1:0,train,one,0.5\n"),
@@ -399,18 +400,27 @@ def test_run_exit_code_class_count_mismatch(tmp_path, capsys):
 
 def test_run_exit_code_batch_without_target_rows(tmp_path, capsys):
     # ratios that leave a batch no target row, with or without memories
-    # to draw from, are config errors before any training
+    # to draw from, are config errors before any training; the target
+    # takes 1 - ratio_source - ratio_memory
     data = write_tiny_dataset(tmp_path / "data")
-    cases = {"1/0/0": ((1.0, 0.0, 0.0), "no room for target samples"),
-             "0/1/0": ((0.0, 1.0, 0.0), "source and target ratios both zero"),
-             "memory": ((0.5, 0.495, 0.005), "no room for target samples")}
+    share = "sum below 1, leaving the target its share"
+    cases = {"1/0": ((1.0, 0.0), share), "0/1": ((0.0, 1.0), share),
+             "memory": ((0.5, 0.495), "no room for target samples")}
     for name, (ratios, message) in cases.items():
         cfg = tiny_cfg(data, tmp_path / "o", batch_size=64,
-                       **dict(zip(("ratio_source", "ratio_memory",
-                                   "ratio_target"), ratios)))
+                       **dict(zip(("ratio_source", "ratio_memory"), ratios)))
         cfg_path = write_cfg(tmp_path / "run.json", cfg)
         assert cli.main(["run", cfg_path]) == 2, name
         assert message in capsys.readouterr().err, name
+
+
+def test_run_exit_code_ratio_target_is_unknown(tmp_path, capsys):
+    # the target's share is derived, so naming it is an unknown key
+    data = write_tiny_dataset(tmp_path / "data")
+    cfg = tiny_cfg(data, tmp_path / "o", ratio_target=0.5)
+    assert cli.main(["run", write_cfg(tmp_path / "run.json", cfg)]) == 2
+    assert "unknown config keys: ratio_target" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_command(tmp_path):

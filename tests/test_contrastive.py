@@ -60,7 +60,7 @@ def test_nce_matches_direct_formula():
         loss, _ = contrastive.contrastive_grad(fw(params, batch),
                                                rows_of(batch), neg, fbank, tau)
         Q = model.encode_project_batch(params, batch)
-        want = [nce_direct(Q[i], fbank.keys[i], fbank.keys[neg], tau)
+        want = [nce_direct(Q[i], fbank[i], fbank[neg], tau)
                 for i in range(len(batch))]
         assert abs(loss - math.fsum(want) / len(want)) < 1e-12
 
@@ -113,7 +113,7 @@ def test_contrastive_grad_matches_per_row_oracle():
             multi += sum(positive) > 1
             unlabeled += labels is not None and labels[i] == -1 and any(
                 labels[neg] == -1)
-            loss_i, grad_i = supcon_direct(Q[i], fbank.keys[cols], positive,
+            loss_i, grad_i = supcon_direct(Q[i], fbank[cols], positive,
                                            tau)
             losses.append(loss_i)
             want[i] = grad_i / n
@@ -175,7 +175,7 @@ def test_contrastive_grad_matches_oracle_at_dense_shapes():
                                    & (labels[neg] == labels[i])))
         n_pos.append(positive.sum())
         loss_i, grad_i = supcon_direct(
-            Q[i], fbank.keys[np.concatenate(([i], neg))], positive, tau)
+            Q[i], fbank[np.concatenate(([i], neg))], positive, tau)
         losses.append(loss_i)
         want[i] = grad_i / n
     assert abs(loss - math.fsum(losses) / n) < 1e-12
@@ -247,10 +247,11 @@ def test_nce_temperature_sharpens():
 
 def test_nce_validates_shapes():
     params, batch, fbank = make_setup(4)
-    narrow = bank.FeatureBank(embed_dim=3, keys=fbank.keys[:, :3])
-    with pytest.raises(DimensionError):
-        nce_grad(fw(params, batch), rows_of(batch),
-                 narrow, 0.2, 3, np.random.default_rng(0))
+    # a bank narrower than the embeddings, or not a matrix
+    for bad in (fbank[:, :3], fbank[:, 0]):
+        with pytest.raises(DimensionError):
+            nce_grad(fw(params, batch), rows_of(batch),
+                     bad, 0.2, 3, np.random.default_rng(0))
     (neg,) = bank.negative_rows(fbank, [rows_of(batch)], 3,
                                 np.random.default_rng(0))
     for rows, negatives in ((rows_of(batch) + len(fbank), neg),
@@ -280,8 +281,8 @@ def test_contrastive_loss_matches_per_sample_mean():
     Q = model.encode_project_batch(params, batch)
     want = 0.0
     for row in rows_of(batch):
-        want += nce_direct(Q[row], fbank.keys[row],
-                           fbank.keys[len(batch):], 0.2)
+        want += nce_direct(Q[row], fbank[row],
+                           fbank[len(batch):], 0.2)
     np.testing.assert_allclose(loss, want / len(batch), atol=1e-12)
 
 
@@ -342,7 +343,7 @@ def test_bank_keys_receive_no_gradient():
     _, g1 = nce_grad(fw(params, batch), rows_of(batch),
                      fbank, 0.07, outside(fbank, batch),
                      np.random.default_rng(0))
-    clone = bank.FeatureBank(embed_dim=fbank.embed_dim, keys=fbank.keys.copy())
+    clone = fbank.copy()
     _, g2 = nce_grad(fw(params, batch), rows_of(batch),
                      clone, 0.07, outside(clone, batch),
                      np.random.default_rng(0))

@@ -36,20 +36,19 @@ def test_plan_validation():
     for name in ("no_such_strategy", "crt_src_mem"):
         with pytest.raises(ContractViolationError, match="unknown strategy"):
             tiny_plan(name)
+    # the target takes 1 - ratio_source - ratio_memory
+    with pytest.raises(ContractViolationError, match="target"):
+        tiny_plan(harness.GRCL, ratio_source=0.5, ratio_memory=0.5)
     with pytest.raises(ContractViolationError):
-        tiny_plan(harness.GRCL, ratio_source=0.5, ratio_memory=0.5,
-                  ratio_target=0.5)
-    with pytest.raises(ContractViolationError):
-        tiny_plan(harness.GRCL, ratio_source=-0.25, ratio_memory=0.5,
-                  ratio_target=0.75)
+        tiny_plan(harness.GRCL, ratio_source=-0.25, ratio_memory=0.5)
     # a batch needs a target row with and without memories to draw from:
-    # 0.5/0.495/0.005 leaves one without memories and none with them
-    for ratios in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.495, 0.005)):
+    # 0.5/0.495 leaves one without memories and none with them
+    for ratios in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.495)):
         with pytest.raises(ContractViolationError, match="target"):
             tiny_plan(harness.GRCL, batch_size=64, **dict(zip(
-                ("ratio_source", "ratio_memory", "ratio_target"), ratios)))
+                ("ratio_source", "ratio_memory"), ratios)))
     plan = tiny_plan(harness.GRCL, batch_size=64, ratio_source=0.5,
-                     ratio_memory=0.49, ratio_target=0.01)
+                     ratio_memory=0.49)
     assert plan.batch_counts(False) == (63, 0, 1)
     assert plan.batch_counts(True) == (32, 31, 1)
     with pytest.raises(ContractViolationError):
@@ -68,7 +67,7 @@ def test_plan_validation():
             tiny_plan(harness.GRCL, **bad)
     # NaN and Inf pass the range checks' comparisons unless refused
     for name in ("lr", "pretrain_lr", "lambda_source", "lambda_memory",
-                 "ratio_source", "ratio_memory", "ratio_target",
+                 "ratio_source", "ratio_memory",
                  "temperature", "bank_momentum"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ContractViolationError, match="finite"):
@@ -690,7 +689,7 @@ def test_epoch_negatives_exclude_every_batch_row():
     # one draw for the epoch, one shared array per step; none includes a
     # row of its step, at a small fill and a large one
     for n_bank, count in ((400, 8), (40, 20)):
-        fbank = bank.FeatureBank(embed_dim=2, keys=np.ones((n_bank, 2)))
+        fbank = np.ones((n_bank, 2))
         steps = np.random.default_rng(3).integers(n_bank, size=(30, 16))
         negs = bank.negative_rows(fbank, steps, count,
                                   np.random.default_rng(4))

@@ -185,7 +185,7 @@ def test_build_memory_confidence_tie_keeps_original_order():
 def test_build_memory_validates_lengths():
     with pytest.raises(DimensionError):
         memory.build_memory(1, ["a"], np.zeros((2, 1)), np.array([0, 1]),
-                            np.array([0.1, 0.2]), 2)
+                            np.array([0.1, 0.2]), 2, capacity=128)
 
 
 def round_robin_sweep(labels, conf, n_classes, capacity):

@@ -3,14 +3,14 @@ run, written to BENCH_<label>.json.
 
     python3 tools/bench_stages.py --label baseline
 
-The reference run is `rot-blobs-5`, `grcl`, seed 11 through
-`contda.cli.run_config`, in this process with one BLAS thread, importing
-contda from this checkout's src/.  The dense run, `moons-4`, `multitask`,
-512 negatives, seed 11, is perfbench's `multitask-moons-k512` at that seed;
-its figures sit under the key `dense_run`.  The source-only run,
-`rot-blobs-5`, `src_only`, seeds 11, 22, 33, 44 and 55, is perfbench's
-`srconly-blobs` at seed 11; its figures sit under the key
-`source_only_run`.  Each runs three times untraced, for the median wall
+Each run is one of perfbench's workloads at seed 11, its config built from
+perfbench/spec.json, through `contda.cli.run_config`, in this process with
+one BLAS thread, importing contda from this checkout's src/.  The
+reference run is `grcl-blobs` (`rot-blobs-5`, `grcl`, seed 11).  The dense
+run, `multitask-moons-k512` (`moons-4`, `multitask`, 512 negatives), sits
+under the key `dense_run`.  The source-only run, `srconly-blobs`
+(`rot-blobs-5`, `src_only`, seeds 11, 22, 33, 44 and 55), sits under the
+key `source_only_run`.  Each runs three times untraced, for the median wall
 time, then once under perfbench's span tracer.  Each untraced run is also
 given in units of perfbench's reference kernel, sampled before, during
 and after it as perfbench/run.py does: the wall time of one tree drifts by
@@ -50,16 +50,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import tracer as tracer_mod  # noqa: E402
 from contda import cli  # noqa: E402
-from run import ReferenceKernel, Sampler  # noqa: E402
+from run import ReferenceKernel, Sampler, load_spec, make_config  # noqa: E402
 
-REFERENCE = {"preset": "rot-blobs-5", "strategy": "grcl", "seed": 11}
-# 512 shared negatives from a ~1.3k-key bank: per-key arithmetic dominates
-DENSE = {"preset": "moons-4", "strategy": "multitask", "negatives": 512,
-         "seed": 11}
-# perfbench's srconly-blobs at seed 11: data generation, pretraining and
-# evaluation only
-SOURCE_ONLY = {"preset": "rot-blobs-5", "strategy": "src_only",
-               "seeds": [11, 22, 33, 44, 55]}
+RUN_SEED = 11  # the perfbench seed each run's config is built at
 RUNS = 3  # untraced reference runs behind the median wall time
 KERNELS = 3  # reference-kernel samples just before and just after the trace
 ADAPT = "harness.adapt_domain"
@@ -193,23 +186,25 @@ def source_figures(spans, ref_s):
             "ref_per_seed": in_kernels(per_seed, 1e-3, ref_s)}
 
 
-def measure(reference, tmp, points, figures):
+def measure(config, points, figures):
     """The wall-time figures of one run config, RUNS untraced runs, in
     reference-kernel units too, then those that `figures` takes from one
-    run traced at `points`."""
+    run traced at `points`; each run writes under the config's
+    output_dir."""
+    tmp = config.pop("output_dir")
     kernel = ReferenceKernel()
     sampler = Sampler(kernel)
-    runs = [run_reference(reference, os.path.join(tmp, f"run{i}"), sampler)
+    runs = [run_reference(config, os.path.join(tmp, f"run{i}"), sampler)
             for i in range(RUNS)]
     tracer = tracer_mod.Tracer(points=points)
     kernels = [kernel() for _ in range(KERNELS)]
     with tracer.installed():
-        traced, _ = run_reference(reference, os.path.join(tmp, "traced"))
+        traced, _ = run_reference(config, os.path.join(tmp, "traced"))
     kernels += [kernel() for _ in range(KERNELS)]
     if tracer.absent:
         sys.exit(f"error: wrap points name missing code: {tracer.absent}")
     return {
-        "reference_run": reference,
+        "reference_run": config,
         "reference_run_s": round(statistics.median(w for w, _ in runs), 3),
         "reference_run_s_each": [round(w, 3) for w, _ in runs],
         "reference_run_ref": round(statistics.median(w / k for w, k in runs), 1),
@@ -229,13 +224,17 @@ def main(argv=None):
                         help="directory of the output file")
     args = parser.parse_args(argv)
 
+    spec = load_spec()
     with tempfile.TemporaryDirectory() as tmp:
-        reference = measure(REFERENCE, os.path.join(tmp, "reference"),
-                            wrap_points(), stage_figures)
-        dense = measure(DENSE, os.path.join(tmp, "dense"), wrap_points(),
+        def config(workload):
+            return make_config(spec, workload, RUN_SEED,
+                               os.path.join(tmp, workload))
+        reference = measure(config("grcl-blobs"), wrap_points(),
+                            stage_figures)
+        dense = measure(config("multitask-moons-k512"), wrap_points(),
                         stage_figures)
-        source_only = measure(SOURCE_ONLY, os.path.join(tmp, "source_only"),
-                              source_points(), source_figures)
+        source_only = measure(config("srconly-blobs"), source_points(),
+                              source_figures)
     result = {
         "label": args.label,
         "commit": git("rev-parse", "HEAD"),

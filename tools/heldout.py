@@ -4,9 +4,9 @@
 
 The acceptance suite's gates are the contract at their committed data draw
 and run seeds, so a change that moves ACC is also judged on draws the suite
-never reads.  This script runs the suite's strategies, the strategy list and
-fixed-weight grid imported from tests/test_acceptance.py so the two cannot
-drift, on `rot-blobs-5` at data draw 7 (run seeds 1-5) and data draw 8 (run
+never reads.  This script runs the suite's strategies, the strategy list,
+fixed-weight grid and gate thresholds imported from tests/test_acceptance.py
+so the two cannot drift, on `rot-blobs-5` at data draw 7 (run seeds 1-5) and data draw 8 (run
 seeds 6-10), in this process with one BLAS thread, importing contda from
 this checkout's src/.  Per draw and strategy it reports mean and per-seed
 ACC and BWT, source accuracy after the last domain and the mean accuracy on
@@ -34,15 +34,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 import numpy as np  # noqa: E402
 
 from contda import datagen, harness  # noqa: E402
-from test_acceptance import STRATEGIES, WEIGHT_GRID  # noqa: E402
+from test_acceptance import (  # noqa: E402
+    FLOOR, GAP, MARGIN, STRATEGIES, WEIGHT_GRID)
 
 PRESET = "rot-blobs-5"
 # data draw -> run seeds; neither is an acceptance draw or seed
 DRAWS = {7: (1, 2, 3, 4, 5), 8: (6, 7, 8, 9, 10)}
 CHAIN = ("grcl", "crt_sdc", "crt_src", "src_only")
-GAP = 0.05  # grcl over src_only
-MARGIN = 0.02  # grcl BWT over the best grid member's
-FLOOR = -0.02  # grcl BWT
 
 
 def r6(x):
