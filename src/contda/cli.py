@@ -29,6 +29,9 @@ _PLAN_FIELDS = {f.name: f.type for f in dataclasses.fields(harness.AdaptationPla
 _TOP_FIELDS = {"preset": str, "dataset": str, "output_dir": str,
                "seed": int, "seeds": list, "diagnostics": str}
 _REQUIRED = ("strategy", "output_dir")
+# a dataset manifest's spec fields; its translation is a JSON array
+_SPEC_FIELDS = {f.name: f.type for f in dataclasses.fields(datagen.DomainSpec)}
+_SPEC_FIELDS["translation"] = list
 
 
 class ConfigError(ValueError):
@@ -62,16 +65,7 @@ def validate_config(raw: dict) -> dict:
     if ("seed" in raw) == ("seeds" in raw):
         raise ConfigError("missing required field: exactly one of seed or seeds")
 
-    cfg = {}
-    for key, value in raw.items():
-        want = known[key]
-        if want is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if want is int and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"field {key} must be an integer")
-        if not isinstance(value, want):
-            raise ConfigError(f"field {key} must be of type {want.__name__}")
-        cfg[key] = value
+    cfg = _typed_fields(raw, known)
     if cfg.get("seed", 0) < 0:
         raise ConfigError("field seed must be a non-negative integer")
     if "seeds" in cfg:
@@ -94,6 +88,22 @@ def validate_config(raw: dict) -> dict:
     except ContractViolationError as exc:
         raise ConfigError(f"invalid plan settings: {exc}") from exc
     return cfg
+
+
+def _typed_fields(raw: dict, types: dict) -> dict:
+    """raw with each value checked against its key's type in types; an int
+    where a float is wanted becomes that float."""
+    out = {}
+    for key, value in raw.items():
+        want = types[key]
+        if want is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if want is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"field {key} must be an integer")
+        if not isinstance(value, want):
+            raise ConfigError(f"field {key} must be of type {want.__name__}")
+        out[key] = value
+    return out
 
 
 def derive_seeds(root: int):
@@ -253,8 +263,8 @@ def export_dataset(preset: str, seed: int, out_dir: str) -> None:
     meta = {"preset": preset, "seed": seed,
             "specs": [dataclasses.asdict(s) for s in specs]}
     _write_json(meta, os.path.join(out_dir, "data_manifest.json"))
-    for d in domains:
-        datagen.export_domain_csv(d, os.path.join(out_dir, f"domain_{d.index}.csv"))
+    for i, d in enumerate(domains):
+        datagen.export_domain_csv(d, os.path.join(out_dir, f"domain_{i}.csv"))
 
 
 def import_dataset(path):
@@ -263,32 +273,39 @@ def import_dataset(path):
     try:
         with open(os.path.join(path, "data_manifest.json")) as fh:
             meta = json.load(fh)
-        specs = [datagen.DomainSpec(**{**s, "translation": tuple(s["translation"])})
-                 for s in meta["specs"]]
-        # DomainSpec rejects an unknown field; a missing one would default
-        if any(len(s) != len(dataclasses.fields(datagen.DomainSpec))
-               for s in meta["specs"]):
-            raise KeyError("a domain spec lacks a field")
+        specs = []
+        for s in meta["specs"]:
+            # a missing field would fall back to DomainSpec's default
+            if not isinstance(s, dict) or set(s) != set(_SPEC_FIELDS):
+                raise ConfigError("a domain spec must have exactly the fields "
+                                  + ", ".join(_SPEC_FIELDS))
+            s = _typed_fields(s, _SPEC_FIELDS)
+            specs.append(datagen.DomainSpec(
+                **{**s, "translation": tuple(s["translation"])}))
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
-    # invalid JSON, a missing or unknown field or a spec the data cannot have
+    # invalid JSON, a missing, unknown or mistyped field or a spec the data
+    # cannot have
     except (ValueError, KeyError, TypeError, ContdaError) as exc:
         raise ConfigError(f"malformed dataset manifest: {exc!r}") from exc
+    if len(specs) < 2:
+        raise ConfigError(f"a dataset needs a source and at least one target "
+                          f"domain, the manifest lists {len(specs)}")
     domains = []
     for i, spec in enumerate(specs):
         csv_path = os.path.join(path, f"domain_{i}.csv")
         try:
-            domains.append(datagen.import_domain_csv(csv_path, i, spec))
+            domains.append(datagen.import_domain_csv(csv_path, spec))
         except (OSError, ValueError, IndexError, csv.Error, ContdaError) as exc:
             raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
     width = domains[0].train.X.shape[1]
     n_classes = domains[0].spec.n_classes
-    for d in domains[1:]:
+    for i, d in enumerate(domains[1:], start=1):
         if d.train.X.shape[1] != width:
-            raise ConfigError(f"domain {d.index} has {d.train.X.shape[1]} "
+            raise ConfigError(f"domain {i} has {d.train.X.shape[1]} "
                               f"features, domain 0 has {width}")
         if d.spec.n_classes != n_classes:
-            raise ConfigError(f"domain {d.index} has {d.spec.n_classes} "
+            raise ConfigError(f"domain {i} has {d.spec.n_classes} "
                               f"classes, domain 0 has {n_classes}")
     return domains
 

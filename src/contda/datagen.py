@@ -8,6 +8,7 @@ appears on both sides.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,6 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Domain:
-    index: int
     spec: DomainSpec
     train: Dataset
     holdout: Dataset
@@ -111,7 +111,7 @@ def generate_domain(spec: DomainSpec, index: int, rng: np.random.Generator) -> D
         return Dataset(ids=[f"d{index}:{i:05d}" for i in idx.tolist()],
                        X=X[idx], y=y[idx])
 
-    return Domain(index=index, spec=spec, train=take(train_idx), holdout=take(hold_idx))
+    return Domain(spec=spec, train=take(train_idx), holdout=take(hold_idx))
 
 
 def generate_sequence(specs, seed: int):
@@ -157,10 +157,10 @@ def export_domain_csv(domain: Domain, path) -> None:
                                 + [repr(float(v)) for v in ds.X[i]])
 
 
-def import_domain_csv(path, index: int, spec: DomainSpec) -> Domain:
+def import_domain_csv(path, spec: DomainSpec) -> Domain:
     """Domain of a CSV written by export_domain_csv; both splits must hold
-    rows, and every row must be as wide as the header and carry a label in
-    [0, spec.n_classes)."""
+    rows, and every row must be as wide as the header and carry finite
+    coordinates and a label in [0, spec.n_classes)."""
     rows = {"train": ([], [], []), "holdout": ([], [], [])}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -177,9 +177,13 @@ def import_domain_csv(path, index: int, spec: DomainSpec) -> Domain:
             if not 0 <= label < spec.n_classes:
                 raise DegenerateInputError(f"row {sid!r} has label {label}, "
                                            f"outside [0, {spec.n_classes})")
+            x = [float(v) for v in row[3:]]
+            if not all(map(math.isfinite, x)):
+                raise DegenerateInputError(f"row {sid!r} has a non-finite "
+                                           f"coordinate")
             ids, xs, ys = rows[split_name]
             ids.append(sid)
-            xs.append([float(v) for v in row[3:]])
+            xs.append(x)
             ys.append(label)
 
     def build(split_name):
@@ -189,5 +193,4 @@ def import_domain_csv(path, index: int, spec: DomainSpec) -> Domain:
         return Dataset(ids=ids, X=np.array(xs, dtype=np.float64),
                        y=np.array(ys, dtype=np.int64))
 
-    return Domain(index=index, spec=spec, train=build("train"),
-                  holdout=build("holdout"))
+    return Domain(spec=spec, train=build("train"), holdout=build("holdout"))

@@ -379,11 +379,10 @@ def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
                  diagnostics):
     """Train on target domain t from the previous parameters, replaying the
     earlier domains' memories; returns the new params."""
-    source_train = domains[0].train
     target_train = domains[t].train
-
-    parts = ([(source_train.X, source_train.y)]
-             + [(m.inputs, m.labels) for m in memories]
+    parts = ([(domains[0].train.X, domains[0].train.y)]
+             + [(domains[m.domain_index].train.X[m.rows], m.labels)
+                for m in memories]
              + [(target_train.X, np.full(len(target_train), -1))])
     fbank = bank_mod.init_bank(params, [X for X, _ in parts])
     pool, offsets = _batch_pool(parts)
@@ -415,9 +414,8 @@ def pseudo_label_memory(params, domains, t, plan, rng):
     means = memory_mod.class_embedding_means(src_feats, source_train.y, k)
     mapping = memory_mod.align_clusters(cluster.centers, means)
     assign, conf = memory_mod.assign_with_confidence(feats, cluster.centers)
-    return memory_mod.build_memory(
-        t, target_train.ids, target_train.X, mapping[assign], conf, k,
-        plan.memory_capacity)
+    return memory_mod.build_memory(t, target_train.ids, mapping[assign], conf,
+                                   k, plan.memory_capacity)
 
 
 def run_plan(domains, plan: AdaptationPlan) -> RunResult:

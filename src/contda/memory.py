@@ -137,18 +137,19 @@ def class_embedding_means(embeddings, labels, n_classes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EpisodicMemory:
+    """Rows of domains[domain_index].train, in selection order, and their
+    pseudo-labels; ids names the same rows."""
     domain_index: int
     ids: list
-    inputs: np.ndarray
+    rows: np.ndarray
     labels: np.ndarray
-    confidences: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.rows)
 
 
-def build_memory(domain_index, ids, inputs, pseudo_labels, confidences,
-                 n_classes, capacity: int) -> EpisodicMemory:
+def build_memory(domain_index, ids, pseudo_labels, confidences, n_classes,
+                 capacity: int) -> EpisodicMemory:
     """Keep the highest-confidence samples, cycling over classes round-robin.
 
     Each class's candidates are ranked by confidence (original order breaks
@@ -157,11 +158,9 @@ def build_memory(domain_index, ids, inputs, pseudo_labels, confidences,
     class and confidence gives each candidate its rank in its class, and
     ordering by rank, then class, is the sweep order.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
     pseudo_labels = np.asarray(pseudo_labels, dtype=np.int64)
     confidences = np.asarray(confidences, dtype=np.float64)
-    n = len(ids)
-    if not (inputs.shape[0] == n == pseudo_labels.shape[0] == confidences.shape[0]):
+    if not (len(ids) == pseudo_labels.shape[0] == confidences.shape[0]):
         raise DimensionError("memory candidate fields disagree on sample count")
 
     keep = np.flatnonzero((pseudo_labels >= 0) & (pseudo_labels < n_classes))
@@ -169,11 +168,6 @@ def build_memory(domain_index, ids, inputs, pseudo_labels, confidences,
     labels = pseudo_labels[keep]
     rank = np.arange(keep.size) - np.searchsorted(labels, labels)
     chosen = keep[np.lexsort((labels, rank))][:max(capacity, 0)]
-    return EpisodicMemory(
-        domain_index=domain_index,
-        ids=[ids[i] for i in chosen],
-        inputs=inputs[chosen].copy(),
-        labels=pseudo_labels[chosen].copy(),
-        confidences=confidences[chosen].copy(),
-    )
-
+    return EpisodicMemory(domain_index=domain_index,
+                          ids=[ids[i] for i in chosen], rows=chosen,
+                          labels=pseudo_labels[chosen])

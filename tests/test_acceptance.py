@@ -1,18 +1,19 @@
 """End-to-end acceptance checks for the continual adaptation trainer.
 
 Each test verifies one externally visible guarantee of the package at a
-stated tolerance and prints one [PASS]/[FAIL] line with the measured
-numbers (written to the real stdout so the line survives pytest capture).
+stated tolerance and reports one [PASS]/[FAIL] line with the measured
+numbers.  The lines, and one [bench] line per strategy, are collected in
+conftest.GATE_LINES and printed in pytest's terminal summary, so they show
+with or without output capture.
 
 The benchmark-level checks (forgetting margins, ablation ordering, source
 preservation) share a module-scoped set of runs: every strategy plus a
 grid of fixed-weight baselines, on the reference preset, over five seeds
 that were never used while tuning plan defaults. Expect the full module
-to take about three minutes on one core.
+to take about one minute on one core.
 """
 
 import json
-import sys
 import time
 
 import numpy as np
@@ -22,6 +23,7 @@ from contda import cli, contrastive, datagen, gradproject, harness
 from contda import model as model_mod
 from contda.bank import negative_rows
 from contda.harness import AccuracyMatrix, AdaptationPlan
+from conftest import GATE_LINES
 from projection_oracle import brute_force_project
 
 ACCEPT_SEEDS = (11, 22, 33, 44, 55)
@@ -50,7 +52,7 @@ STRATEGIES = [
 
 def _report(name, ok, detail):
     tag = "PASS" if ok else "FAIL"
-    print(f"[{tag}] {name}: {detail}", file=sys.__stdout__, flush=True)
+    GATE_LINES.append(f"[{tag}] {name}: {detail}")
     return detail
 
 
@@ -72,8 +74,8 @@ def bench():
             runs[(label, seed)] = res
             accs.append(res.metrics.acc)
             bwts.append(res.metrics.bwt)
-        print(f"  [bench] {label}: acc={np.mean(accs):.4f} "
-              f"bwt={np.mean(bwts):+.4f}", file=sys.__stdout__, flush=True)
+        GATE_LINES.append(f"  [bench] {label}: acc={np.mean(accs):.4f} "
+                          f"bwt={np.mean(bwts):+.4f}")
     return domains, runs
 
 

@@ -20,8 +20,8 @@ def write_tiny_dataset(root, n_domains=3, n_classes=3, per_class=20, seed=11):
     domains = datagen.generate_sequence(
         [datagen.DomainSpec(**{**s, "translation": tuple(s["translation"])})
          for s in specs], seed)
-    for d in domains:
-        datagen.export_domain_csv(d, os.path.join(root, f"domain_{d.index}.csv"))
+    for i, d in enumerate(domains):
+        datagen.export_domain_csv(d, os.path.join(root, f"domain_{i}.csv"))
     return root
 
 
@@ -295,6 +295,18 @@ def test_run_exit_code_malformed_dataset(tmp_path):
             m, lambda meta: meta["specs"][1].pop("std")),
         "unknown_spec_key": lambda m, root: rewrite(
             m, lambda meta: meta["specs"][1].update(sigma=9.0)),
+        # a spec field of the wrong type, checked as a run config's are
+        "str_n_classes": lambda m, root: rewrite(
+            m, lambda meta: meta["specs"][1].update(n_classes="3")),
+        "float_n_classes": lambda m, root: rewrite(
+            m, lambda meta: meta["specs"][1].update(n_classes=3.0)),
+        "str_std": lambda m, root: rewrite(
+            m, lambda meta: meta["specs"][0].update(std="0.25")),
+        # a run needs a source and at least one target domain
+        "no_domains": lambda m, root: rewrite(
+            m, lambda meta: meta.update(specs=[])),
+        "one_domain": lambda m, root: rewrite(
+            m, lambda meta: meta.update(specs=meta["specs"][:1])),
         "missing_csv": lambda m, root: os.remove(os.path.join(root, "domain_2.csv")),
         "garbled_csv": lambda m, root: write(os.path.join(root, "domain_1.csv"),
                                              "id,split,label,x0\nd1:0,train,one,0.5\n"),
@@ -307,8 +319,8 @@ def test_run_exit_code_malformed_dataset(tmp_path):
 def test_run_exit_code_unusable_dataset_values(tmp_path):
     # readable domain files whose values the run cannot use are config
     # errors, exit 2: a label outside [0, n_classes) in either split, a
-    # domain wider than domain 0, rows wider than their header and an
-    # empty split
+    # non-finite coordinate, a domain wider than domain 0, rows wider than
+    # their header and an empty split
     def edit_domain_1(name, edit):
         root = write_tiny_dataset(tmp_path / name)
         path = os.path.join(root, "domain_1.csv")
@@ -318,18 +330,22 @@ def test_run_exit_code_unusable_dataset_values(tmp_path):
             fh.write("\n".join(edit(lines)) + "\n")
         return root
 
-    def relabel(split, label):
+    def set_cell(split, column, value):
         def edit(lines):
             i = next(i for i, line in enumerate(lines)
                      if line.split(",")[1] == split)
             cells = lines[i].split(",")
-            lines[i] = ",".join(cells[:2] + [label] + cells[3:])
+            cells[column] = value
+            lines[i] = ",".join(cells)
             return lines
         return edit
 
     cases = {
-        "holdout_label_3": relabel("holdout", "3"),
-        "train_label_-1": relabel("train", "-1"),
+        "holdout_label_3": set_cell("holdout", 2, "3"),
+        "train_label_-1": set_cell("train", 2, "-1"),
+        "train_nan": set_cell("train", 3, "nan"),
+        "holdout_inf": set_cell("holdout", 4, "inf"),
+        "train_-inf": set_cell("train", 4, "-inf"),
         "wider_domain": lambda lines: ([lines[0] + ",x2"]
                                        + [line + ",0.5" for line in lines[1:]]),
         "wider_rows": lambda lines: lines[:1] + [line + ",0.5"

@@ -125,7 +125,8 @@ def test_generate_sequence_deterministic_and_independent():
         np.testing.assert_array_equal(da.holdout.y, db.holdout.y)
     c = datagen.generate_sequence(specs, 43)
     assert not np.array_equal(a[0].train.X, c[0].train.X)
-    assert [d.index for d in a] == [0, 1]
+    # a domain's index is its position, named in its ids
+    assert [d.train.ids[0][:3] for d in a] == ["d0:", "d1:"]
 
 
 def test_presets_exist_and_are_wellformed():
@@ -144,7 +145,7 @@ def test_domain_csv_roundtrip(tmp_path):
     d = datagen.generate_domain(spec, 3, np.random.default_rng(6))
     path = tmp_path / "domain.csv"
     datagen.export_domain_csv(d, path)
-    back = datagen.import_domain_csv(path, 3, spec)
+    back = datagen.import_domain_csv(path, spec)
     assert back.train.ids == d.train.ids
     np.testing.assert_array_equal(back.train.X, d.train.X)
     np.testing.assert_array_equal(back.train.y, d.train.y)

@@ -245,7 +245,30 @@ def test_adaptive_strategies_build_bounded_memories(monkeypatch):
             assert mem.domain_index == t
             assert len(mem) <= 9
             assert np.all(mem.labels >= 0) and np.all(mem.labels < 3)
-            assert np.all((0.0 <= mem.confidences) & (mem.confidences <= 1.0))
+            rows = mem.rows
+            assert rows.dtype == np.int64 and len(set(rows.tolist())) == len(rows)
+            assert np.all((0 <= rows) & (rows < len(domains[t].train)))
+
+
+def test_memory_rows_and_ids_name_the_same_samples():
+    # until the ids are deleted a memory names its samples twice: by rows of
+    # its domain's train split and by ids; perfbench's observer scores the
+    # pseudo-labels through the ids, mapped to true labels, so the one-line
+    # precision read through the rows must give its figure exactly
+    domains = datagen.generate_sequence(datagen.preset_specs("rot-blobs-5"),
+                                        2024)
+    res = harness.run_plan(domains, harness.AdaptationPlan(
+        strategy=harness.GRCL, seed=11, pretrain_epochs=5, warm_epochs=1,
+        epochs_per_domain=1))
+    assert len(res.memories) == len(domains) - 2
+    truth = {sid: int(y) for d in domains
+             for sid, y in zip(d.train.ids, d.train.y)}
+    for t, m in enumerate(res.memories, start=1):
+        assert m.domain_index == t and len(m) > 0
+        train = domains[t].train
+        assert m.ids == [train.ids[r] for r in m.rows]
+        hits = sum(int(p) == truth[sid] for p, sid in zip(m.labels, m.ids))
+        assert (m.labels == train.y[m.rows]).mean() == hits / len(m.ids)
 
 
 def same_diag_row(ra, rb):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contda import memory
+from contda.datagen import Dataset
 from contda.errors import DegenerateInputError, DimensionError
 
 
@@ -139,27 +140,25 @@ def test_class_embedding_means():
 def test_build_memory_round_robin_balance():
     n = 40
     ids = [f"t{i}" for i in range(n)]
-    inputs = np.arange(n, dtype=np.float64)[:, None]
     labels = np.array([i % 4 for i in range(n)])
     conf = np.linspace(0.0, 1.0, n)
-    mem = memory.build_memory(2, ids, inputs, labels, conf, 4, capacity=12)
+    mem = memory.build_memory(2, ids, labels, conf, 4, capacity=12)
     assert len(mem) == 12
     assert mem.domain_index == 2
     counts = np.bincount(mem.labels, minlength=4)
     np.testing.assert_array_equal(counts, [3, 3, 3, 3])
     # per class, kept samples are that class's most confident
     for c in range(4):
-        kept = sorted(mem.confidences[mem.labels == c])
+        kept = sorted(conf[mem.rows][mem.labels == c])
         best = sorted(conf[labels == c])[-3:]
         np.testing.assert_allclose(kept, best)
 
 
 def test_build_memory_unbalanced_classes_fill_capacity():
     ids = [f"t{i}" for i in range(10)]
-    inputs = np.zeros((10, 2))
     labels = np.array([0] * 8 + [1] * 2)
     conf = np.linspace(1.0, 0.1, 10)
-    mem = memory.build_memory(1, ids, inputs, labels, conf, 2, capacity=6)
+    mem = memory.build_memory(1, ids, labels, conf, 2, capacity=6)
     assert len(mem) == 6
     counts = np.bincount(mem.labels, minlength=2)
     # class 1 exhausts at 2, class 0 fills the rest
@@ -168,7 +167,7 @@ def test_build_memory_unbalanced_classes_fill_capacity():
 
 def test_build_memory_capacity_exceeds_pool():
     ids = ["a", "b", "c"]
-    mem = memory.build_memory(1, ids, np.zeros((3, 1)), np.array([0, 1, 0]),
+    mem = memory.build_memory(1, ids, np.array([0, 1, 0]),
                               np.array([0.5, 0.5, 0.9]), 2, capacity=100)
     assert len(mem) == 3
 
@@ -177,15 +176,18 @@ def test_build_memory_confidence_tie_keeps_original_order():
     ids = [f"t{i}" for i in range(4)]
     labels = np.zeros(4, dtype=np.int64)
     conf = np.array([0.5, 0.5, 0.5, 0.5])
-    mem = memory.build_memory(1, ids, np.zeros((4, 1)), labels, conf, 1,
-                              capacity=2)
+    mem = memory.build_memory(1, ids, labels, conf, 1, capacity=2)
     assert mem.ids == ["t0", "t1"]
+    np.testing.assert_array_equal(mem.rows, [0, 1])
 
 
 def test_build_memory_validates_lengths():
     with pytest.raises(DimensionError):
-        memory.build_memory(1, ["a"], np.zeros((2, 1)), np.array([0, 1]),
+        memory.build_memory(1, ["a"], np.array([0, 1]),
                             np.array([0.1, 0.2]), 2, capacity=128)
+    with pytest.raises(DimensionError):
+        memory.build_memory(1, ["a", "b"], np.array([0, 1]),
+                            np.array([0.1]), 2, capacity=128)
 
 
 def round_robin_sweep(labels, conf, n_classes, capacity):
@@ -212,10 +214,11 @@ def test_build_memory_matches_the_round_robin_sweep():
         conf = rng.integers(0, 3, n) / 2 if case % 2 else rng.random(n)
         capacity = int(rng.integers(1, 45))
         ids = [f"t{i}" for i in range(n)]
-        mem = memory.build_memory(1, ids, np.zeros((n, 1)), labels, conf, k,
-                                  capacity)
+        mem = memory.build_memory(1, ids, labels, conf, k, capacity)
         want = round_robin_sweep(labels, conf, k, capacity)
         assert mem.ids == [ids[i] for i in want], case
+        np.testing.assert_array_equal(mem.rows, np.array(want, dtype=np.int64))
+        assert mem.rows.dtype == np.int64
         np.testing.assert_array_equal(mem.labels, labels[want])
 
 
@@ -224,37 +227,35 @@ def test_memory_round_robin_interleaves_classes():
     ids = ["a", "b", "c", "d"]
     labels = np.array([0, 0, 1, 1])
     conf = np.array([0.9, 0.8, 0.7, 0.6])
-    mem = memory.build_memory(1, ids, np.zeros((4, 1)), labels, conf, 2,
-                              capacity=3)
+    mem = memory.build_memory(1, ids, labels, conf, 2, capacity=3)
     np.testing.assert_array_equal(mem.labels, [0, 1, 0])
     assert mem.ids == ["a", "c", "b"]
 
 
-def export_memory_csv(mem, path):
-    """One CSV row per memory sample: id, label, confidence, then inputs,
-    floats written by repr for an exact round trip."""
-    dim = mem.inputs.shape[1]
+def export_memory_csv(mem, train, path):
+    """One CSV row per memory sample: id, label, then its inputs gathered
+    from its domain's train split, floats written by repr for an exact
+    round trip."""
+    X = train.X[mem.rows]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "label", "confidence"]
-                        + [f"x{j}" for j in range(dim)])
-        for i, sid in enumerate(mem.ids):
-            writer.writerow([sid, int(mem.labels[i]),
-                             repr(float(mem.confidences[i]))]
-                            + [repr(float(v)) for v in mem.inputs[i]])
+        writer.writerow(["id", "label"] + [f"x{j}" for j in range(X.shape[1])])
+        for sid, label, x in zip(mem.ids, mem.labels, X):
+            writer.writerow([sid, int(label)] + [repr(float(v)) for v in x])
 
 
 def test_export_memory_csv_exact(tmp_path):
     rng = np.random.default_rng(8)
-    mem = memory.build_memory(3, [f"t{i}" for i in range(5)],
-                              rng.standard_normal((5, 2)),
-                              np.array([0, 1, 0, 1, 0]),
+    train = Dataset(ids=[f"t{i}" for i in range(5)],
+                    X=rng.standard_normal((5, 2)), y=np.zeros(5, dtype=np.int64))
+    mem = memory.build_memory(3, train.ids, np.array([0, 1, 0, 1, 0]),
                               rng.uniform(size=5), 2, capacity=4)
     path = tmp_path / "memory.csv"
-    export_memory_csv(mem, path)
+    export_memory_csv(mem, train, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["id", "label", "confidence", "x0", "x1"]
+    assert rows[0] == ["id", "label", "x0", "x1"]
     assert len(rows) == 1 + len(mem)
-    got = np.array([[float(v) for v in r[3:]] for r in rows[1:]])
-    np.testing.assert_array_equal(got, mem.inputs)
+    assert [r[0] for r in rows[1:]] == mem.ids
+    got = np.array([[float(v) for v in r[2:]] for r in rows[1:]])
+    np.testing.assert_array_equal(got, train.X[mem.rows])
