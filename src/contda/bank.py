@@ -34,13 +34,13 @@ def init_bank(params, blocks) -> np.ndarray:
         [model_mod.encode_project_batch(params, X) for X in blocks])
 
 
-def momentum_update(bank, rows, embeddings, momentum: float) -> np.ndarray:
+def momentum_update(bank, rows, embeddings, momentum: float) -> None:
     """Blend the keys at these rows toward fresh unit embeddings and
     re-normalize.
 
-    k <- m*k + (1-m)*q, then k <- k/||k||.  Mutates the bank in place and
-    returns it.  The blend of two unit vectors only vanishes when m = 1/2 and
-    q = -k exactly; that degenerate case raises rather than storing a zero key.
+    k <- m*k + (1-m)*q, then k <- k/||k||, in place.  The blend of two unit
+    vectors only vanishes when m = 1/2 and q = -k exactly; that degenerate
+    case raises rather than storing a zero key.
     """
     if not (0.0 <= momentum <= 1.0):
         raise DegenerateInputError(f"momentum {momentum} outside [0, 1]")
@@ -55,7 +55,6 @@ def momentum_update(bank, rows, embeddings, momentum: float) -> np.ndarray:
     if (norms == 0.0).any():
         raise DegenerateInputError("momentum blend produced a zero key")
     bank[rows] = blended / norms
-    return bank
 
 
 def distinct_rows(rng: np.random.Generator, size, count: int,

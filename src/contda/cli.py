@@ -131,17 +131,19 @@ def _float_cell(v: float) -> str:
     return repr(float(v))
 
 
-def write_matrix_csv(matrix: harness.AccuracyMatrix, path) -> None:
-    n = matrix.values.shape[0]
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["after_domain"] + [f"d{j}" for j in range(n)])
-        for t in range(n):
-            row = [str(t)]
-            for j in range(n):
-                v = matrix.values[t, j]
-                row.append(_float_cell(v) if np.isfinite(v) else "")
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_matrix_csv(matrix: harness.AccuracyMatrix, path) -> None:
+    n = matrix.values.shape[0]
+    _write_csv(path, ["after_domain"] + [f"d{j}" for j in range(n)],
+               ([str(t)] + [_float_cell(v) if np.isfinite(v) else ""
+                            for v in row]
+                for t, row in enumerate(matrix.values)))
 
 
 _DIAG_COLUMNS = ("domain", "epoch", "iteration", "lr", "loss_con", "loss_src",
@@ -150,15 +152,9 @@ _DIAG_COLUMNS = ("domain", "epoch", "iteration", "lr", "loss_con", "loss_src",
 
 
 def write_diagnostics_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DIAG_COLUMNS)
-        for row in rows:
-            out = []
-            for col in _DIAG_COLUMNS:
-                v = row[col]
-                out.append(_float_cell(v) if isinstance(v, float) else str(v))
-            writer.writerow(out)
+    _write_csv(path, _DIAG_COLUMNS,
+               ([_float_cell(row[c]) if isinstance(row[c], float)
+                 else str(row[c]) for c in _DIAG_COLUMNS] for row in rows))
 
 
 def _metric_value(v: float):
@@ -249,11 +245,8 @@ def cmd_compare(args) -> None:
                      "" if bwt["mean"] is None else _float_cell(bwt["mean"]),
                      "" if bwt["std"] is None else _float_cell(bwt["std"])])
 
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "n_seeds", "acc_mean", "acc_std",
-                         "bwt_mean", "bwt_std"])
-        writer.writerows(rows)
+    _write_csv(args.output, ["strategy", "n_seeds", "acc_mean", "acc_std",
+                             "bwt_mean", "bwt_std"], rows)
 
 
 def export_dataset(preset: str, seed: int, out_dir: str) -> None:

@@ -74,18 +74,16 @@ def epoch_plans(bank, steps, negatives, labels=None) -> list:
                                              counts, strict=True)]
 
 
-def contrastive_grad(fw, rows, negatives, bank, temperature: float,
-                     labels=None, plan=None):
+def contrastive_grad(fw, rows, negatives, bank, temperature: float, plan):
     """Mean contrastive loss over the rows of a forward pass and its
     gradient dQ w.r.t. their unit embeddings, one row per sample.
 
     fw holds the activations of the samples stored at these bank rows, in
     order.  Each sample's positive is its own row and its negatives are the
     bank rows in `negatives`, which every sample shares and none of which
-    may be a row of the batch.  labels, one integer per bank row with -1
-    meaning unlabeled (the default for all), adds to a labeled sample's
-    positives each negative of its label.  plan, this step's entry of
-    epoch_plans, replaces labels and the row checks; else one is built.
+    may be a row of the batch.  plan, this step's entry of epoch_plans,
+    checked the rows and negatives and adds to a labeled sample's positives
+    each negative of its label.
     """
     n = len(rows)
     if n == 0:
@@ -95,8 +93,6 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float,
     if bank.ndim != 2 or bank.shape[1] != fw.Z.shape[1]:
         raise DimensionError(f"bank keys have shape {bank.shape}, "
                              f"embeddings dimension {fw.Z.shape[1]}")
-    if plan is None:
-        (plan,) = epoch_plans(bank, [rows], [negatives], labels)
     losses, dQ = nce_columns(fw.embeddings(), bank[rows], bank[negatives],
                              temperature, *plan)
     return float(losses.sum() / n), dQ / n

@@ -158,15 +158,18 @@ def export_domain_csv(domain: Domain, path) -> None:
 
 
 def import_domain_csv(path, spec: DomainSpec) -> Domain:
-    """Domain of a CSV written by export_domain_csv; both splits must hold
-    rows, and every row must be as wide as the header and carry finite
-    coordinates and a label in [0, spec.n_classes)."""
+    """Domain of a CSV written by export_domain_csv; the header must name a
+    coordinate after the label, both splits must hold rows, and every row
+    must be as wide as the header and carry finite coordinates and a label
+    in [0, spec.n_classes)."""
     rows = {"train": ([], [], []), "holdout": ([], [], [])}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:3] != ["id", "split", "label"]:
             raise DimensionError(f"unexpected domain csv header {header}")
+        if len(header) == 3:
+            raise DimensionError("domain csv header has no coordinate column")
         for row in reader:
             sid, split_name, label = row[0], row[1], int(row[2])
             if split_name not in rows:

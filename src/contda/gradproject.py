@@ -14,37 +14,36 @@ constraint gradient to zero the violated slack.
 The step's gradients arrive as the rows of one matrix J, g first.  gram
 forms K = J J^T once, with the step's tolerance; project is the one solver,
 for any number of rows: Lawson-Hanson on the non-negative dual, the QP that
-GEM also solves (Lopez-Paz & Ranzato 2017), which lives on K.  kkt_check
-judges a solution on the stepped w itself, with the solver's product u C.
+GEM also solves (Lopez-Paz & Ranzato 2017), which lives on K.  It accepts
+its answer only if kkt_check, judging the stepped w itself with the solver's
+product u C, sets every flag of KKT_FLAGS.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import ContractViolationError, DimensionError, NumericError
 
 EPS_SCALE = 1e-9
 KKT_FLAGS = ("primal_feasible", "dual_feasible", "complementary", "stationary")
 
 
 def kkt_check(w, u, g, constraints, eps, uC) -> dict:
-    """Boolean KKT diagnostics plus the residuals they were judged on, for
+    """Boolean KKT diagnostics plus the slacks C w they were judged on, for
     w stepped from g by uC, the product u C of the multipliers and the
     constraint rows."""
     u = np.asarray(u, dtype=np.float64)
     C = np.asarray(constraints, dtype=np.float64).reshape(u.size, len(w))
     slacks = C @ w
     r = w - g - uC
-    stat = math.sqrt(r.dot(r))
     return {
         "primal_feasible": bool(slacks.min(initial=np.inf) >= -eps),
         "dual_feasible": bool(u.min(initial=np.inf) >= -eps),
         "complementary": bool((np.abs(u * slacks)
                                <= eps * np.maximum(1.0, np.abs(u))).all()),
-        "stationary": bool(stat <= eps),
+        "stationary": bool(math.sqrt(r.dot(r)) <= eps),
         "slacks": slacks,
-        "stationarity_residual": stat,
     }
 
 
@@ -68,15 +67,16 @@ def gram(J):
 
 
 def project(J, K, eps):
-    """(w, u, uC): J[0] projected onto the half-spaces of the constraint
-    rows J[1:], w = J[0] + uC with uC = u J[1:].
+    """(w, u, slacks): J[0] projected onto the half-spaces of the constraint
+    rows J[1:], w = J[0] + u J[1:], with the slacks J[1:] w of its KKT check.
 
     The rows enter only through the Gram matrix K = J J^T from gram: the
     dual reads G = K[1:, 1:] and b = K[1:, 0], multipliers u give the
     slacks b + G u without any length-P work, and only the chosen u is
     mapped back to w = J[0] + u J[1:].  The multipliers solve the
     non-negative dual by Lawson-Hanson, one code path for every row count.
-    Zero rows are vacuous and keep a zero multiplier.
+    Zero rows are vacuous and keep a zero multiplier.  An answer that fails
+    any KKT flag raises ContractViolationError rather than becoming a step.
     """
     J = np.asarray(J, dtype=np.float64)
     if J.ndim != 2 or np.shape(K) != (J.shape[0], J.shape[0]):
@@ -84,7 +84,12 @@ def project(J, K, eps):
                              f"gradient stack of shape {J.shape}")
     u = _nnls(K[1:, 1:], K[1:, 0], eps)
     uC = u @ J[1:]
-    return J[0] + uC, u, uC
+    w = J[0] + uC
+    diag = kkt_check(w, u, J[0], J[1:], eps, uC)
+    if not all(diag[k] for k in KKT_FLAGS):
+        raise ContractViolationError(
+            f"projection failed KKT diagnostics: {diag}")
+    return w, u, diag["slacks"]
 
 
 def _nnls(G, b, eps):

@@ -13,9 +13,9 @@ activations feed one model.backward call that stacks the contrastive,
 source and memory gradients as the rows of one matrix J, and one after it,
 whose embeddings refresh the bank.  gradproject.gram forms J J^T once per
 step; the fixed-weight strategies step along a weighted sum of J's rows,
-and crt_sdc and GRCL take project_step, one KKT-guarded projection on that
-Gram matrix.  The warm-up steps as crt_sdc on whole source batches and
-passes no labels, so it projects onto the source row and a query's only
+and crt_sdc and GRCL take gradproject.project, one KKT-checked projection
+on that Gram matrix.  The warm-up steps as crt_sdc on whole source batches
+and passes no labels, so it projects onto the source row and a query's only
 positive is its own key.  A domain's bank and batch pool are built from the
 same parts in the same order, so a batch's pool rows are its bank rows.
 The pool is inputs and one label per row, -1 meaning unlabeled: every
@@ -300,28 +300,10 @@ CASE_NAMES = {(): "interior", (0,): "source-active",
               (1,): "memory-active", (0, 1): "both-active"}
 
 
-def project_step(J, K, eps):
-    """Projection of the update gradient J[0] onto the half-spaces of the
-    source row J[1] and of any further (memory) rows, from the Gram matrix
-    K = J J^T, guarded by the KKT diagnostics on the stepped w.
-
-    Returns w, u_star = (source multiplier, sum of the memory multipliers),
-    the case name saying which of the two are positive, and the slacks
-    J[1:] w the check judged.
-    """
-    w, u, uC = gradproject.project(J, K, eps)
-    diag = gradproject.kkt_check(w, u, J[0], J[1:], eps, uC)
-    if not all(diag[k] for k in gradproject.KKT_FLAGS):
-        raise ContractViolationError(
-            f"projection failed KKT diagnostics: {diag}")
-    u_star = np.array([u[0], u[1:].sum()])
-    case = CASE_NAMES[tuple(i for i in range(2) if u_star[i] > 0.0)]
-    return w, u_star, case, diag["slacks"]
-
-
 def _step_direction(plan, J, K, eps):
-    """Strategy-resolved update direction plus projection bookkeeping and
-    the slacks J[1:] w.
+    """Strategy-resolved update direction, u_star = (source multiplier, sum
+    of the memory multipliers), the case name saying which of the two are
+    positive, and the slacks J[1:] w.
 
     J stacks the contrastive, the source and the memory gradients, the
     last being the pooled memory gradient, which the fixed-weight
@@ -330,15 +312,18 @@ def _step_direction(plan, J, K, eps):
     crt_sdc is constrained by the source row alone.  K = J J^T and eps
     come from gradproject.gram.
     """
-    if plan.strategy == GRCL:
-        return project_step(J, K, eps)
     if plan.strategy in _FIXED_WEIGHT:
         lam_m = plan.lambda_memory if plan.strategy != CRT_SRC else 0.0
-        weights = np.array([1.0, plan.lambda_source, lam_m])[:len(J)]
-        w, u_star, case = weights @ J, np.zeros(2), "fixed-weight"
+        w = np.array([1.0, plan.lambda_source, lam_m])[:len(J)] @ J
+        return w, np.zeros(2), "fixed-weight", J[1:] @ w
+    if plan.strategy == GRCL:
+        w, u, slacks = gradproject.project(J, K, eps)
     else:
-        w, u_star, case, _ = project_step(J[:2], K[:2, :2], eps)
-    return w, u_star, case, J[1:] @ w
+        w, u, _ = gradproject.project(J[:2], K[:2, :2], eps)
+        slacks = J[1:] @ w
+    u_star = np.array([u[0], u[1:].sum()])
+    case = CASE_NAMES[tuple(i for i in range(2) if u_star[i] > 0.0)]
+    return w, u_star, case, slacks
 
 
 def _train_epoch(params, fbank, rows, X, y, groups, labels, plan, rng, step,

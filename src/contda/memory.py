@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionError
 
 CONFIDENCE_DELTA = 1e-12
+KMEANS_RESTARTS = 8
+LLOYD_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,11 @@ def _plusplus_seed(X, xx, k, rng):
     return centers
 
 
-def _lloyd(X, xx, k, rng, max_iter):
+def _lloyd(X, xx, k, rng):
     n = X.shape[0]
     centers = _plusplus_seed(X, xx, k, rng)
     labels = None
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d = _pairwise_sq_dists(X, centers, xx)
         new_labels = d.argmin(axis=1)
         sizes = np.bincount(new_labels, minlength=k)
@@ -76,8 +78,8 @@ def _lloyd(X, xx, k, rng, max_iter):
     return ClusterModel(centers=centers, labels=labels, inertia=inertia)
 
 
-def kmeans(X, k, rng, max_iter: int = 300, restarts: int = 8) -> ClusterModel:
-    """Best of several Lloyd runs from distance-weighted random seedings.
+def kmeans(X, k, rng) -> ClusterModel:
+    """Best of KMEANS_RESTARTS Lloyd runs from distance-weighted seedings.
 
     Each run terminates when the assignment stabilizes, so the returned
     centers are exactly the means of their clusters and every sample is
@@ -90,12 +92,10 @@ def kmeans(X, k, rng, max_iter: int = 300, restarts: int = 8) -> ClusterModel:
     n = X.shape[0]
     if not (1 <= k <= n):
         raise DegenerateInputError(f"cannot fit {k} clusters to {n} samples")
-    if restarts < 1:
-        raise DegenerateInputError("kmeans needs at least one restart")
     best = None
     xx = (X * X).sum(axis=1)[:, None]
-    for _ in range(restarts):
-        cand = _lloyd(X, xx, k, rng, max_iter)
+    for _ in range(KMEANS_RESTARTS):
+        cand = _lloyd(X, xx, k, rng)
         if best is None or cand.inertia < best.inertia:
             best = cand
     return best

@@ -225,15 +225,15 @@ def test_analytic_gradients_match_finite_differences():
             if trial % 4 == 1:
                 labels = extra.integers(0, 2, size=2 * n)
                 labels[0] = -1
+            (nce,) = contrastive.epoch_plans(fbank, [rows], [neg], labels)
 
             def loss_fn(p):
                 return contrastive.contrastive_grad(
-                    model_mod.forward(p, X), rows, neg, fbank, 0.2,
-                    labels)[0]
+                    model_mod.forward(p, X), rows, neg, fbank, 0.2, nce)[0]
 
             fw = model_mod.forward(params, X)
             _, dQ = contrastive.contrastive_grad(fw, rows, neg, fbank, 0.2,
-                                                 labels)
+                                                 nce)
             grad = model_mod.backward(params, fw, dQ)[1][0]
         coords = rng.choice(len(grad), size=64, replace=False)
         fd = _fd_loss(loss_fn, params, coords)

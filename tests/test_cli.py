@@ -288,6 +288,16 @@ def test_run_exit_code_malformed_dataset(tmp_path):
         with open(path, "w") as fh:
             fh.write(text)
 
+    def drop_coordinates(root):
+        # every domain cut to id,split,label: zero-width inputs
+        for name in os.listdir(root):
+            if name.startswith("domain_"):
+                path = os.path.join(root, name)
+                with open(path) as fh:
+                    lines = fh.read().splitlines()
+                write(path, "".join(",".join(line.split(",")[:3]) + "\n"
+                                    for line in lines))
+
     cases = {
         "bad_json": lambda m, root: write(m, "{not json"),
         "no_specs": lambda m, root: rewrite(m, lambda meta: meta.pop("specs")),
@@ -311,6 +321,7 @@ def test_run_exit_code_malformed_dataset(tmp_path):
         "garbled_csv": lambda m, root: write(os.path.join(root, "domain_1.csv"),
                                              "id,split,label,x0\nd1:0,train,one,0.5\n"),
         "empty_csv": lambda m, root: write(os.path.join(root, "domain_0.csv"), ""),
+        "no_coordinates": lambda m, root: drop_coordinates(root),
     }
     for name, damage in cases.items():
         assert run_on(name, damage) == 2, name

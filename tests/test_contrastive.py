@@ -41,10 +41,18 @@ def outside(fbank, batch):
     return len(fbank) - len(batch)
 
 
+def nce(forward, rows, negatives, fbank, tau, labels=None):
+    """contrastive_grad as one step of an epoch: its plan from epoch_plans,
+    with labels, one per bank row, or none."""
+    (plan,) = contrastive.epoch_plans(fbank, [rows], [negatives], labels)
+    return contrastive.contrastive_grad(forward, rows, negatives, fbank, tau,
+                                        plan)
+
+
 def nce_grad(forward, rows, fbank, tau, count, rng):
-    """contrastive_grad against `count` shared negatives drawn from rng."""
+    """nce against `count` shared negatives drawn from rng."""
     (negatives,) = bank.negative_rows(fbank, [rows], count, rng)
-    return contrastive.contrastive_grad(forward, rows, negatives, fbank, tau)
+    return nce(forward, rows, negatives, fbank, tau)
 
 
 def test_nce_matches_direct_formula():
@@ -57,8 +65,7 @@ def test_nce_matches_direct_formula():
         tau = float(rng.uniform(0.03, 1.0))
         draw = np.random.default_rng(int(rng.integers(1000)))
         (neg,) = bank.negative_rows(fbank, [rows_of(batch)], count, draw)
-        loss, _ = contrastive.contrastive_grad(fw(params, batch),
-                                               rows_of(batch), neg, fbank, tau)
+        loss, _ = nce(fw(params, batch), rows_of(batch), neg, fbank, tau)
         Q = model.encode_project_batch(params, batch)
         want = [nce_direct(Q[i], fbank[i], fbank[neg], tau)
                 for i in range(len(batch))]
@@ -101,8 +108,7 @@ def test_contrastive_grad_matches_per_row_oracle():
         forward = fw(params, batch)
         (neg,) = bank.negative_rows(fbank, [rows_of(batch)], count,
                                     np.random.default_rng(seed))
-        loss, dQ = contrastive.contrastive_grad(
-            forward, rows_of(batch), neg, fbank, tau, labels)
+        loss, dQ = nce(forward, rows_of(batch), neg, fbank, tau, labels)
         Q = forward.embeddings()
         n = len(batch)
         losses, want = [], np.zeros_like(Q)
@@ -133,16 +139,14 @@ def test_labeled_row_without_same_label_column_keeps_instance_loss():
     forward = fw(params, batch)
     (neg,) = bank.negative_rows(fbank, [rows_of(batch)], 5,
                                 np.random.default_rng(1))
-    with_labels = contrastive.contrastive_grad(forward, rows_of(batch), neg,
-                                               fbank, 0.2, labels)
-    without = contrastive.contrastive_grad(forward, rows_of(batch), neg,
-                                           fbank, 0.2)
+    with_labels = nce(forward, rows_of(batch), neg, fbank, 0.2, labels)
+    without = nce(forward, rows_of(batch), neg, fbank, 0.2)
     assert with_labels[0] == without[0]
     np.testing.assert_array_equal(with_labels[1], without[1])
     # the same negatives with the batch relabeled into their classes move it
     labels[rows_of(batch)] = 0
-    assert contrastive.contrastive_grad(forward, rows_of(batch), neg, fbank,
-                                        0.2, labels)[0] != without[0]
+    assert nce(forward, rows_of(batch), neg, fbank, 0.2,
+               labels)[0] != without[0]
 
 
 def dense_setup(seed):
@@ -165,8 +169,7 @@ def dense_setup(seed):
 def test_contrastive_grad_matches_oracle_at_dense_shapes():
     tau = 0.1
     forward, rows, neg, fbank, labels = dense_setup(5)
-    loss, dQ = contrastive.contrastive_grad(forward, rows, neg, fbank, tau,
-                                            labels)
+    loss, dQ = nce(forward, rows, neg, fbank, tau, labels)
     Q = forward.embeddings()
     n = len(rows)
     losses, want, n_pos = [], np.zeros_like(Q), []
@@ -190,19 +193,16 @@ def test_contrastive_grad_matches_oracle_at_dense_shapes():
 def test_relabelling_classes_leaves_loss_and_gradient():
     forward, rows, neg, fbank, labels = dense_setup(6)
     renamed = np.where(labels >= 0, np.array([2, 0, 1])[labels], -1)
-    loss, dQ = contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1,
-                                            labels)
-    loss2, dQ2 = contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1,
-                                              renamed)
+    loss, dQ = nce(forward, rows, neg, fbank, 0.1, labels)
+    loss2, dQ2 = nce(forward, rows, neg, fbank, 0.1, renamed)
     assert abs(loss - loss2) < 1e-12
     np.testing.assert_allclose(dQ, dQ2, rtol=0, atol=1e-12)
 
 
 def test_all_unlabeled_rows_match_no_labels():
     forward, rows, neg, fbank, _ = dense_setup(7)
-    unlabeled = contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1,
-                                             np.full(len(fbank), -1))
-    without = contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1)
+    unlabeled = nce(forward, rows, neg, fbank, 0.1, np.full(len(fbank), -1))
+    without = nce(forward, rows, neg, fbank, 0.1)
     assert unlabeled[0] == without[0]
     np.testing.assert_array_equal(unlabeled[1], without[1])
 
@@ -213,7 +213,7 @@ def test_labels_must_be_integers_from_minus_one():
     below[neg[0]] = -2
     for bad in (labels.astype(float), below):
         with pytest.raises(ContractViolationError):
-            contrastive.contrastive_grad(forward, rows, neg, fbank, 0.1, bad)
+            nce(forward, rows, neg, fbank, 0.1, bad)
 
 
 def test_nce_zero_without_negatives():
@@ -258,17 +258,16 @@ def test_nce_validates_shapes():
                             (rows_of(batch), neg + len(fbank)),
                             (rows_of(batch), neg[None])):
         with pytest.raises(DimensionError):
-            contrastive.contrastive_grad(fw(params, batch), rows, negatives,
-                                         fbank, 0.2)
+            nce(fw(params, batch), rows, negatives, fbank, 0.2)
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(fw(params, batch), rows_of(batch), neg,
-                                     fbank, 0.2, np.zeros(len(fbank) - 1))
+        nce(fw(params, batch), rows_of(batch), neg, fbank, 0.2,
+            np.zeros(len(fbank) - 1))
     # a negative on a row of the batch, repeated or not, breaks the draw's
     # contract
     for row in (0, len(batch) - 1):
         with pytest.raises(ContractViolationError):
-            contrastive.contrastive_grad(fw(params, batch), rows_of(batch),
-                                         np.append(neg, row), fbank, 0.2)
+            nce(fw(params, batch), rows_of(batch), np.append(neg, row),
+                fbank, 0.2)
 
 
 def test_contrastive_loss_matches_per_sample_mean():
@@ -302,8 +301,8 @@ def test_contrastive_grad_matches_finite_differences():
 
         def grad_at(p):
             forward = model.forward(p, batch)
-            return forward, contrastive.contrastive_grad(
-                forward, rows_of(batch), neg, fbank, 0.15, labels)
+            return forward, nce(forward, rows_of(batch), neg, fbank, 0.15,
+                                labels)
 
         def loss_at(flat):
             return grad_at(model.ModelParams(params.config, flat))[1][0]
@@ -366,9 +365,8 @@ def test_sampled_negatives_use_rng_stream():
 def test_empty_batch_rejected():
     params, batch, fbank = make_setup(60)
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(model.forward(params, np.zeros((0, 2))),
-                                     [], np.zeros(5, dtype=np.int32),
-                                     fbank, 0.2)
+        nce(model.forward(params, np.zeros((0, 2))), [],
+            np.zeros(5, dtype=np.int32), fbank, 0.2)
 
 
 def test_rows_must_match_forward_rows():
@@ -376,7 +374,7 @@ def test_rows_must_match_forward_rows():
     rows = rows_of(batch)[:-1]
     (neg,) = bank.negative_rows(fbank, [rows], 5, np.random.default_rng(0))
     with pytest.raises(DimensionError):
-        contrastive.contrastive_grad(fw(params, batch), rows, neg, fbank, 0.2)
+        nce(fw(params, batch), rows, neg, fbank, 0.2)
 
 
 def drawn_epoch(seed, steps=5, b=6, count=10, n=60):
@@ -413,6 +411,8 @@ def test_epoch_plans_reject_one_bad_step():
 
 
 def test_planned_steps_equal_plan_free_calls():
+    # each step's entry of an epoch's plans gives what a plan of that step
+    # alone gives
     params, X, fbank, rows, negs = drawn_epoch(11)
     labels = np.random.default_rng(1).integers(-1, 3, size=len(fbank))
     # rows 0..9 unlabeled, so unlabeled queries occur too
@@ -427,8 +427,7 @@ def test_planned_steps_equal_plan_free_calls():
         for r, neg, plan in zip(steps, drawn, plans):
             forward = fw(params, X[r])
             loss, dQ = contrastive.contrastive_grad(forward, r, neg, fbank,
-                                                    0.2, plan=plan)
-            want_loss, want = contrastive.contrastive_grad(
-                forward, r, neg, fbank, 0.2, lab)
+                                                    0.2, plan)
+            want_loss, want = nce(forward, r, neg, fbank, 0.2, lab)
             assert loss == want_loss
             np.testing.assert_array_equal(dQ, want)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from contda import gradproject as gp
 from contda import harness
-from contda.errors import DimensionError, NumericError
+from contda.errors import ContractViolationError, DimensionError, NumericError
 from projection_oracle import brute_force_project, tolerance
 
 
@@ -29,10 +29,10 @@ def project_rows(g, C):
     takes it: g and C stacked into one matrix J, its Gram matrix formed
     once."""
     J = np.vstack([g, np.reshape(C, (-1, np.size(g)))])
-    w, u, uC = gp.project(J, *gp.gram(J))
-    # the product handed on is the one the step took
-    np.testing.assert_array_equal(uC, u @ J[1:])
-    np.testing.assert_array_equal(w, J[0] + uC)
+    w, u, slacks = gp.project(J, *gp.gram(J))
+    # w is stepped by u, and the slacks handed on are those of that w
+    np.testing.assert_array_equal(w, J[0] + u @ J[1:])
+    np.testing.assert_array_equal(slacks, J[1:] @ w)
     return w, u
 
 
@@ -115,7 +115,8 @@ def test_memory_only_active_case_name():
     np.testing.assert_allclose(u, [0.0, 2.0], atol=1e-12)
     assert u[0] == 0.0
     J = np.stack([g, c0, c1])
-    assert harness.project_step(J, *gp.gram(J))[2] == "memory-active"
+    grcl = harness.AdaptationPlan(strategy=harness.GRCL)
+    assert harness._step_direction(grcl, J, *gp.gram(J))[2] == "memory-active"
 
 
 def test_missing_memory_constraint_is_vacuous():
@@ -210,6 +211,16 @@ def test_kkt_check_flags_fabricated_failures():
                         eps, np.zeros(2))
     assert not bad5["stationary"]
     np.testing.assert_array_equal(bad5["slacks"], good["slacks"])
+
+
+def test_project_rejects_failed_kkt(monkeypatch):
+    # a solver answer that leaves the source slack negative must not be
+    # taken as a step, in the warm-up as in the adaptation loop
+    monkeypatch.setattr(gp, "_nnls", lambda G, b, eps: np.zeros(len(b)))
+    J = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ContractViolationError,
+                       match="projection failed KKT diagnostics"):
+        gp.project(J, *gp.gram(J))
 
 
 def test_tolerance_scales_with_largest_norm():

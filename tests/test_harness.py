@@ -338,41 +338,28 @@ def test_grcl_step_constrains_each_memory_domain():
     assert case == "memory-active"
 
 
-def test_project_step_case_names():
+def test_step_direction_case_names():
     c0 = np.array([1.0, 0.0, 0.0])
     c1 = np.array([0.0, 1.0, 0.0])
     c2 = np.array([0.0, 0.0, 1.0])
     cases = [
-        (np.array([1.0, 2.0, 3.0]), None, "interior", [0.0, 0.0]),
+        (np.array([1.0, 2.0, 3.0]), [], "interior", [0.0, 0.0]),
         (np.array([-2.0, 5.0, 0.0]), [c1], "source-active", [2.0, 0.0]),
         (np.array([3.0, -2.0, -1.0]), [c1, c2], "memory-active", [0.0, 3.0]),
         (np.array([-1.0, -2.0, 3.0]), [c1], "both-active", [1.0, 2.0]),
     ]
+    grcl = tiny_plan(harness.GRCL)
     for g_t, g_mem, want_case, want_u in cases:
-        J = np.stack([g_t, c0] + (g_mem or []))
-        w, u_star, case, slacks = harness.project_step(J, *gradproject.gram(J))
+        w, u_star, case = step(grcl, g_t, c0, *g_mem)
         assert case == want_case
         np.testing.assert_allclose(u_star, want_u, atol=1e-12)
-        np.testing.assert_array_equal(slacks, J[1:] @ w)
-    J = np.stack([cases[0][0], c0])
-    w, _, _, _ = harness.project_step(J, *gradproject.gram(J))
+    w, _, _ = step(grcl, cases[0][0], c0)
     np.testing.assert_array_equal(w, cases[0][0])
     # crt_sdc steps under the source row alone, though it measures memory
     g_t = np.array([3.0, -2.0, -1.0])
     w, u_star, case = step(tiny_plan(harness.CRT_SDC), g_t, c0, c1)
     np.testing.assert_array_equal(w, g_t)
     assert case == "interior"
-
-
-def test_project_step_rejects_failed_kkt(monkeypatch):
-    # a solver answer that leaves the source slack negative must not be
-    # taken as a step, in the warm-up as in the adaptation loop
-    monkeypatch.setattr(gradproject, "project",
-                        lambda J, K, eps: (J[0], np.zeros(len(J) - 1),
-                                           np.zeros(J.shape[1])))
-    J = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ContractViolationError):
-        harness.project_step(J, *gradproject.gram(J))
 
 
 def test_memory_grads_mix_to_pooled_cross_entropy():
@@ -470,8 +457,9 @@ def test_warm_projector_improves_objective_without_losing_source():
         negs = bank.negative_rows(fb, steps, len(fb) - 1,
                                   np.random.default_rng(0))
         return np.mean([contrastive.contrastive_grad(
-            model.forward(p, src.X[i]), i, neg, fb, plan.temperature)[0]
-            for i, neg in zip(steps, negs)])
+            model.forward(p, src.X[i]), i, neg, fb, plan.temperature, nce)[0]
+            for i, neg, nce in zip(steps, negs,
+                                   contrastive.epoch_plans(fb, steps, negs))])
 
     assert source_nce(warmed) < source_nce(params)
 
@@ -489,7 +477,7 @@ def test_warm_up_projects_onto_the_source_row_without_labels(monkeypatch):
                             embed_dim=plan.embed_dim)
     params = model.init_params(cfg, np.random.default_rng(0))
     projected, planned = [], []
-    real_project, real_plans = harness.project_step, contrastive.epoch_plans
+    real_project, real_plans = gradproject.project, contrastive.epoch_plans
 
     def project(J, K, eps):
         projected.append(J.shape[0])
@@ -499,7 +487,7 @@ def test_warm_up_projects_onto_the_source_row_without_labels(monkeypatch):
         planned.append(labels)
         return real_plans(fbank, steps, negatives, labels)
 
-    monkeypatch.setattr(harness, "project_step", project)
+    monkeypatch.setattr(gradproject, "project", project)
     monkeypatch.setattr(contrastive, "epoch_plans", plans)
     harness.warm_projector(params, src, plan, np.random.default_rng(1))
     iters = math.ceil(len(src) / plan.batch_size)

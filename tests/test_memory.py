@@ -87,10 +87,12 @@ def test_kmeans_duplicate_points_dont_crash():
 @pytest.mark.filterwarnings("error")
 def test_kmeans_reseeds_each_empty_cluster_at_its_own_point():
     # two clusters emptied in one pass must not take the same farthest
-    # point, or one stays empty and its mean is NaN
+    # point, or one stays empty and its mean is NaN; each single Lloyd run
+    # is checked, not only the best of kmeans' restarts
     X = np.array([[0.0, 0.0]] * 8 + [[1.0, 1.0]] * 2)
+    xx = (X * X).sum(axis=1)[:, None]
     for seed in range(200):
-        cm = memory.kmeans(X, 4, np.random.default_rng(seed), restarts=1)
+        cm = memory._lloyd(X, xx, 4, np.random.default_rng(seed))
         assert np.all(np.isfinite(cm.centers)), seed
         d = ((X[:, None, :] - cm.centers[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(d[np.arange(len(X)), cm.labels],

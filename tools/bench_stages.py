@@ -18,9 +18,11 @@ up to 40% between rounds on a shared host, and the kernel drifts with it,
 so these figures compare across rounds.  A stage is a set of wrapped functions; its cost is the self time of their
 spans inside `harness.adapt_domain`, divided by the number of adaptation
 iterations, or, for the memory stages, inside `harness.pseudo_label_memory`,
-divided by the number of memories built.  A wrapped function that no longer
-exists stops the script, so a stage never reads zero because its code was
-renamed.  The stage figures are given raw and, under the keys ending in
+divided by the number of memories built.  The projection stage is the
+Gram matrix and the KKT-checked solve; the multiplier sums and case name
+that harness._step_direction forms from the solve's answer fall outside
+it.  A wrapped function that no longer exists stops the script, so a stage
+never reads zero because its code was renamed.  The stage figures are given raw and, under the keys ending in
 `_ref_per_`, in units of the reference kernel timed just before and just
 after the traced run (with no ticks inside it, so no span absorbs one): a
 stage's raw time drifts with the host as a run's does.  The source-only
@@ -65,7 +67,7 @@ STAGES = {
     "backward": (("contda.model", "backward"),),
     "forward": (("contda.model", "forward"),),
     "projection": (("contda.gradproject", "gram"),
-                   ("contda.harness", "project_step")),
+                   ("contda.gradproject", "project")),
     # drawn and checked once per epoch, charged per iteration like every
     # stage
     "batch_composition": (("contda.harness", "_draw_epoch"),
