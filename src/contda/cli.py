@@ -187,11 +187,13 @@ def run_config(cfg: dict) -> dict:
         "package_version": __version__,
         "numpy_version": np.__version__,
     }
-    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
     collected = []
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         domains = load_domains(cfg, seed)
+        if i == 0:
+            # only once the dataset is read: a run it stops leaves no manifest
+            _write_json(manifest, os.path.join(out_dir, "manifest.json"))
         plan = build_plan(cfg, seed)
         try:
             result = harness.run_plan(domains, plan)

@@ -21,28 +21,6 @@ from .bank import check_rows
 from .errors import ContractViolationError, DimensionError
 
 
-def nce_columns(Q, own, shared, temperature, onehot, own_labels, n_pos):
-    """Per query: the loss over the logits [q . k_own | Q Kn^T] / tau, own
-    key first, then the shared negative keys Kn, with its target spread
-    evenly over its n_pos positives: its own key and each negative of its
-    label (own_labels picks its row of onehot, see epoch_plans).  With m the
-    row max, E = exp(Q Kn^T / tau - m), Z the softmax normalizer and P the
-    sum of the positive keys, the loss is log Z + m - q . P / (tau n_pos)
-    and its gradient w.r.t. the embedding (p_0 k_own + E Kn / Z - P / n_pos)
-    / tau."""
-    Q = Q / temperature
-    s0 = np.einsum("ij,ij->i", Q, own)
-    E = Q @ shared.T
-    m = np.maximum(s0, E.max(axis=1, initial=-np.inf))
-    E = np.exp(np.subtract(E, m[:, None], out=E), out=E)
-    e0 = np.exp(s0 - m)
-    Z = e0 + E.sum(axis=1)
-    positives = own + (onehot @ shared)[own_labels]
-    losses = np.log(Z) + m - np.einsum("ij,ij->i", Q, positives) / n_pos
-    return losses, ((e0 / Z)[:, None] * own + (E @ shared) / Z[:, None]
-                    - positives / n_pos[:, None]) / temperature
-
-
 def epoch_plans(bank, steps, negatives, labels=None) -> list:
     """Per step of an epoch (its bank rows, and as many negatives as every
     step): the negatives' one-hot over the classes up to the largest label,
@@ -82,8 +60,13 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float, plan):
     order.  Each sample's positive is its own row and its negatives are the
     bank rows in `negatives`, which every sample shares and none of which
     may be a row of the batch.  plan, this step's entry of epoch_plans,
-    checked the rows and negatives and adds to a labeled sample's positives
-    each negative of its label.
+    checked the rows and negatives; its (onehot, own_labels, n_pos) spread
+    a sample's target evenly over its n_pos positives: its own key and each
+    negative of its label.  Per query q, over the logits [q . k_own |
+    q Kn^T] / tau with Kn the negatives' keys, m the row max, E = exp(q
+    Kn^T / tau - m), Z the softmax normalizer and P the sum of the positive
+    keys, the loss is log Z + m - q . P / (tau n_pos) and its gradient
+    (p_0 k_own + E Kn / Z - P / n_pos) / tau.
     """
     n = len(rows)
     if n == 0:
@@ -93,6 +76,17 @@ def contrastive_grad(fw, rows, negatives, bank, temperature: float, plan):
     if bank.ndim != 2 or bank.shape[1] != fw.Z.shape[1]:
         raise DimensionError(f"bank keys have shape {bank.shape}, "
                              f"embeddings dimension {fw.Z.shape[1]}")
-    losses, dQ = nce_columns(fw.embeddings(), bank[rows], bank[negatives],
-                             temperature, *plan)
+    onehot, own_labels, n_pos = plan
+    own, shared = bank[rows], bank[negatives]
+    Q = fw.embeddings() / temperature
+    s0 = np.einsum("ij,ij->i", Q, own)
+    E = Q @ shared.T
+    m = np.maximum(s0, E.max(axis=1, initial=-np.inf))
+    E = np.exp(np.subtract(E, m[:, None], out=E), out=E)
+    e0 = np.exp(s0 - m)
+    Z = e0 + E.sum(axis=1)
+    positives = own + (onehot @ shared)[own_labels]
+    losses = np.log(Z) + m - np.einsum("ij,ij->i", Q, positives) / n_pos
+    dQ = ((e0 / Z)[:, None] * own + (E @ shared) / Z[:, None]
+          - positives / n_pos[:, None]) / temperature
     return float(losses.sum() / n), dQ / n

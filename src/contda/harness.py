@@ -393,14 +393,12 @@ def pseudo_label_memory(params, domains, t, plan, rng):
     # structure there, while the normalized contrastive space spreads
     # instances apart and decouples from the source class means
     feats = model_mod.encode_batch(params, target_train.X)
-    k = domains[0].spec.n_classes
-    cluster = memory_mod.kmeans(feats, k, rng)
     src_feats = model_mod.encode_batch(params, source_train.X)
-    means = memory_mod.class_embedding_means(src_feats, source_train.y, k)
-    mapping = memory_mod.align_clusters(cluster.centers, means)
-    assign, conf = memory_mod.assign_with_confidence(feats, cluster.centers)
-    return memory_mod.build_memory(t, target_train.ids, mapping[assign], conf,
-                                   k, plan.memory_capacity)
+    k = domains[0].spec.n_classes
+    labels, conf = memory_mod.pseudo_labels(feats, src_feats, source_train.y,
+                                            k, rng)
+    return memory_mod.build_memory(t, target_train.ids, labels, conf, k,
+                                   plan.memory_capacity)
 
 
 def run_plan(domains, plan: AdaptationPlan) -> RunResult:

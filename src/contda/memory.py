@@ -27,6 +27,7 @@ LLOYD_MAX_ITER = 300
 class ClusterModel:
     centers: np.ndarray
     labels: np.ndarray
+    sq_dists: np.ndarray  # (samples, k) squared distances to the centers
     inertia: float
 
 
@@ -74,8 +75,9 @@ def _lloyd(X, xx, k, rng):
             break
         labels = new_labels
         centers = np.stack([X[labels == j].mean(axis=0) for j in range(k)])
-    inertia = float(_pairwise_sq_dists(X, centers, xx)[np.arange(n), labels].sum())
-    return ClusterModel(centers=centers, labels=labels, inertia=inertia)
+    d = _pairwise_sq_dists(X, centers, xx)
+    return ClusterModel(centers=centers, labels=labels, sq_dists=d,
+                        inertia=float(d[np.arange(n), labels].sum()))
 
 
 def kmeans(X, k, rng) -> ClusterModel:
@@ -101,38 +103,28 @@ def kmeans(X, k, rng) -> ClusterModel:
     return best
 
 
-def assign_with_confidence(X, centers):
-    """Nearest-center labels and margins (d2 - d1)/(d2 + delta) in [0, 1]."""
-    X = np.asarray(X, dtype=np.float64)
-    d = np.sqrt(_pairwise_sq_dists(X, centers))
-    if d.shape[1] < 2:
-        return d.argmin(axis=1), np.zeros(X.shape[0])
-    order = np.sort(d, axis=1)
-    d1, d2 = order[:, 0], order[:, 1]
-    conf = (d2 - d1) / (d2 + CONFIDENCE_DELTA)
-    return d.argmin(axis=1), conf
-
-
-def align_clusters(centers, class_means) -> np.ndarray:
-    """Map each cluster to the class of its nearest reference centroid;
-    several clusters may map to one class."""
-    centers = np.asarray(centers, dtype=np.float64)
-    class_means = np.asarray(class_means, dtype=np.float64)
-    d = _pairwise_sq_dists(centers, class_means)
-    return d.argmin(axis=1).astype(np.int64)
-
-
-def class_embedding_means(embeddings, labels, n_classes) -> np.ndarray:
-    """Per-class mean embedding; every class must be represented."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    means = np.empty((n_classes, embeddings.shape[1]))
-    for c in range(n_classes):
-        mask = labels == c
+def pseudo_labels(feats, src_feats, src_labels, k, rng):
+    """Labels and confidences of the rows of feats: k-means clusters, each
+    named after the nearest source class mean (several clusters may take
+    one class; every class must be represented), and a row's margin
+    (d2 - d1)/(d2 + delta) in [0, 1] between its two nearest centers, or 0
+    when k = 1.  The distances are the clustering's own."""
+    cluster = kmeans(feats, k, rng)
+    src_feats = np.asarray(src_feats, dtype=np.float64)
+    src_labels = np.asarray(src_labels, dtype=np.int64)
+    means = np.empty((k, src_feats.shape[1]))
+    for c in range(k):
+        mask = src_labels == c
         if not np.any(mask):
             raise DegenerateInputError(f"class {c} absent from reference pool")
-        means[c] = embeddings[mask].mean(axis=0)
-    return means
+        means[c] = src_feats[mask].mean(axis=0)
+    mapping = _pairwise_sq_dists(cluster.centers, means).argmin(axis=1)
+    d = np.sqrt(cluster.sq_dists)
+    labels = mapping[d.argmin(axis=1)]
+    if k < 2:
+        return labels, np.zeros(len(d))
+    d1, d2 = np.sort(d, axis=1)[:, :2].T
+    return labels, (d2 - d1) / (d2 + CONFIDENCE_DELTA)
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,7 @@ class EpisodicMemory:
         return len(self.rows)
 
 
-def build_memory(domain_index, ids, pseudo_labels, confidences, n_classes,
+def build_memory(domain_index, ids, labels, confidences, n_classes,
                  capacity: int) -> EpisodicMemory:
     """Keep the highest-confidence samples, cycling over classes round-robin.
 
@@ -158,16 +150,16 @@ def build_memory(domain_index, ids, pseudo_labels, confidences, n_classes,
     class and confidence gives each candidate its rank in its class, and
     ordering by rank, then class, is the sweep order.
     """
-    pseudo_labels = np.asarray(pseudo_labels, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     confidences = np.asarray(confidences, dtype=np.float64)
-    if not (len(ids) == pseudo_labels.shape[0] == confidences.shape[0]):
+    if not (len(ids) == labels.shape[0] == confidences.shape[0]):
         raise DimensionError("memory candidate fields disagree on sample count")
 
-    keep = np.flatnonzero((pseudo_labels >= 0) & (pseudo_labels < n_classes))
-    keep = keep[np.lexsort((-confidences[keep], pseudo_labels[keep]))]
-    labels = pseudo_labels[keep]
-    rank = np.arange(keep.size) - np.searchsorted(labels, labels)
-    chosen = keep[np.lexsort((labels, rank))][:max(capacity, 0)]
+    keep = np.flatnonzero((labels >= 0) & (labels < n_classes))
+    keep = keep[np.lexsort((-confidences[keep], labels[keep]))]
+    by_class = labels[keep]
+    rank = np.arange(keep.size) - np.searchsorted(by_class, by_class)
+    chosen = keep[np.lexsort((by_class, rank))][:max(capacity, 0)]
     return EpisodicMemory(domain_index=domain_index,
                           ids=[ids[i] for i in chosen], rows=chosen,
-                          labels=pseudo_labels[chosen])
+                          labels=labels[chosen])

@@ -269,13 +269,16 @@ def test_run_exit_code_negatives_above_bank_size(tmp_path, capsys):
 
 
 def test_run_exit_code_malformed_dataset(tmp_path):
-    # a dataset directory that cannot be read is a config error, exit 2
+    # a dataset directory that cannot be read is a config error, exit 2,
+    # and the run it stops leaves no manifest behind
     def run_on(name, damage):
         root = write_tiny_dataset(tmp_path / name)
         damage(os.path.join(root, "data_manifest.json"), root)
         cfg_path = write_cfg(tmp_path / f"{name}.json",
                              tiny_cfg(root, tmp_path / f"o_{name}"))
-        return cli.main(["run", cfg_path])
+        code = cli.main(["run", cfg_path])
+        assert not (tmp_path / f"o_{name}" / "manifest.json").exists(), name
+        return code
 
     def rewrite(path, edit):
         with open(path) as fh:
@@ -371,6 +374,7 @@ def test_run_exit_code_unusable_dataset_values(tmp_path):
         cfg_path = write_cfg(tmp_path / f"{name}.json",
                              tiny_cfg(root, tmp_path / f"o_{name}"))
         assert cli.main(["run", cfg_path]) == 2, name
+        assert not (tmp_path / f"o_{name}" / "manifest.json").exists(), name
 
 
 def test_run_exit_code_unwritable_output(tmp_path, capsys):

@@ -410,7 +410,7 @@ def test_epoch_plans_reject_one_bad_step():
             contrastive.epoch_plans(fbank, rows, negs, bad)
 
 
-def test_planned_steps_equal_plan_free_calls():
+def test_epoch_plans_equal_single_step_plans():
     # each step's entry of an epoch's plans gives what a plan of that step
     # alone gives
     params, X, fbank, rows, negs = drawn_epoch(11)

@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from contda import memory
+from contda import datagen, memory, model
 from contda.datagen import Dataset
+from contda.model import ModelConfig
 from contda.errors import DegenerateInputError, DimensionError
 
 
@@ -100,43 +101,106 @@ def test_kmeans_reseeds_each_empty_cluster_at_its_own_point():
     assert memory.kmeans(X, 4, np.random.default_rng(0)).inertia == 0.0
 
 
-def test_assign_with_confidence_margins():
-    centers = np.array([[0.0, 0.0], [10.0, 0.0]])
-    X = np.array([[0.0, 0.0],    # on center 0: conf 1
-                  [5.0, 0.0],    # equidistant: conf 0
-                  [1.0, 0.0]])
-    labels, conf = memory.assign_with_confidence(X, centers)
-    np.testing.assert_array_equal(labels, [0, 0, 0])
-    np.testing.assert_allclose(conf[0], 1.0, atol=1e-9)
-    np.testing.assert_allclose(conf[1], 0.0, atol=1e-9)
-    np.testing.assert_allclose(conf[2], (9.0 - 1.0) / 9.0, atol=1e-9)
+def test_kmeans_keeps_its_final_distances(monkeypatch):
+    # sq_dists is the matrix pseudo_labels reads in place of recomputing it:
+    # bit for bit the distances to the returned centers, also when Lloyd
+    # stops at its iteration cap before the assignment settles
+    X = np.random.default_rng(9).standard_normal((60, 3))
+    for max_iter in (memory.LLOYD_MAX_ITER, 1):
+        monkeypatch.setattr(memory, "LLOYD_MAX_ITER", max_iter)
+        cm = memory.kmeans(X, 4, np.random.default_rng(10))
+        np.testing.assert_array_equal(
+            cm.sq_dists, memory._pairwise_sq_dists(X, cm.centers))
+        assert cm.inertia == float(
+            cm.sq_dists[np.arange(len(X)), cm.labels].sum())
+
+
+def pseudo_label(groups, src_points, src_labels):
+    """pseudo_labels of three copies of each target point in `groups`, so
+    k-means, with one cluster per point, recovers the groups exactly."""
+    feats = np.repeat(np.asarray(groups, dtype=np.float64), 3, axis=0)
+    return memory.pseudo_labels(feats, np.asarray(src_points, dtype=np.float64),
+                                np.asarray(src_labels), len(groups),
+                                np.random.default_rng(0))
+
+
+def test_pseudo_labels_margins():
+    # the two groups are their own class means; a row's margin is
+    # (d2 - d1)/d2 against the centers (0, 0) and (10, 0)
+    offsets = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                        [0.0, -1.0]])
+    X = np.concatenate([offsets, offsets + [10.0, 0.0]])
+    y = np.repeat([0, 1], 5)
+    labels, conf = memory.pseudo_labels(X, X, y, 2, np.random.default_rng(0))
+    np.testing.assert_array_equal(labels, y)
+    far = np.sqrt(101.0)
+    side = (far - 1.0) / far
+    np.testing.assert_allclose(conf, [1.0, 8 / 9, 10 / 11, side, side,
+                                      1.0, 10 / 11, 8 / 9, side, side],
+                               atol=1e-9)
     assert np.all((0.0 <= conf) & (conf <= 1.0))
-
-
-def test_assign_with_single_center():
-    labels, conf = memory.assign_with_confidence(np.ones((4, 2)),
-                                                 np.zeros((1, 2)))
+    # two clusters on one point share its center, so each row is
+    # equidistant from its two nearest centers, with margin 0
+    labels, conf = memory.pseudo_labels(np.ones((4, 2)), X, y, 2,
+                                        np.random.default_rng(0))
     np.testing.assert_array_equal(labels, 0)
     np.testing.assert_array_equal(conf, 0.0)
 
 
-def test_align_clusters_nearest_class_mean():
-    class_means = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-    centers = np.array([[9.0, 1.0], [1.0, 9.0], [0.5, -0.5]])
-    mapping = memory.align_clusters(centers, class_means)
-    np.testing.assert_array_equal(mapping, [1, 2, 0])
-    # mapping may collapse: two clusters can share a class
-    both = memory.align_clusters(np.array([[9.0, 0.0], [11.0, 0.0]]), class_means)
-    np.testing.assert_array_equal(both, [1, 1])
+def test_pseudo_labels_single_cluster_has_no_margin():
+    labels, conf = memory.pseudo_labels(np.ones((4, 2)), np.zeros((2, 2)),
+                                        [0, 0], 1, np.random.default_rng(0))
+    np.testing.assert_array_equal(labels, 0)
+    np.testing.assert_array_equal(conf, 0.0)
 
 
-def test_class_embedding_means():
-    emb = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0]])
-    labels = np.array([0, 0, 1])
-    means = memory.class_embedding_means(emb, labels, 2)
-    np.testing.assert_allclose(means, [[2.0, 0.0], [0.0, 2.0]])
+def test_pseudo_labels_name_clusters_by_nearest_class_mean():
+    class_means = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]
+    labels, _ = pseudo_label([[9.0, 1.0], [1.0, 9.0], [0.5, -0.5]],
+                             class_means, [0, 1, 2])
+    np.testing.assert_array_equal(labels, np.repeat([1, 2, 0], 3))
+    # the naming may collapse: two clusters can share a class, and class 0
+    # then names none
+    labels, _ = pseudo_label([[9.0, 0.0], [11.0, 0.0], [0.0, 9.0]],
+                             class_means, [0, 1, 2])
+    np.testing.assert_array_equal(labels, np.repeat([1, 1, 2], 3))
+
+
+def test_pseudo_labels_use_class_means_and_reject_an_absent_class():
+    # class 0's mean (0, 0) lies between its points, class 1's is (6, 0):
+    # the cluster at (3.5, 0) is nearest the point (4, 0) of class 0 but
+    # the mean of class 1
+    src = [[-4.0, 0.0], [4.0, 0.0], [6.0, 1.0], [6.0, -1.0]]
+    labels, _ = pseudo_label([[3.5, 0.0], [-3.5, 0.0]], src, [0, 0, 1, 1])
+    np.testing.assert_array_equal(labels, [1] * 3 + [0] * 3)
     with pytest.raises(DegenerateInputError):
-        memory.class_embedding_means(emb, labels, 3)
+        pseudo_label([[3.5, 0.0], [-3.5, 0.0]], src, [0, 0, 0, 0])
+
+
+def test_pseudo_labels_equal_the_step_by_step_labelling():
+    # k-means, the source class means, the nearest-mean naming and the
+    # margins recomputed from the centers, as separate steps, on encoder
+    # features of rot-blobs-5: the same labels and confidences, bit for bit
+    domains = datagen.generate_sequence(datagen.preset_specs("rot-blobs-5"), 3)
+    k = domains[0].spec.n_classes
+    config = ModelConfig(input_dim=2, n_classes=k, hidden_dim=16,
+                         proj_hidden_dim=16, embed_dim=8)
+    params = model.init_params(config, np.random.default_rng(4))
+    src = model.encode_batch(params, domains[0].train.X)
+    y = domains[0].train.y
+    for t in (1, 3):
+        feats = model.encode_batch(params, domains[t].train.X)
+        labels, conf = memory.pseudo_labels(feats, src, y, k,
+                                            np.random.default_rng(t))
+        cluster = memory.kmeans(feats, k, np.random.default_rng(t))
+        means = np.stack([src[y == c].mean(axis=0) for c in range(k)])
+        mapping = memory._pairwise_sq_dists(cluster.centers, means).argmin(axis=1)
+        d = np.sqrt(memory._pairwise_sq_dists(feats, cluster.centers))
+        order = np.sort(d, axis=1)
+        np.testing.assert_array_equal(labels, mapping[d.argmin(axis=1)])
+        np.testing.assert_array_equal(
+            conf, (order[:, 1] - order[:, 0])
+            / (order[:, 1] + memory.CONFIDENCE_DELTA))
 
 
 def test_build_memory_round_robin_balance():

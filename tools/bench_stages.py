@@ -76,6 +76,8 @@ STAGES = {
 }
 PER_MEMORY = {
     "kmeans": (("contda.memory", "kmeans"),),
+    # the class means, the cluster naming and the margins around k-means
+    "pseudo_label": (("contda.memory", "pseudo_labels"),),
     "memory_build": (("contda.memory", "build_memory"),),
 }
 ITERATION = "gradproject.gram"  # one call per adaptation iteration
