@@ -295,6 +295,10 @@ def import_dataset(path):
             raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
     width = domains[0].train.X.shape[1]
     n_classes = domains[0].spec.n_classes
+    # the class means come from the source train split
+    absent = np.flatnonzero(np.bincount(domains[0].train.y, minlength=n_classes) == 0)
+    if absent.size:
+        raise ConfigError(f"domain 0's train split has no row of class {absent[0]}")
     for i, d in enumerate(domains[1:], start=1):
         if d.train.X.shape[1] != width:
             raise ConfigError(f"domain {i} has {d.train.X.shape[1]} "
@@ -302,6 +306,10 @@ def import_dataset(path):
         if d.spec.n_classes != n_classes:
             raise ConfigError(f"domain {i} has {d.spec.n_classes} "
                               f"classes, domain 0 has {n_classes}")
+        # k-means fits one cluster per class to each target's train split
+        if len(d.train) < n_classes:
+            raise ConfigError(f"domain {i}'s train split has {len(d.train)} "
+                              f"rows, fewer than its {n_classes} classes")
     return domains
 
 

@@ -9,6 +9,7 @@ appears on both sides.
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +45,38 @@ class DomainSpec:
             raise DegenerateInputError("zero scale collapses the domain")
 
 
+class RowIds(Sequence):
+    """Read-only ids "d<domain>:<row>" of a generated split's sorted rows,
+    each formatted only when it is read; equal to the list of its strings."""
+
+    def __init__(self, domain: int, rows: np.ndarray):
+        self._domain, self._rows = domain, rows
+
+    def __len__(self) -> int:
+        return self._rows.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(RowIds(self._domain, self._rows[i]))
+        return f"d{self._domain}:{int(self._rows[i]):05d}"
+
+    def __iter__(self):
+        return (f"d{self._domain}:{r:05d}" for r in self._rows.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, RowIds)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class Dataset:
-    ids: list
+    ids: Sequence
     X: np.ndarray
     y: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.y.shape[0]
 
 
 @dataclass(frozen=True)
@@ -108,8 +133,7 @@ def generate_domain(spec: DomainSpec, index: int, rng: np.random.Generator) -> D
     def take(parts):
         # rows in index order; fancy indexing copies X and y
         idx = np.sort(np.concatenate(parts))
-        return Dataset(ids=[f"d{index}:{i:05d}" for i in idx.tolist()],
-                       X=X[idx], y=y[idx])
+        return Dataset(ids=RowIds(index, idx), X=X[idx], y=y[idx])
 
     return Domain(spec=spec, train=take(train_idx), holdout=take(hold_idx))
 

@@ -334,10 +334,11 @@ def test_run_exit_code_unusable_dataset_values(tmp_path):
     # readable domain files whose values the run cannot use are config
     # errors, exit 2: a label outside [0, n_classes) in either split, a
     # non-finite coordinate, a domain wider than domain 0, rows wider than
-    # their header and an empty split
-    def edit_domain_1(name, edit):
+    # their header, an empty split, a class absent from the source train
+    # split and a target train split with fewer rows than classes
+    def edit_domain(name, index, edit):
         root = write_tiny_dataset(tmp_path / name)
-        path = os.path.join(root, "domain_1.csv")
+        path = os.path.join(root, f"domain_{index}.csv")
         with open(path) as fh:
             lines = fh.read().splitlines()
         with open(path, "w") as fh:
@@ -366,15 +367,22 @@ def test_run_exit_code_unusable_dataset_values(tmp_path):
                                                 for line in lines[1:]],
         "no_holdout": lambda lines: [line for line in lines
                                      if line.split(",")[1] != "holdout"],
+        "one_train_row": lambda lines: lines[:2] + [
+            line for line in lines[2:] if line.split(",")[1] != "train"],
     }
-    for name, edit in cases.items():
-        root = edit_domain_1(name, edit)
+    cases = {name: (1, edit) for name, edit in cases.items()}
+    cases["source_train_lacks_class_1"] = (0, lambda lines: [
+        line for line in lines if line.split(",")[1:3] != ["train", "1"]])
+    for name, (index, edit) in cases.items():
+        root = edit_domain(name, index, edit)
         with pytest.raises(cli.ConfigError):
             cli.import_dataset(root)
-        cfg_path = write_cfg(tmp_path / f"{name}.json",
-                             tiny_cfg(root, tmp_path / f"o_{name}"))
-        assert cli.main(["run", cfg_path]) == 2, name
-        assert not (tmp_path / f"o_{name}" / "manifest.json").exists(), name
+        for strategy in ("crt_src", "src_only"):
+            out = tmp_path / f"o_{name}_{strategy}"
+            cfg_path = write_cfg(tmp_path / f"{name}_{strategy}.json",
+                                 tiny_cfg(root, out, strategy=strategy))
+            assert cli.main(["run", cfg_path]) == 2, (name, strategy)
+            assert not (out / "manifest.json").exists(), (name, strategy)
 
 
 def test_run_exit_code_unwritable_output(tmp_path, capsys):

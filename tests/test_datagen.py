@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,12 +102,15 @@ def sorted_list_split(spec, index, rng):
             for idx in (np.array(sorted(train_idx)), np.array(sorted(hold_idx)))]
 
 
-@pytest.mark.parametrize("spec", [
+ORACLE_SPECS = [
     blob_spec(n_classes=5, per_class=37, rotation_deg=33.0, scale=1.7,
               translation=(0.5, -2.0)),
     datagen.DomainSpec(kind=datagen.KIND_MOONS, n_classes=2, per_class=61,
                        rotation_deg=-20.0, scale=0.8, translation=(1.0, 0.0),
-                       std=0.1)])
+                       std=0.1)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_split_matches_sorted_list_oracle(spec):
     for seed in range(3):
         d = datagen.generate_domain(spec, 12, np.random.default_rng(seed))
@@ -114,6 +120,46 @@ def test_split_matches_sorted_list_oracle(spec):
             np.testing.assert_array_equal(ds.X, X)
             np.testing.assert_array_equal(ds.y, y)
             assert (ds.X.dtype, ds.y.dtype) == (X.dtype, y.dtype)
+
+
+def test_generated_ids_are_formatted_when_read():
+    # the split's arrays peak at about 64 bytes a row; a list of formatted
+    # ids would add about 65 more, a 57-byte str and its list slot
+    spec = blob_spec(per_class=20_000)
+    tracemalloc.start()
+    try:
+        d = datagen.generate_domain(spec, 7, np.random.default_rng(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 4 * 20_000
+    want = sorted_list_split(spec, 7, np.random.default_rng(8))
+    for ds, (ids, _, _) in zip((d.train, d.holdout), want):
+        assert len(ds.ids) == len(ds) == len(ids)
+        assert [ds.ids[i] for i in (0, 1, -1, np.int64(5))] \
+            == [ids[i] for i in (0, 1, -1, 5)]
+        assert ds.ids[10:20] == ids[10:20] and ds.ids[::-7] == ids[::-7]
+        assert list(ds.ids) == ids and ds.ids == ids and ids == ds.ids
+        with pytest.raises(IndexError):
+            ds.ids[len(ids)]
+        with pytest.raises(TypeError):
+            ds.ids[0] = "d7:00000"
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_export_matches_eager_id_writer(spec, tmp_path):
+    d = datagen.generate_domain(spec, 12, np.random.default_rng(5))
+    datagen.export_domain_csv(d, tmp_path / "export.csv")
+    with open(tmp_path / "eager.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "split", "label", "x0", "x1"])
+        splits = sorted_list_split(spec, 12, np.random.default_rng(5))
+        for name, (ids, X, y) in zip(("train", "holdout"), splits):
+            for sid, label, x in zip(ids, y, X):
+                writer.writerow([sid, name, int(label)]
+                                + [repr(float(v)) for v in x])
+    assert (tmp_path / "export.csv").read_bytes() \
+        == (tmp_path / "eager.csv").read_bytes()
 
 
 def test_generate_sequence_deterministic_and_independent():

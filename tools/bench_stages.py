@@ -29,6 +29,9 @@ stage's raw time drifts with the host as a run's does.  The source-only
 run has no adaptation iteration; its traced run wraps only the functions
 of the path every run shares, data generation, source pretraining and
 evaluation, and gives each one's time, its callees' included, per seed.
+Each config then runs once more under tracemalloc, whose peak is the run's
+`heap_peak_mb` (MiB): the process's peak RSS spans all three configs, so it
+cannot say what one run holds.
 """
 
 import os
@@ -46,6 +49,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -207,6 +211,12 @@ def measure(config, points, figures):
     kernels += [kernel() for _ in range(KERNELS)]
     if tracer.absent:
         sys.exit(f"error: wrap points name missing code: {tracer.absent}")
+    tracemalloc.start()
+    try:
+        run_reference(config, os.path.join(tmp, "heap"))
+        heap_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "reference_run": config,
         "reference_run_s": round(statistics.median(w for w, _ in runs), 3),
@@ -216,6 +226,7 @@ def measure(config, points, figures):
         "reference_kernel_s_each": [round(k, 5) for _, k in runs],
         "traced_run_s": round(traced, 3),
         "traced_kernel_s_each": [round(k, 5) for k in kernels],
+        "heap_peak_mb": round(heap_peak / 2**20, 2),
         **figures(tracer.spans, statistics.median(kernels)),
     }
 
