@@ -264,7 +264,8 @@ def export_dataset(preset: str, seed: int, out_dir: str) -> None:
 
 def import_dataset(path):
     """Domains of a directory written by export_dataset; a file there that
-    cannot be read or parsed is a ConfigError."""
+    cannot be read or parsed, or domains check_domains rejects, is a
+    ConfigError."""
     try:
         with open(os.path.join(path, "data_manifest.json")) as fh:
             meta = json.load(fh)
@@ -283,9 +284,6 @@ def import_dataset(path):
     # cannot have
     except (ValueError, KeyError, TypeError, ContdaError) as exc:
         raise ConfigError(f"malformed dataset manifest: {exc!r}") from exc
-    if len(specs) < 2:
-        raise ConfigError(f"a dataset needs a source and at least one target "
-                          f"domain, the manifest lists {len(specs)}")
     domains = []
     for i, spec in enumerate(specs):
         csv_path = os.path.join(path, f"domain_{i}.csv")
@@ -293,23 +291,10 @@ def import_dataset(path):
             domains.append(datagen.import_domain_csv(csv_path, spec))
         except (OSError, ValueError, IndexError, csv.Error, ContdaError) as exc:
             raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
-    width = domains[0].train.X.shape[1]
-    n_classes = domains[0].spec.n_classes
-    # the class means come from the source train split
-    absent = np.flatnonzero(np.bincount(domains[0].train.y, minlength=n_classes) == 0)
-    if absent.size:
-        raise ConfigError(f"domain 0's train split has no row of class {absent[0]}")
-    for i, d in enumerate(domains[1:], start=1):
-        if d.train.X.shape[1] != width:
-            raise ConfigError(f"domain {i} has {d.train.X.shape[1]} "
-                              f"features, domain 0 has {width}")
-        if d.spec.n_classes != n_classes:
-            raise ConfigError(f"domain {i} has {d.spec.n_classes} "
-                              f"classes, domain 0 has {n_classes}")
-        # k-means fits one cluster per class to each target's train split
-        if len(d.train) < n_classes:
-            raise ConfigError(f"domain {i}'s train split has {len(d.train)} "
-                              f"rows, fewer than its {n_classes} classes")
+    try:
+        harness.check_domains(domains)
+    except ContractViolationError as exc:
+        raise ConfigError(str(exc)) from exc
     return domains
 
 

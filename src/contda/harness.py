@@ -401,15 +401,40 @@ def pseudo_label_memory(params, domains, t, plan, rng):
                                    plan.memory_capacity)
 
 
+def check_domains(domains) -> None:
+    """Raise ContractViolationError unless a run can use domains: a source
+    and a target or more, each with domain 0's train width and class count,
+    every class in domain 0's train split, whose class means name the
+    memories' clusters, and a train row per class in every target, to which
+    k-means fits one cluster per class."""
+    if len(domains) < 2:
+        raise ContractViolationError(f"a dataset needs a source and at least "
+                                     f"one target domain, got {len(domains)}")
+    width, n_classes = domains[0].train.X.shape[1], domains[0].spec.n_classes
+    absent = np.flatnonzero(np.bincount(domains[0].train.y,
+                                        minlength=n_classes) == 0)
+    if absent.size:
+        raise ContractViolationError(
+            f"domain 0's train split has no row of class {absent[0]}")
+    for i, d in enumerate(domains[1:], start=1):
+        if d.train.X.shape[1] != width:
+            raise ContractViolationError(f"domain {i} has {d.train.X.shape[1]} "
+                                         f"features, domain 0 has {width}")
+        if d.spec.n_classes != n_classes:
+            raise ContractViolationError(f"domain {i} has {d.spec.n_classes} "
+                                         f"classes, domain 0 has {n_classes}")
+        if len(d.train) < n_classes:
+            raise ContractViolationError(f"domain {i}'s train split has "
+                                         f"{len(d.train)} rows, fewer than "
+                                         f"its {n_classes} classes")
+
+
 def run_plan(domains, plan: AdaptationPlan) -> RunResult:
     """Full protocol: pretrain on domain 0, adapt through domains 1..N, fill
     the accuracy matrix row by row, and summarize."""
+    check_domains(domains)
     n_targets = len(domains) - 1
-    if n_targets < 1:
-        raise ContractViolationError("need at least one target domain")
     n_classes = domains[0].spec.n_classes
-    if any(d.spec.n_classes != n_classes for d in domains):
-        raise ContractViolationError("domains disagree on class count")
 
     ss = np.random.SeedSequence(plan.seed)
     init_seed, pretrain_seed, warm_seed, *domain_seeds = ss.spawn(3 + 3 * n_targets)

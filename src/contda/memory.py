@@ -136,9 +136,6 @@ class EpisodicMemory:
     rows: np.ndarray
     labels: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def build_memory(domain_index, ids, labels, confidences, n_classes,
                  capacity: int) -> EpisodicMemory:

@@ -129,8 +129,6 @@ def forward(params: ModelParams, X, project: bool = True) -> Forward:
     """One forward pass over a batch of inputs; project=False stops at the
     encoder.  Biases and tanh apply in place, leaving X untouched."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != params.config.input_dim:
         raise DimensionError(f"inputs have shape {X.shape}, model expects "
                              f"dimension {params.config.input_dim}")

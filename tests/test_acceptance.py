@@ -48,6 +48,36 @@ STRATEGIES = [
      {"lambda_source": ls, "lambda_memory": lm})
     for ls, lm in WEIGHT_GRID
 ]
+GRID_LABELS = [f"mt_{ls}_{lm}" for ls, lm in WEIGHT_GRID]
+# the ablation chain, best first
+CHAIN = ("grcl", "crt_sdc", "crt_src", "src_only")
+
+
+def run_strategies(domains, seeds):
+    """Each strategy's label and its runs on domains, one per seed."""
+    for label, strategy, extra in STRATEGIES:
+        yield label, [harness.run_plan(domains, AdaptationPlan(
+            strategy=strategy, seed=seed, **extra)) for seed in seeds]
+
+
+def chain_holds(acc):
+    """The ablation gate on mean ACC per label: no link of CHAIN falls,
+    and grcl clears src_only by GAP."""
+    return (all(acc[a] >= acc[b] for a, b in zip(CHAIN, CHAIN[1:]))
+            and acc["grcl"] - acc["src_only"] >= GAP)
+
+
+def best_grid(acc):
+    """The grid member with the best mean ACC."""
+    return max(GRID_LABELS, key=lambda lab: acc[lab])
+
+
+def forgetting_holds(acc, bwt, best):
+    """The forgetting gate on mean ACC and BWT per label against grid
+    member best: grcl's BWT beats best's by MARGIN and stays above FLOOR,
+    and its ACC is no lower."""
+    return (bwt["grcl"] >= bwt[best] + MARGIN and bwt["grcl"] >= FLOOR
+            and acc["grcl"] >= acc[best])
 
 
 def _report(name, ok, detail):
@@ -66,14 +96,11 @@ def bench():
     domains = datagen.generate_sequence(
         datagen.preset_specs("rot-blobs-5"), DATA_SEED)
     runs = {}
-    for label, strategy, extra in STRATEGIES:
-        accs, bwts = [], []
-        for seed in ACCEPT_SEEDS:
-            plan = AdaptationPlan(strategy=strategy, seed=seed, **extra)
-            res = harness.run_plan(domains, plan)
-            runs[(label, seed)] = res
-            accs.append(res.metrics.acc)
-            bwts.append(res.metrics.bwt)
+    for label, results in run_strategies(domains, ACCEPT_SEEDS):
+        runs.update(((label, seed), res)
+                    for seed, res in zip(ACCEPT_SEEDS, results))
+        accs = [res.metrics.acc for res in results]
+        bwts = [res.metrics.bwt for res in results]
         GATE_LINES.append(f"  [bench] {label}: acc={np.mean(accs):.4f} "
                           f"bwt={np.mean(bwts):+.4f}")
     return domains, runs
@@ -254,20 +281,16 @@ def test_projection_beats_fixed_weights_on_forgetting(bench):
     fixed-weight grid member by MARGIN absolute, stays above FLOOR, and
     mean ACC does not regress."""
     _, runs = bench
-    grid_labels = [f"mt_{ls}_{lm}" for ls, lm in WEIGHT_GRID]
-    best = max(grid_labels, key=lambda lab: _mean(runs, lab, "acc"))
-    grcl_bwt = _mean(runs, "grcl", "bwt")
-    grcl_acc = _mean(runs, "grcl", "acc")
-    best_bwt = _mean(runs, best, "bwt")
-    best_acc = _mean(runs, best, "acc")
-    ok = (grcl_bwt >= best_bwt + MARGIN and grcl_bwt >= FLOOR
-          and grcl_acc >= best_acc)
+    acc, bwt = ({lab: _mean(runs, lab, field) for lab in ["grcl"] + GRID_LABELS}
+                for field in ("acc", "bwt"))
+    best = best_grid(acc)
+    ok = forgetting_holds(acc, bwt, best)
     detail = _report(
         "forgetting reduction",
         ok,
-        f"bwt {grcl_bwt:+.4f} vs best grid ({best}) {best_bwt:+.4f} "
-        f"(margin {grcl_bwt - best_bwt:+.4f} >= {MARGIN}), floor {FLOOR}, "
-        f"acc {grcl_acc:.4f} vs {best_acc:.4f}")
+        f"bwt {bwt['grcl']:+.4f} vs best grid ({best}) {bwt[best]:+.4f} "
+        f"(margin {bwt['grcl'] - bwt[best]:+.4f} >= {MARGIN}), floor {FLOOR}, "
+        f"acc {acc['grcl']:.4f} vs {acc[best]:.4f}")
     assert ok, detail
 
 
@@ -275,11 +298,8 @@ def test_ablation_ordering_holds(bench):
     """Mean ACC must not decrease along the ablation chain, and the full
     method clears the frozen baseline by GAP absolute."""
     _, runs = bench
-    accs = {lab: _mean(runs, lab, "acc")
-            for lab in ("src_only", "crt_src", "crt_sdc", "grcl")}
-    ok = (accs["grcl"] >= accs["crt_sdc"] >= accs["crt_src"]
-          >= accs["src_only"]
-          and accs["grcl"] - accs["src_only"] >= GAP)
+    accs = {lab: _mean(runs, lab, "acc") for lab in CHAIN}
+    ok = chain_holds(accs)
     detail = _report(
         "ablation ordering",
         ok,

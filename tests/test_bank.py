@@ -11,7 +11,7 @@ def unit_rows(rng, n, d):
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
-def test_lookup_and_shape_validation():
+def test_check_rows_and_momentum_update_validate_shapes():
     rng = np.random.default_rng(0)
     b = unit_rows(rng, 5, 3)
     assert len(b) == 5
@@ -96,7 +96,7 @@ def outside_ranks(step, neg):
     return neg - np.searchsorted(np.unique(step), neg)
 
 
-def test_draw_negatives_excludes_own_key_and_is_distinct():
+def test_negative_rows_exclude_the_step_and_are_distinct():
     # one array per step, in step order, shared by the step's queries: count
     # distinct rows, none of them a row of the step, repeated or not
     for n, count in ((3600, 64), (200, 10), (12, 5), (1300, 512)):
@@ -112,7 +112,7 @@ def test_draw_negatives_excludes_own_key_and_is_distinct():
             assert len(set(neg.tolist())) == count
 
 
-def test_draw_negatives_exhausts_bank():
+def test_negative_rows_exhaust_the_bank():
     # count = n - b, b counting a step's distinct rows, takes every row
     # outside the step; count 0 takes none; one more than n - b raises, and
     # one step that leaves too few rows fails the whole draw

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,7 +244,7 @@ def test_adaptive_strategies_build_bounded_memories(monkeypatch):
         assert len(res.memories) == len(fits) == n_targets - 1
         for t, mem in enumerate(res.memories, start=1):
             assert mem.domain_index == t
-            assert len(mem) <= 9
+            assert len(mem.rows) <= 9
             assert np.all(mem.labels >= 0) and np.all(mem.labels < 3)
             rows = mem.rows
             assert rows.dtype == np.int64 and len(set(rows.tolist())) == len(rows)
@@ -264,7 +265,7 @@ def test_memory_rows_and_ids_name_the_same_samples():
     truth = {sid: int(y) for d in domains
              for sid, y in zip(d.train.ids, d.train.y)}
     for t, m in enumerate(res.memories, start=1):
-        assert m.domain_index == t and len(m) > 0
+        assert m.domain_index == t and len(m.rows) > 0
         train = domains[t].train
         assert m.ids == [train.ids[r] for r in m.rows]
         hits = sum(int(p) == truth[sid] for p, sid in zip(m.labels, m.ids))
@@ -495,16 +496,39 @@ def test_warm_up_projects_onto_the_source_row_without_labels(monkeypatch):
     assert planned == [None] * plan.warm_epochs
 
 
-def test_run_plan_rejects_trivial_sequences():
-    domains = tiny_domains()
-    with pytest.raises(ContractViolationError):
-        harness.run_plan(domains[:1], tiny_plan(harness.GRCL))
-    mixed = [domains[0],
-             datagen.generate_domain(
-                 datagen.DomainSpec(kind=datagen.KIND_BLOBS, n_classes=4,
-                                    per_class=20), 1, np.random.default_rng(0))]
-    with pytest.raises(ContractViolationError):
-        harness.run_plan(mixed, tiny_plan(harness.GRCL))
+def test_run_plan_rejects_trivial_sequences(monkeypatch):
+    # every unusable sequence fails with the dataset import's message
+    # before the source is trained on, under every strategy
+    src, tgt, last = tiny_domains()
+
+    def train_rows(d, rows):
+        return replace(d, train=datagen.Dataset(
+            [d.train.ids[r] for r in rows], d.train.X[rows], d.train.y[rows]))
+
+    wide = replace(tgt, train=replace(tgt.train, X=np.hstack(
+        [tgt.train.X, tgt.train.X[:, :1]])))
+    other = datagen.generate_domain(
+        datagen.DomainSpec(kind=datagen.KIND_BLOBS, n_classes=4, per_class=20),
+        1, np.random.default_rng(0))
+    cases = {
+        "a dataset needs a source and at least one target domain, got 1":
+            [src],
+        "domain 1 has 3 features, domain 0 has 2": [src, wide, last],
+        "domain 1 has 4 classes, domain 0 has 3": [src, other, last],
+        "domain 0's train split has no row of class 1":
+            [train_rows(src, np.flatnonzero(src.train.y != 1)), tgt, last],
+        "domain 2's train split has 2 rows, fewer than its 3 classes":
+            [src, tgt, train_rows(last, np.arange(2))],
+    }
+
+    def pretrain(*args):
+        raise AssertionError("pretraining started")
+
+    monkeypatch.setattr(harness, "pretrain_source", pretrain)
+    for message, domains in cases.items():
+        for strategy in harness.STRATEGIES:
+            with pytest.raises(ContractViolationError, match=message):
+                harness.run_plan(domains, tiny_plan(strategy))
 
 
 def test_two_forward_passes_per_iteration(monkeypatch):

@@ -209,7 +209,7 @@ def test_build_memory_round_robin_balance():
     labels = np.array([i % 4 for i in range(n)])
     conf = np.linspace(0.0, 1.0, n)
     mem = memory.build_memory(2, ids, labels, conf, 4, capacity=12)
-    assert len(mem) == 12
+    assert len(mem.rows) == 12
     assert mem.domain_index == 2
     counts = np.bincount(mem.labels, minlength=4)
     np.testing.assert_array_equal(counts, [3, 3, 3, 3])
@@ -225,7 +225,7 @@ def test_build_memory_unbalanced_classes_fill_capacity():
     labels = np.array([0] * 8 + [1] * 2)
     conf = np.linspace(1.0, 0.1, 10)
     mem = memory.build_memory(1, ids, labels, conf, 2, capacity=6)
-    assert len(mem) == 6
+    assert len(mem.rows) == 6
     counts = np.bincount(mem.labels, minlength=2)
     # class 1 exhausts at 2, class 0 fills the rest
     np.testing.assert_array_equal(counts, [4, 2])
@@ -235,7 +235,7 @@ def test_build_memory_capacity_exceeds_pool():
     ids = ["a", "b", "c"]
     mem = memory.build_memory(1, ids, np.array([0, 1, 0]),
                               np.array([0.5, 0.5, 0.9]), 2, capacity=100)
-    assert len(mem) == 3
+    assert len(mem.rows) == 3
 
 
 def test_build_memory_confidence_tie_keeps_original_order():
@@ -321,7 +321,7 @@ def test_export_memory_csv_exact(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["id", "label", "x0", "x1"]
-    assert len(rows) == 1 + len(mem)
+    assert len(rows) == 1 + len(mem.rows)
     assert [r[0] for r in rows[1:]] == mem.ids
     got = np.array([[float(v) for v in r[2:]] for r in rows[1:]])
     np.testing.assert_array_equal(got, train.X[mem.rows])

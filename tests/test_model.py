@@ -101,6 +101,9 @@ def test_input_dim_checked():
     p = make_params()
     with pytest.raises(DimensionError):
         model.encode_batch(p, np.zeros((3, 4)))
+    # one sample is a (1, d) batch, not a 1-D vector
+    with pytest.raises(DimensionError):
+        model.forward(p, np.zeros(2))
 
 
 def test_ce_loss_matches_direct_formula():
