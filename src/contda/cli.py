@@ -188,12 +188,12 @@ def run_config(cfg: dict) -> dict:
         "numpy_version": np.__version__,
     }
 
+    # read once for every seed; a dataset that stops the run leaves no manifest
+    dataset = import_dataset(cfg["dataset"]) if "dataset" in cfg else None
+    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
     collected = []
-    for i, seed in enumerate(seeds):
-        domains = load_domains(cfg, seed)
-        if i == 0:
-            # only once the dataset is read: a run it stops leaves no manifest
-            _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    for seed in seeds:
+        domains = dataset if dataset is not None else load_domains(cfg, seed)
         plan = build_plan(cfg, seed)
         try:
             result = harness.run_plan(domains, plan)

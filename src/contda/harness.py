@@ -1,8 +1,9 @@
-"""Continual adaptation protocol: source pretraining, per-domain loops that
-compose batches, measure the step's gradients, choose a step direction by
-strategy, and maintain the feature bank; evaluation into an accuracy matrix
-with the two summary metrics.  pseudo_label_memory builds the episodic memory
-of each target domain but the last, whose memory no later domain would read.
+"""Continual adaptation protocol: source pretraining (one model.descend_ce
+call), per-domain loops that compose batches, measure the step's gradients,
+choose a step direction by strategy, and maintain the feature bank;
+evaluation into an accuracy matrix with the two summary metrics.
+pseudo_label_memory builds the episodic memory of each target domain but the
+last, whose memory no later domain would read.
 
 Strategies mirror the ablation family: a frozen source model, fixed-weight
 multitask combinations, a source-constrained projection, and GRCL, which
@@ -209,22 +210,14 @@ def _cosine_lr(base: float, step: int, total: int) -> float:
 
 
 def pretrain_source(params, source_train, plan, rng):
-    """Minibatch cross-entropy on the labeled source split."""
+    """Minibatch cross-entropy on the labeled source split, in one call."""
     n = len(source_train)
-    iters = math.ceil(n / plan.batch_size)
-    total = plan.pretrain_epochs * iters
-    step = 0
-    for _ in range(plan.pretrain_epochs):
-        # one gather per epoch; a step's batch is a slice of it
-        order = rng.permutation(n)
-        X, y = source_train.X[order], source_train.y[order]
-        for i in range(iters):
-            rows = slice(i * plan.batch_size, (i + 1) * plan.batch_size)
-            _, grad = model_mod.ce_loss_and_grad(params, X[rows], y[rows])
-            params = model_mod.sgd_step(
-                params, grad, _cosine_lr(plan.pretrain_lr, step, total))
-            step += 1
-    return params
+    total = plan.pretrain_epochs * math.ceil(n / plan.batch_size)
+    # drawn as each epoch starts, so one order is held at a time
+    orders = (rng.permutation(n) for _ in range(plan.pretrain_epochs))
+    lrs = (_cosine_lr(plan.pretrain_lr, step, total) for step in range(total))
+    return model_mod.descend_ce(params, source_train.X, source_train.y,
+                                orders, plan.batch_size, lrs)
 
 
 def warm_projector(params, source_train, plan, rng):
@@ -404,15 +397,19 @@ def pseudo_label_memory(params, domains, t, plan, rng):
 def check_domains(domains) -> None:
     """Raise ContractViolationError unless a run can use domains: a source
     and a target or more, each with domain 0's train width and class count,
-    every class in domain 0's train split, whose class means name the
-    memories' clusters, and a train row per class in every target, to which
-    k-means fits one cluster per class."""
+    domain 0's train labels in its class range and every class among them,
+    whose class means name the memories' clusters, and a train row per
+    class in every target, to which k-means fits one cluster per class."""
     if len(domains) < 2:
         raise ContractViolationError(f"a dataset needs a source and at least "
                                      f"one target domain, got {len(domains)}")
     width, n_classes = domains[0].train.X.shape[1], domains[0].spec.n_classes
-    absent = np.flatnonzero(np.bincount(domains[0].train.y,
-                                        minlength=n_classes) == 0)
+    y = domains[0].train.y
+    outside = y[(y < 0) | (y >= n_classes)]
+    if outside.size:
+        raise ContractViolationError(f"domain 0's train split has label "
+                                     f"{outside[0]}, outside its {n_classes} classes")
+    absent = np.flatnonzero(np.bincount(y, minlength=n_classes) == 0)
     if absent.size:
         raise ContractViolationError(
             f"domain 0's train split has no row of class {absent[0]}")

@@ -11,6 +11,7 @@ and the cross-entropy of each group of its rows) as the rows of one (r, P)
 matrix, with index arrays built once per tuple of group sizes.
 A batch is its inputs and one integer label per row; every row that a
 cross-entropy group reads must carry a label in the class range.
+descend_ce takes every step of source pretraining in one call.
 """
 
 from dataclasses import dataclass
@@ -60,8 +61,8 @@ def _blocks(config: ModelConfig, vec: np.ndarray) -> dict:
 class ModelParams:
     """Immutable parameters: a config and a read-only copy of one flat vector.
 
-    blocks maps enc1_w ... cls_b to views of flat; sgd_step derives new
-    parameters around a vector it made, without the copy.
+    blocks maps enc1_w ... cls_b to views of flat; sgd_step and descend_ce
+    derive new parameters around a vector they made, without the copy.
     """
 
     config: ModelConfig
@@ -132,12 +133,18 @@ def forward(params: ModelParams, X, project: bool = True) -> Forward:
     if X.ndim != 2 or X.shape[1] != params.config.input_dim:
         raise DimensionError(f"inputs have shape {X.shape}, model expects "
                              f"dimension {params.config.input_dim}")
-    B, layers = params.blocks, [X]
-    for name in ("enc1", "enc2", "proj1", "proj2")[:4 if project else 2]:
+    names = ("enc1", "enc2", "proj1", "proj2")[:4 if project else 2]
+    return Forward(*_layers(params.blocks, X, names))
+
+
+def _layers(B: dict, X: np.ndarray, names) -> list:
+    """X and its layers under blocks B, one per name (tanh but on proj2)."""
+    layers = [X]
+    for name in names:
         H = layers[-1] @ B[name + "_w"].T
         H += B[name + "_b"]
         layers.append(H if name == "proj2" else np.tanh(H, out=H))
-    return Forward(*layers)
+    return layers
 
 
 def encode_batch(params: ModelParams, X) -> np.ndarray:
@@ -250,12 +257,38 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
     return np.array(losses), J
 
 
-def ce_loss_and_grad(params: ModelParams, X, labels):
-    """Mean cross-entropy of a fully labeled batch of inputs X and its flat
-    gradient, from the batch's own encoder pass."""
-    losses, J = backward(params, forward(params, X, project=False),
-                         labels=labels, groups=[slice(None)])
-    return float(losses[0]), J[0]
+def descend_ce(params: ModelParams, X, labels, orders, batch_size: int,
+               lrs) -> ModelParams:
+    """SGD on the mean cross-entropy of labeled inputs X, checked once: per
+    batch_size rows of each row order, in place, bitwise sgd_step on
+    backward's cross-entropy row (zero on the projector) at its rate in lrs."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != params.config.input_dim:
+        raise DimensionError(f"inputs have shape {X.shape}, model expects "
+                             f"dimension {params.config.input_dim}")
+    if y.shape != X.shape[:1] or np.any((y < 0) | (y >= params.config.n_classes)):
+        raise ContractViolationError("labels must be one per row, in the class range")
+    flat, grad, lrs = params.flat.copy(), np.zeros(params.num_params), iter(lrs)
+    W, G = _blocks(params.config, flat), _blocks(params.config, grad)
+    for order in orders:
+        Xe, ye = X[order], y[order]
+        for a in range(0, len(order), batch_size):
+            Xb, yb = Xe[a:a + batch_size], ye[a:a + batch_size]
+            _, H1, H2 = _layers(W, Xb, ("enc1", "enc2"))
+            seg, at, sizes = _group_layout((yb.size,), 0)
+            dlogits = np.exp(log_softmax_rows(H2 @ W["cls_w"].T + W["cls_b"]))
+            dlogits[at, yb] -= 1.0
+            dlogits /= sizes
+            dZ2 = dlogits @ W["cls_w"]
+            dZ2 *= 1.0 - H2 * H2
+            dZ1 = dZ2 @ W["enc2_w"]
+            dZ1 *= 1.0 - H1 * H1
+            for name, A, B in (("enc2_b", seg, dZ2), ("enc1_b", seg, dZ1),
+                               ("cls_b", seg, dlogits), ("enc2_w", dZ2.T, H1),
+                               ("enc1_w", dZ1.T, Xb), ("cls_w", dlogits.T, H2)):
+                np.matmul(A, B, out=G[name].reshape(len(A), -1))
+            np.subtract(flat, np.multiply(grad, next(lrs), out=grad), out=flat)
+    return _owning(params.config, flat)
 
 
 def sgd_step(params: ModelParams, w: np.ndarray, lr: float) -> ModelParams:
@@ -265,9 +298,14 @@ def sgd_step(params: ModelParams, w: np.ndarray, lr: float) -> ModelParams:
         raise DimensionError(f"update has shape {w.shape}, expected {params.flat.shape}")
     flat = np.multiply(w, lr)
     np.subtract(params.flat, flat, out=flat)
+    return _owning(params.config, flat)
+
+
+def _owning(config: ModelConfig, flat: np.ndarray) -> ModelParams:
+    """Params around flat, a new vector of the right length: made read-only
+    in place of __post_init__'s copy."""
     flat.flags.writeable = False
-    # flat is new, checked and read-only: skip __post_init__'s copy
-    stepped = object.__new__(ModelParams)
-    object.__setattr__(stepped, "config", params.config)
-    object.__setattr__(stepped, "flat", flat)
-    return stepped
+    params = object.__new__(ModelParams)
+    object.__setattr__(params, "config", config)
+    object.__setattr__(params, "flat", flat)
+    return params

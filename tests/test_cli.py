@@ -215,6 +215,31 @@ def test_run_command_multi_seed_aggregate(tmp_path):
     np.testing.assert_allclose(aggregate["acc"]["std"], accs.std())
 
 
+def test_run_reads_a_dataset_once_for_every_seed(tmp_path, monkeypatch):
+    # imported data does not depend on the seed: a three-seed run reads
+    # each domain file once, and each seed's artifacts are those of a run
+    # of that seed alone
+    data = write_tiny_dataset(tmp_path / "data", n_domains=4)
+    real, reads = datagen.import_domain_csv, []
+
+    def counting(path, spec):
+        reads.append(os.path.basename(path))
+        return real(path, spec)
+
+    monkeypatch.setattr(datagen, "import_domain_csv", counting)
+    cfg = tiny_cfg(data, tmp_path / "all")
+    del cfg["seed"]
+    cfg["seeds"] = [1, 2, 3]
+    cli.run_config(cli.validate_config(cfg))
+    assert reads == [f"domain_{i}.csv" for i in range(4)]
+    for seed in cfg["seeds"]:
+        alone = tmp_path / f"alone_{seed}"
+        cli.run_config(cli.validate_config(tiny_cfg(data, alone, seed=seed)))
+        for name in ("rmatrix.csv", "metrics.json", "diagnostics.csv"):
+            assert ((tmp_path / "all" / f"seed_{seed}" / name).read_bytes()
+                    == (alone / f"seed_{seed}" / name).read_bytes()), name
+
+
 def test_run_writes_only_under_output_dir(tmp_path, monkeypatch):
     # the config's output_dir is the one place a run writes, whatever
     # the environment holds

@@ -231,7 +231,7 @@ def test_tolerance_scales_with_largest_norm():
 
 
 @pytest.mark.filterwarnings("error")
-def test_gradient_set_validation():
+def test_gram_validates_the_gradient_stack():
     # the stacked gradients handed to gram are checked as one set: a 2-D
     # stack of at least one row, all finite
     with pytest.raises(DimensionError):
@@ -244,7 +244,7 @@ def test_gradient_set_validation():
         gp.gram(np.array([[0.0, 0.0], [1.0, np.inf]]))
 
 
-def test_project_n_matches_brute_force_small():
+def test_project_matches_brute_force_small():
     # one solver path for every row count, 1 to 10 rows
     rng = np.random.default_rng(5)
     for _ in range(60):
@@ -262,7 +262,7 @@ def test_project_n_matches_brute_force_small():
         assert u.min() >= 0.0
 
 
-def test_project_n_rejects_bad_shapes():
+def test_project_rejects_bad_shapes():
     J = np.zeros((3, 4))
     K, eps = gp.gram(J)
     with pytest.raises(DimensionError):
@@ -284,7 +284,7 @@ def test_gram_tolerance_matches_row_norms():
     assert gp.gram(np.zeros((2, 3)))[1] == gp.EPS_SCALE
 
 
-def test_project_n_handles_degenerate_rows():
+def test_project_handles_degenerate_rows():
     # parallel, antiparallel, zero and linearly dependent rows make some
     # active-set Gram blocks singular; the projection still matches the
     # oracle and passes every KKT check
@@ -344,7 +344,7 @@ def projection_instances(draw):
 
 @settings(derandomize=True, deadline=None)
 @given(projection_instances())
-def test_project_n_property_against_oracle(instance):
+def test_project_property_against_oracle(instance):
     g, C = instance
     w, u = project_rows(g, C)
     assert kkt_ok(w, u, g, C)

@@ -7,6 +7,7 @@ import pytest
 from contda import bank, datagen, gradproject, harness, memory, model
 from contda.errors import (ContractViolationError, DegenerateInputError,
                            DimensionError)
+from backward_oracle import ce_loss_and_grad
 from projection_oracle import tolerance
 
 
@@ -379,12 +380,12 @@ def test_memory_grads_mix_to_pooled_cross_entropy():
     groups = [rows[domain == d] for d in (1, 2)]
     losses, g_mem = model.backward(params, fw, labels=labels, groups=groups)
     shares = np.array([g.size for g in groups]) / 7
-    want_loss, want_g = model.ce_loss_and_grad(params, X, labels)
+    want_loss, want_g = ce_loss_and_grad(params, X, labels)
     assert g_mem.shape == (2, params.num_params)
     np.testing.assert_allclose(shares @ losses, want_loss, rtol=1e-12)
     np.testing.assert_allclose(shares @ g_mem, want_g, rtol=1e-10, atol=1e-14)
     for row, sel in zip(g_mem, groups):
-        _, g_d = model.ce_loss_and_grad(params, X[sel], labels[sel])
+        _, g_d = ce_loss_and_grad(params, X[sel], labels[sel])
         np.testing.assert_allclose(row, g_d, rtol=0, atol=1e-15)
 
 
@@ -520,6 +521,14 @@ def test_run_plan_rejects_trivial_sequences(monkeypatch):
         "domain 2's train split has 2 rows, fewer than its 3 classes":
             [src, tgt, train_rows(last, np.arange(2))],
     }
+    # a source label outside the class range, which would escape np.bincount
+    # or pass for an absent class
+    for label in (-1, 3):
+        y = src.train.y.copy()
+        y[5] = label
+        cases[f"domain 0's train split has label {label}, outside its 3 "
+              f"classes"] = [replace(src, train=replace(src.train, y=y)),
+                             tgt, last]
 
     def pretrain(*args):
         raise AssertionError("pretraining started")

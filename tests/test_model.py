@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from backward_oracle import ce_oracle, embedding_oracle
+from backward_oracle import ce_loss_and_grad, ce_oracle, embedding_oracle
 from contda import model
 from contda.errors import (ContractViolationError, DegenerateInputError,
                            DimensionError)
@@ -110,7 +110,7 @@ def test_ce_loss_matches_direct_formula():
     p = make_params(11)
     rng = np.random.default_rng(12)
     X, labels = labeled_batch(rng, p, n=8)
-    loss, _ = model.ce_loss_and_grad(p, X, labels)
+    loss, _ = ce_loss_and_grad(p, X, labels)
     logits = model.classify_batch(p, X)
     total = 0.0
     for i, y in enumerate(labels):
@@ -124,7 +124,7 @@ def test_ce_rejects_unlabeled_and_out_of_range():
     rng = np.random.default_rng(1)
     for label in (7, -1):
         with pytest.raises(ContractViolationError):
-            model.ce_loss_and_grad(p, rng.standard_normal((1, 2)),
+            ce_loss_and_grad(p, rng.standard_normal((1, 2)),
                                    np.array([label]))
 
 
@@ -164,7 +164,7 @@ def test_ce_grad_matches_finite_differences():
 
 def test_ce_grad_projector_blocks_exactly_zero():
     p = make_params(31)
-    _, g = model.ce_loss_and_grad(
+    _, g = ce_loss_and_grad(
         p, *labeled_batch(np.random.default_rng(32), p, n=6))
     slices = block_slices(p)
     for f in ("proj1_w", "proj1_b", "proj2_w", "proj2_b"):
@@ -174,7 +174,7 @@ def test_ce_grad_projector_blocks_exactly_zero():
     assert np.any(g[slices["enc1_w"]] != 0.0)
 
 
-def test_embedding_backward_matches_finite_differences():
+def test_embedding_row_matches_finite_differences():
     # row 0 of J against the finite differences of sum(C * Q), with a
     # cross-entropy group stacked below it
     rng = np.random.default_rng(41)
@@ -196,7 +196,7 @@ def test_embedding_backward_matches_finite_differences():
             assert abs(J[0, j] - v) <= 1e-6 * max(1.0, abs(v)), (trial, j)
 
 
-def test_embedding_backward_classifier_blocks_exactly_zero():
+def test_embedding_row_classifier_blocks_exactly_zero():
     p = make_params(51)
     rng = np.random.default_rng(52)
     _, J = model.backward(p, model.forward(p, rng.standard_normal((3, 2))),
@@ -313,6 +313,90 @@ def test_sgd_step_owns_a_read_only_result():
             q.flat[0] = 0.0
 
 
+def stepwise_descent(p, X, labels, orders, batch_size, lrs):
+    """descend_ce's reference: one sgd_step on the batch's cross-entropy
+    gradient per batch_size rows of each order."""
+    lrs = iter(lrs)
+    for order in orders:
+        for a in range(0, len(order), batch_size):
+            rows = order[a:a + batch_size]
+            p = model.sgd_step(p, ce_loss_and_grad(p, X[rows], labels[rows])[1],
+                               next(lrs))
+    return p
+
+
+def test_descend_ce_matches_stepwise_sgd_bitwise():
+    # two and three epochs of batches of 16 over 37 rows, so each epoch
+    # ends on a batch of 5, at widths other than the plan's defaults
+    rng = np.random.default_rng(81)
+    cfg = model.ModelConfig(input_dim=3, n_classes=4, hidden_dim=9,
+                            proj_hidden_dim=6, embed_dim=5)
+    for epochs in (2, 3):
+        p = make_params(500 + epochs, cfg)
+        X, labels = labeled_batch(rng, p, n=37)
+        orders = [rng.permutation(37) for _ in range(epochs)]
+        lrs = rng.uniform(0.01, 0.5, size=3 * epochs).tolist()
+        got = model.descend_ce(p, X, labels, orders, 16, lrs)
+        want = stepwise_descent(p, X, labels, orders, 16, lrs)
+        assert got.config is p.config
+        np.testing.assert_array_equal(got.flat.view(np.int64),
+                                      want.flat.view(np.int64))
+
+
+def test_descend_ce_leaves_projector_and_input_params():
+    p = make_params(82)
+    before = p.flat.copy()
+    rng = np.random.default_rng(83)
+    X, labels = labeled_batch(rng, p, n=20)
+    got = model.descend_ce(p, X, labels, [rng.permutation(20)], 8,
+                           [0.3, 0.2, 0.1])
+    np.testing.assert_array_equal(p.flat, before)
+    assert not np.shares_memory(got.flat, p.flat)
+    assert not got.flat.flags.writeable
+    with pytest.raises(ValueError):
+        got.flat[0] = 0.0
+    for name in ("proj1_w", "proj1_b", "proj2_w", "proj2_b"):
+        np.testing.assert_array_equal(got.blocks[name], p.blocks[name])
+    for name in ("enc1_w", "enc2_w", "cls_w", "cls_b"):
+        assert np.any(got.blocks[name] != p.blocks[name]), name
+
+
+def test_descend_ce_zero_epochs_returns_the_same_values():
+    p = make_params(84)
+    X, labels = labeled_batch(np.random.default_rng(85), p, n=10)
+    got = model.descend_ce(p, X, labels, [], 4, [])
+    np.testing.assert_array_equal(got.flat, p.flat)
+    assert not got.flat.flags.writeable
+
+
+def test_descend_ce_checks_inputs_before_any_step(monkeypatch):
+    # a bad label in the last batch of the last epoch, or a wrong input
+    # width, raises before the first step's head is evaluated
+    p = make_params(86)
+    rng = np.random.default_rng(87)
+    X, labels = labeled_batch(rng, p, n=12)
+    heads = []
+
+    def counting(logits):
+        heads.append(logits.shape)
+        return log_softmax_rows(logits)
+
+    monkeypatch.setattr(model, "log_softmax_rows", counting)
+    orders = [np.arange(12)] * 2
+    for label in (-1, p.config.n_classes):
+        bad = labels.copy()
+        bad[-1] = label
+        with pytest.raises(ContractViolationError):
+            model.descend_ce(p, X, bad, orders, 4, [0.1] * 6)
+    with pytest.raises(DimensionError):
+        model.descend_ce(p, np.hstack([X, X]), labels, orders, 4, [0.1] * 6)
+    with pytest.raises(ContractViolationError):
+        model.descend_ce(p, X, labels[:-1], orders, 4, [0.1] * 6)
+    assert heads == []
+    model.descend_ce(p, X, labels, orders, 4, [0.1] * 6)
+    assert len(heads) == 6
+
+
 def test_ce_grad_on_row_subset_matches_sub_batch():
     # one forward over the whole batch serves the cross-entropy of any
     # subset of its rows
@@ -323,7 +407,7 @@ def test_ce_grad_on_row_subset_matches_sub_batch():
         fw = model.forward(p, X)
         sel = np.sort(rng.choice(12, size=int(rng.integers(1, 12)), replace=False))
         losses, J = model.backward(p, fw, labels=labels, groups=[sel])
-        want_loss, want_g = model.ce_loss_and_grad(p, X[sel], labels[sel])
+        want_loss, want_g = ce_loss_and_grad(p, X[sel], labels[sel])
         assert abs(losses[0] - want_loss) <= 1e-12
         np.testing.assert_allclose(J[0], want_g, rtol=0, atol=1e-12)
     # a slice selects the same rows as its index array, with or without the

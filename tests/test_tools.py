@@ -27,6 +27,40 @@ def test_bench_stages_wrap_points_resolve():
     assert missing == []
 
 
+def test_perfbench_plans_every_workload(tmp_path):
+    # perfbench builds each workload's config with run.make_config, checks
+    # it with cli.validate_config and counts its pretraining and warm-up
+    # steps with run.planned_steps, which calls cli.build_plan and
+    # cli.load_domains per seed; run.py sets the BLAS thread variables at
+    # import, so it runs in its own interpreter, against src/, and only
+    # reads: the configs' output directory stays empty
+    code = ("import json, sys\n"
+            "sys.path.insert(0, 'perfbench')\n"
+            "import run\n"
+            "cli = run.import_contda()\n"
+            "spec = run.load_spec()\n"
+            "steps = {}\n"
+            "for name in spec['workloads']:\n"
+            "    cfg = cli.validate_config(run.make_config(\n"
+            "        spec, name, 11, sys.argv[1]))\n"
+            "    seeds = cfg.get('seeds') or [cfg['seed']]\n"
+            "    plan = cli.build_plan(cfg, seeds[0])\n"
+            "    steps[name] = [len(seeds) * plan.pretrain_epochs,\n"
+            "                   run.planned_steps(cli, cfg, seeds)]\n"
+            "print(json.dumps(steps))\n")
+    out_dir = tmp_path / "out"
+    out = subprocess.run([sys.executable, "-c", code, str(out_dir)],
+                         cwd=ROOT, check=True, capture_output=True, text=True)
+    steps = json.loads(out.stdout.splitlines()[-1])
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    assert sorted(steps) == sorted(workloads)
+    for name, (epochs, planned) in steps.items():
+        # at least one step per pretraining epoch of every seed
+        assert planned >= epochs > 0, name
+    assert not out_dir.exists()
+
+
 def test_heldout_imports_and_runs_known_strategies():
     # the script imports its strategy list from the acceptance suite and
     # sets environment variables and sys.path, so it is imported in its
