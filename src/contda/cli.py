@@ -1,5 +1,6 @@
 """Command-line entry point: validated JSON run configs, artifact emission,
-strategy comparison tables, and dataset export.
+strategy comparison tables, and the dataset directory that export-data
+writes and a run reads back.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, or an output
 that cannot be written, 3 runtime numeric failure.
@@ -259,7 +260,42 @@ def export_dataset(preset: str, seed: int, out_dir: str) -> None:
             "specs": [dataclasses.asdict(s) for s in specs]}
     _write_json(meta, os.path.join(out_dir, "data_manifest.json"))
     for i, d in enumerate(domains):
-        datagen.export_domain_csv(d, os.path.join(out_dir, f"domain_{i}.csv"))
+        write_domain_csv(d, os.path.join(out_dir, f"domain_{i}.csv"))
+
+
+def write_domain_csv(domain: datagen.Domain, path) -> None:
+    """id, split, label, coordinates; floats via repr for exact round-trip."""
+    _write_csv(path, ["id", "split", "label"]
+               + [f"x{j}" for j in range(domain.train.X.shape[1])],
+               ([sid, split, label] + [_float_cell(v) for v in x]
+                for split, ds in (("train", domain.train), ("holdout", domain.holdout))
+                for sid, label, x in zip(ds.ids, ds.y.tolist(), ds.X.tolist())))
+
+
+def read_domain_csv(path, spec: datagen.DomainSpec) -> datagen.Domain:
+    """Domain of a CSV written by write_domain_csv, only parsed (the data
+    rules are check_domains'); an unreadable or malformed file is a ConfigError."""
+    splits = {"train": [], "holdout": []}
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header[:3] != ["id", "split", "label"] or len(header) == 3:
+                raise ValueError(f"header {header} is not id, split, label, x0, ...")
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"line {reader.line_num} has {len(row)} "
+                                     f"cells, the header {len(header)}")
+                if row[1] not in splits:
+                    raise ValueError(f"line {reader.line_num}: unknown split {row[1]!r}")
+                splits[row[1]].append((row[0], int(row[2]), [float(v) for v in row[3:]]))
+        train, holdout = (datagen.Dataset(
+            ids=[r[0] for r in rows], y=np.array([r[1] for r in rows], dtype=np.int64),
+            X=np.array([r[2] for r in rows]).reshape(len(rows), len(header) - 3))
+            for rows in splits.values())
+    except (OSError, ValueError, OverflowError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return datagen.Domain(spec=spec, train=train, holdout=holdout)
 
 
 def import_dataset(path):
@@ -284,13 +320,8 @@ def import_dataset(path):
     # cannot have
     except (ValueError, KeyError, TypeError, ContdaError) as exc:
         raise ConfigError(f"malformed dataset manifest: {exc!r}") from exc
-    domains = []
-    for i, spec in enumerate(specs):
-        csv_path = os.path.join(path, f"domain_{i}.csv")
-        try:
-            domains.append(datagen.import_domain_csv(csv_path, spec))
-        except (OSError, ValueError, IndexError, csv.Error, ContdaError) as exc:
-            raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
+    domains = [read_domain_csv(os.path.join(path, f"domain_{i}.csv"), spec)
+               for i, spec in enumerate(specs)]
     try:
         harness.check_domains(domains)
     except ContractViolationError as exc:

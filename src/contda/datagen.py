@@ -7,14 +7,12 @@ translation.  Splits are stratified so every class
 appears on both sides.
 """
 
-import csv
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import DegenerateInputError
 
 SPLIT_FRACTION = 0.8
 
@@ -169,55 +167,3 @@ def preset_specs(name: str):
 
 PRESETS = ("rot-blobs-5", "moons-4")
 
-
-def export_domain_csv(domain: Domain, path) -> None:
-    """id, split, label, coordinates; floats via repr for exact round-trip."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "split", "label", "x0", "x1"])
-        for split_name, ds in (("train", domain.train), ("holdout", domain.holdout)):
-            for i, sid in enumerate(ds.ids):
-                writer.writerow([sid, split_name, int(ds.y[i])]
-                                + [repr(float(v)) for v in ds.X[i]])
-
-
-def import_domain_csv(path, spec: DomainSpec) -> Domain:
-    """Domain of a CSV written by export_domain_csv; the header must name a
-    coordinate after the label, both splits must hold rows, and every row
-    must be as wide as the header and carry finite coordinates and a label
-    in [0, spec.n_classes)."""
-    rows = {"train": ([], [], []), "holdout": ([], [], [])}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:3] != ["id", "split", "label"]:
-            raise DimensionError(f"unexpected domain csv header {header}")
-        if len(header) == 3:
-            raise DimensionError("domain csv header has no coordinate column")
-        for row in reader:
-            sid, split_name, label = row[0], row[1], int(row[2])
-            if split_name not in rows:
-                raise DimensionError(f"unknown split {split_name!r}")
-            if len(row) != len(header):
-                raise DimensionError(f"row {sid!r} has {len(row)} cells, "
-                                     f"the header {len(header)}")
-            if not 0 <= label < spec.n_classes:
-                raise DegenerateInputError(f"row {sid!r} has label {label}, "
-                                           f"outside [0, {spec.n_classes})")
-            x = [float(v) for v in row[3:]]
-            if not all(map(math.isfinite, x)):
-                raise DegenerateInputError(f"row {sid!r} has a non-finite "
-                                           f"coordinate")
-            ids, xs, ys = rows[split_name]
-            ids.append(sid)
-            xs.append(x)
-            ys.append(label)
-
-    def build(split_name):
-        ids, xs, ys = rows[split_name]
-        if not ids:
-            raise DegenerateInputError(f"empty {split_name} split")
-        return Dataset(ids=ids, X=np.array(xs, dtype=np.float64),
-                       y=np.array(ys, dtype=np.int64))
-
-    return Domain(spec=spec, train=build("train"), holdout=build("holdout"))

@@ -39,7 +39,7 @@ from . import contrastive as contrastive_mod
 from . import gradproject
 from . import memory as memory_mod
 from . import model as model_mod
-from .errors import ContractViolationError, DegenerateInputError, DimensionError
+from .errors import ContractViolationError, DimensionError
 from .model import ModelConfig
 
 SRC_ONLY = "src_only"
@@ -178,8 +178,6 @@ def evaluate(params, holdouts) -> np.ndarray:
     """Accuracy per holdout set; argmax breaks logit ties at the lowest class."""
     accs = []
     for ds in holdouts:
-        if len(ds) == 0:
-            raise DegenerateInputError("empty holdout set")
         pred = model_mod.classify_batch(params, ds.X).argmax(axis=1)
         accs.append(float((pred == ds.y).mean()))
     return np.array(accs)
@@ -396,31 +394,43 @@ def pseudo_label_memory(params, domains, t, plan, rng):
 
 def check_domains(domains) -> None:
     """Raise ContractViolationError unless a run can use domains: a source
-    and a target or more, each with domain 0's train width and class count,
-    domain 0's train labels in its class range and every class among them,
-    whose class means name the memories' clusters, and a train row per
-    class in every target, to which k-means fits one cluster per class."""
+    and a target or more with domain 0's class count and train width, both
+    splits of each non-empty, equally wide, finite and labelled in the class
+    range, every class in domain 0's train split (its class means name the
+    memories' clusters) and a train row per class, k-means' cluster count,
+    in every target."""
     if len(domains) < 2:
         raise ContractViolationError(f"a dataset needs a source and at least "
                                      f"one target domain, got {len(domains)}")
     width, n_classes = domains[0].train.X.shape[1], domains[0].spec.n_classes
-    y = domains[0].train.y
-    outside = y[(y < 0) | (y >= n_classes)]
-    if outside.size:
-        raise ContractViolationError(f"domain 0's train split has label "
-                                     f"{outside[0]}, outside its {n_classes} classes")
-    absent = np.flatnonzero(np.bincount(y, minlength=n_classes) == 0)
-    if absent.size:
-        raise ContractViolationError(
-            f"domain 0's train split has no row of class {absent[0]}")
-    for i, d in enumerate(domains[1:], start=1):
+    for i, d in enumerate(domains):
         if d.train.X.shape[1] != width:
             raise ContractViolationError(f"domain {i} has {d.train.X.shape[1]} "
                                          f"features, domain 0 has {width}")
+        if d.holdout.X.shape[1] != width:
+            raise ContractViolationError(f"domain {i}'s holdout split has "
+                                         f"{d.holdout.X.shape[1]} features, "
+                                         f"its train split {width}")
         if d.spec.n_classes != n_classes:
             raise ContractViolationError(f"domain {i} has {d.spec.n_classes} "
                                          f"classes, domain 0 has {n_classes}")
-        if len(d.train) < n_classes:
+        for split, ds in (("train", d.train), ("holdout", d.holdout)):
+            if not len(ds):
+                raise ContractViolationError(f"domain {i}'s {split} split is empty")
+            outside = ds.y[(ds.y < 0) | (ds.y >= n_classes)]
+            if outside.size:
+                raise ContractViolationError(
+                    f"domain {i}'s {split} split has label {outside[0]}, "
+                    f"outside its {n_classes} classes")
+            if not np.isfinite(ds.X).all():
+                raise ContractViolationError(f"domain {i}'s {split} split has a "
+                                             f"non-finite coordinate")
+        if i == 0:
+            absent = np.flatnonzero(np.bincount(d.train.y, minlength=n_classes) == 0)
+            if absent.size:
+                raise ContractViolationError(
+                    f"domain 0's train split has no row of class {absent[0]}")
+        elif len(d.train) < n_classes:
             raise ContractViolationError(f"domain {i}'s train split has "
                                          f"{len(d.train)} rows, fewer than "
                                          f"its {n_classes} classes")

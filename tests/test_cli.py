@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from contda import cli, datagen, harness
+from test_datagen import ORACLE_SPECS, blob_spec, sorted_list_split
 
 
 def write_tiny_dataset(root, n_domains=3, n_classes=3, per_class=20, seed=11):
@@ -21,7 +24,7 @@ def write_tiny_dataset(root, n_domains=3, n_classes=3, per_class=20, seed=11):
         [datagen.DomainSpec(**{**s, "translation": tuple(s["translation"])})
          for s in specs], seed)
     for i, d in enumerate(domains):
-        datagen.export_domain_csv(d, os.path.join(root, f"domain_{i}.csv"))
+        cli.write_domain_csv(d, os.path.join(root, f"domain_{i}.csv"))
     return root
 
 
@@ -220,13 +223,13 @@ def test_run_reads_a_dataset_once_for_every_seed(tmp_path, monkeypatch):
     # each domain file once, and each seed's artifacts are those of a run
     # of that seed alone
     data = write_tiny_dataset(tmp_path / "data", n_domains=4)
-    real, reads = datagen.import_domain_csv, []
+    real, reads = cli.read_domain_csv, []
 
     def counting(path, spec):
         reads.append(os.path.basename(path))
         return real(path, spec)
 
-    monkeypatch.setattr(datagen, "import_domain_csv", counting)
+    monkeypatch.setattr(cli, "read_domain_csv", counting)
     cfg = tiny_cfg(data, tmp_path / "all")
     del cfg["seed"]
     cfg["seeds"] = [1, 2, 3]
@@ -357,10 +360,11 @@ def test_run_exit_code_malformed_dataset(tmp_path):
 
 def test_run_exit_code_unusable_dataset_values(tmp_path):
     # readable domain files whose values the run cannot use are config
-    # errors, exit 2: a label outside [0, n_classes) in either split, a
-    # non-finite coordinate, a domain wider than domain 0, rows wider than
-    # their header, an empty split, a class absent from the source train
-    # split and a target train split with fewer rows than classes
+    # errors, exit 2: a label outside [0, n_classes) in either split or
+    # beyond int64, a non-finite coordinate, a domain wider than domain 0,
+    # rows wider than their header, a blank or two-cell line, named by its
+    # number, an empty split, a class absent from the source train split
+    # and a target train split with fewer rows than classes
     def edit_domain(name, index, edit):
         root = write_tiny_dataset(tmp_path / name)
         path = os.path.join(root, f"domain_{index}.csv")
@@ -383,6 +387,7 @@ def test_run_exit_code_unusable_dataset_values(tmp_path):
     cases = {
         "holdout_label_3": set_cell("holdout", 2, "3"),
         "train_label_-1": set_cell("train", 2, "-1"),
+        "train_label_2**64": set_cell("train", 2, str(2 ** 64)),
         "train_nan": set_cell("train", 3, "nan"),
         "holdout_inf": set_cell("holdout", 4, "inf"),
         "train_-inf": set_cell("train", 4, "-inf"),
@@ -395,12 +400,17 @@ def test_run_exit_code_unusable_dataset_values(tmp_path):
         "one_train_row": lambda lines: lines[:2] + [
             line for line in lines[2:] if line.split(",")[1] != "train"],
     }
-    cases = {name: (1, edit) for name, edit in cases.items()}
+    cases = {name: (1, edit, None) for name, edit in cases.items()}
     cases["source_train_lacks_class_1"] = (0, lambda lines: [
-        line for line in lines if line.split(",")[1:3] != ["train", "1"]])
-    for name, (index, edit) in cases.items():
+        line for line in lines if line.split(",")[1:3] != ["train", "1"]], None)
+    # the header and 60 rows fill lines 1 to 61
+    cases["trailing_blank_line"] = (1, lambda lines: lines + [""],
+                                    "domain_1.csv: line 62 has 0 cells")
+    cases["two_cell_row"] = (1, lambda lines: lines[:4] + ["d1:00009,train"]
+                             + lines[5:], "domain_1.csv: line 5 has 2 cells")
+    for name, (index, edit, match) in cases.items():
         root = edit_domain(name, index, edit)
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(cli.ConfigError, match=match):
             cli.import_dataset(root)
         for strategy in ("crt_src", "src_only"):
             out = tmp_path / f"o_{name}_{strategy}"
@@ -450,7 +460,7 @@ def test_run_exit_code_class_count_mismatch(tmp_path, capsys):
         datagen.DomainSpec(kind=datagen.KIND_BLOBS, n_classes=4, per_class=20,
                            rotation_deg=24.0, radius=2.0, std=0.25),
         2, np.random.default_rng(0))
-    datagen.export_domain_csv(other, root / "domain_2.csv")
+    cli.write_domain_csv(other, root / "domain_2.csv")
     manifest = json.loads((root / "data_manifest.json").read_text())
     manifest["specs"].append({**manifest["specs"][0], "n_classes": 4,
                               "rotation_deg": 24.0})
@@ -531,3 +541,43 @@ def test_export_data_roundtrip(tmp_path):
     assert cli.main(["export-data", "--preset", "moons-4", "--seed", "-1",
                      "--output", str(tmp_path / "neg")]) == 2
     assert not (tmp_path / "neg").exists()
+
+
+def test_export_bytes_are_pinned(tmp_path):
+    # the bytes of rot-blobs-5 at seed 7, manifest first, then the domains
+    out = tmp_path / "blobs"
+    assert cli.main(["export-data", "--preset", "rot-blobs-5", "--seed", "7",
+                     "--output", str(out)]) == 0
+    h = hashlib.sha256((out / "data_manifest.json").read_bytes())
+    for path in sorted(out.glob("domain_*.csv")):
+        h.update(path.read_bytes())
+    assert h.hexdigest() == ("c460914820d2c4b47be633351a52db12"
+                             "57659690cbc9d5feaac42626fbd7a469")
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_export_matches_eager_id_writer(spec, tmp_path):
+    d = datagen.generate_domain(spec, 12, np.random.default_rng(5))
+    cli.write_domain_csv(d, tmp_path / "export.csv")
+    with open(tmp_path / "eager.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "split", "label", "x0", "x1"])
+        splits = sorted_list_split(spec, 12, np.random.default_rng(5))
+        for name, (ids, X, y) in zip(("train", "holdout"), splits):
+            for sid, label, x in zip(ids, y, X):
+                writer.writerow([sid, name, int(label)]
+                                + [repr(float(v)) for v in x])
+    assert (tmp_path / "export.csv").read_bytes() \
+        == (tmp_path / "eager.csv").read_bytes()
+
+
+def test_domain_csv_roundtrip(tmp_path):
+    spec = blob_spec(per_class=15)
+    d = datagen.generate_domain(spec, 3, np.random.default_rng(6))
+    path = tmp_path / "domain.csv"
+    cli.write_domain_csv(d, path)
+    back = cli.read_domain_csv(path, spec)
+    assert back.train.ids == d.train.ids
+    np.testing.assert_array_equal(back.train.X, d.train.X)
+    np.testing.assert_array_equal(back.train.y, d.train.y)
+    np.testing.assert_array_equal(back.holdout.X, d.holdout.X)

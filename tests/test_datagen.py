@@ -1,4 +1,3 @@
-import csv
 import tracemalloc
 
 import numpy as np
@@ -146,22 +145,6 @@ def test_generated_ids_are_formatted_when_read():
             ds.ids[0] = "d7:00000"
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS)
-def test_export_matches_eager_id_writer(spec, tmp_path):
-    d = datagen.generate_domain(spec, 12, np.random.default_rng(5))
-    datagen.export_domain_csv(d, tmp_path / "export.csv")
-    with open(tmp_path / "eager.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "split", "label", "x0", "x1"])
-        splits = sorted_list_split(spec, 12, np.random.default_rng(5))
-        for name, (ids, X, y) in zip(("train", "holdout"), splits):
-            for sid, label, x in zip(ids, y, X):
-                writer.writerow([sid, name, int(label)]
-                                + [repr(float(v)) for v in x])
-    assert (tmp_path / "export.csv").read_bytes() \
-        == (tmp_path / "eager.csv").read_bytes()
-
-
 def test_generate_sequence_deterministic_and_independent():
     specs = [blob_spec(per_class=20), blob_spec(per_class=20, rotation_deg=30.0)]
     a = datagen.generate_sequence(specs, 42)
@@ -184,15 +167,3 @@ def test_presets_exist_and_are_wellformed():
         assert len({s.n_classes for s in specs}) == 1
     with pytest.raises(DegenerateInputError):
         datagen.preset_specs("no-such-preset")
-
-
-def test_domain_csv_roundtrip(tmp_path):
-    spec = blob_spec(per_class=15)
-    d = datagen.generate_domain(spec, 3, np.random.default_rng(6))
-    path = tmp_path / "domain.csv"
-    datagen.export_domain_csv(d, path)
-    back = datagen.import_domain_csv(path, spec)
-    assert back.train.ids == d.train.ids
-    np.testing.assert_array_equal(back.train.X, d.train.X)
-    np.testing.assert_array_equal(back.train.y, d.train.y)
-    np.testing.assert_array_equal(back.holdout.X, d.holdout.X)

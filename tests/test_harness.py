@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from contda import bank, datagen, gradproject, harness, memory, model
-from contda.errors import (ContractViolationError, DegenerateInputError,
-                           DimensionError)
+from contda.errors import ContractViolationError, DimensionError
 from backward_oracle import ce_loss_and_grad
 from projection_oracle import tolerance
 
@@ -138,9 +137,6 @@ def test_evaluate_tie_break_picks_first_class():
     accs = harness.evaluate(params, [domains[0].holdout])
     want = float(np.mean(domains[0].holdout.y == 0))
     assert accs[0] == want
-    with pytest.raises(DegenerateInputError):
-        harness.evaluate(params, [datagen.Dataset(ids=[], X=np.zeros((0, 2)),
-                                                  y=np.zeros(0, dtype=np.int64))])
 
 
 def test_compute_metrics_hand_case_two_targets():
@@ -529,6 +525,21 @@ def test_run_plan_rejects_trivial_sequences(monkeypatch):
         cases[f"domain 0's train split has label {label}, outside its 3 "
               f"classes"] = [replace(src, train=replace(src.train, y=y)),
                              tgt, last]
+    # the rules hold for a target's holdout as for its train split
+    hold = tgt.holdout
+    X, y = hold.X.copy(), hold.y.copy()
+    X[2, 1], y[4] = np.nan, 3
+    cases.update({
+        "domain 1's holdout split has a non-finite coordinate":
+            [src, replace(tgt, holdout=replace(hold, X=X)), last],
+        "domain 1's holdout split is empty":
+            [src, replace(tgt, holdout=datagen.Dataset(
+                [], np.zeros((0, 2)), np.zeros(0, dtype=np.int64))), last],
+        "domain 1's holdout split has label 3, outside its 3 classes":
+            [src, replace(tgt, holdout=replace(hold, y=y)), last],
+        "domain 1's holdout split has 1 features, its train split 2":
+            [src, replace(tgt, holdout=replace(hold, X=hold.X[:, :1])), last],
+    })
 
     def pretrain(*args):
         raise AssertionError("pretraining started")

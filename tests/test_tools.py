@@ -114,3 +114,38 @@ def test_heldout_and_suite_gates_fail_a_near_tie():
     assert link == [False, False, True, True]
     assert margin == [True, True, False, False]
     assert clean == [True, True, True, True]
+
+
+def test_perfbench_observer_reads_a_traced_run(tmp_path):
+    # perfbench --trace 1 hooks cli.load_domains, datagen.generate_sequence,
+    # bank.init_bank and memory.build_memory, and reads Dataset.ids and
+    # EpisodicMemory.ids to score the memories' pseudo-labels; run.py sets
+    # the BLAS thread variables at import, so it runs in its own interpreter
+    code = ("import json, sys\n"
+            "sys.path.insert(0, 'perfbench')\n"
+            "import run\n"
+            "cli = run.import_contda()\n"
+            "import checks\n"
+            "cfg = cli.validate_config({\n"
+            "    'preset': 'rot-blobs-5', 'strategy': 'grcl', 'seed': 11,\n"
+            "    'pretrain_epochs': 1, 'warm_epochs': 0,\n"
+            "    'epochs_per_domain': 1, 'output_dir': sys.argv[1]})\n"
+            "obs = run.Observer(1)\n"
+            "with obs.tracer.installed():\n"
+            "    cli.run_config(cfg)\n"
+            "hooked = set(obs.tracer.on_enter) | set(obs.tracer.on_exit)\n"
+            "memories = obs.labelled_memories()\n"
+            "overall, _ = checks.label_precision(\n"
+            "    [(d, p, y) for _, d, p, y in memories])\n"
+            "print(json.dumps([sorted(hooked & set(obs.tracer.absent)),\n"
+            "                  list(obs.seed_of.values()), len(obs.bank_sizes),\n"
+            "                  len(memories), overall]))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                         cwd=ROOT, check=True, capture_output=True, text=True)
+    absent, seeds, banks, count, precision = json.loads(
+        out.stdout.splitlines()[-1])
+    assert absent == []
+    assert seeds == [11]
+    assert banks > 0
+    assert count == 3
+    assert 0.0 < precision <= 1.0
