@@ -12,13 +12,15 @@ target domain.  One step loop, _train_epoch, serves the warm-up and every
 adaptive strategy.  Each step runs two forward passes: one before it, whose
 activations feed one model.backward call that stacks the contrastive,
 source and memory gradients as the rows of one matrix J, and one after it,
-whose embeddings refresh the bank.  gradproject.gram forms J J^T once per
-step; the fixed-weight strategies step along a weighted sum of J's rows,
-and crt_sdc and GRCL take gradproject.project, one KKT-checked projection
-on that Gram matrix.  The warm-up steps as crt_sdc on whole source batches
-and passes no labels, so it projects onto the source row and a query's only
-positive is its own key.  A domain's bank and batch pool are built from the
-same parts in the same order, so a batch's pool rows are its bank rows.
+whose embeddings refresh the bank; a call steps one copy of the parameters
+in place, and its backward calls reuse one gradient buffer.
+gradproject.gram forms J J^T once per step; the fixed-weight strategies
+step along a weighted sum of J's rows, and crt_sdc and GRCL take
+gradproject.project, one KKT-checked projection on that Gram matrix.  The
+warm-up steps as crt_sdc on whole source batches and passes no labels, so
+it projects onto the source row and a query's only positive is its own key.
+A domain's bank and batch pool are built from the same parts in the same
+order, so a batch's pool rows are its bank rows.
 The pool is inputs and one label per row, -1 meaning unlabeled: every
 target row and no other, checked once when it is built.  They are the bank
 rows' classes for the contrastive loss's positives.
@@ -322,22 +324,28 @@ def _train_epoch(params, fbank, rows, X, y, groups, labels, plan, rng, step,
     """Steps on bank rows rows[i], inputs X[i], labels y[i] and groups[i]
     (source group first), with negatives drawn from rng and labels (one per
     bank row, or None) for positives; appends one diagnostics row per step,
-    tagged with tag, to log and returns the new params."""
+    tagged with tag, to log and returns the new params.  It steps one copy
+    of params.flat in place, read through live, read-only params whose
+    blocks see each step; backward fills one zeroed buffer whose row 0 is
+    always the embedding row, so the blocks no call writes stay zero."""
     negs = bank_mod.negative_rows(fbank, rows, plan.negatives, rng)
     nces = contrastive_mod.epoch_plans(fbank, rows, negs, labels)
+    flat, tmp = params.flat.copy(), np.empty(params.num_params)
+    live = model_mod._owning(params.config, flat.view())
+    out = np.zeros((1 + max(map(len, groups), default=0), params.num_params))
     for r, neg, inputs, yb, group, nce in zip(rows, negs, X, y, groups, nces):
-        fw = model_mod.forward(params, inputs)
+        fw = model_mod.forward(live, inputs)
         loss_con, dQ = contrastive_mod.contrastive_grad(
             fw, r, neg, fbank, plan.temperature, plan=nce)
-        losses, J = model_mod.backward(params, fw, dQ, yb, group)
+        losses, J = model_mod.backward(live, fw, dQ, yb, group, out=out)
         K, eps = gradproject.gram(J)
         w, u_star, case, slacks = _step_direction(plan, J, K, eps)
         # the pooled memory loss and slack mix the groups' by their shares
         sizes = [g.stop - g.start for g in group[1:]]
         shares = np.array(sizes) / sum(sizes)
         lr = _cosine_lr(plan.lr, step, total)
-        params = model_mod.sgd_step(params, w, lr)
-        fresh = model_mod.encode_project_batch(params, inputs)
+        np.subtract(flat, np.multiply(w, lr, out=tmp), out=flat)
+        fresh = model_mod.encode_project_batch(live, inputs)
         bank_mod.momentum_update(fbank, r, fresh, plan.bank_momentum)
         log.append({
             **tag, "iteration": step, "lr": lr,
@@ -348,7 +356,7 @@ def _train_epoch(params, fbank, rows, X, y, groups, labels, plan, rng, step,
             "u_src": float(u_star[0]), "u_mem": float(u_star[1]),
             "case": case, "eps": eps})
         step += 1
-    return params
+    return model_mod._owning(params.config, flat)
 
 
 def adapt_domain(params, domains, t, memories, plan, batch_rng, neg_rng,
@@ -395,10 +403,10 @@ def pseudo_label_memory(params, domains, t, plan, rng):
 def check_domains(domains) -> None:
     """Raise ContractViolationError unless a run can use domains: a source
     and a target or more with domain 0's class count and train width, both
-    splits of each non-empty, equally wide, finite and labelled in the class
-    range, every class in domain 0's train split (its class means name the
-    memories' clusters) and a train row per class, k-means' cluster count,
-    in every target."""
+    splits of each non-empty, equally wide, finite and labelled once per row
+    in the class range, every class in domain 0's train split (its class
+    means name the memories' clusters) and a train row per class, k-means'
+    cluster count, in every target."""
     if len(domains) < 2:
         raise ContractViolationError(f"a dataset needs a source and at least "
                                      f"one target domain, got {len(domains)}")
@@ -415,6 +423,10 @@ def check_domains(domains) -> None:
             raise ContractViolationError(f"domain {i} has {d.spec.n_classes} "
                                          f"classes, domain 0 has {n_classes}")
         for split, ds in (("train", d.train), ("holdout", d.holdout)):
+            if ds.y.shape != ds.X.shape[:1]:
+                raise ContractViolationError(
+                    f"domain {i}'s {split} split has labels of shape "
+                    f"{ds.y.shape} for {len(ds.X)} rows")
             if not len(ds):
                 raise ContractViolationError(f"domain {i}'s {split} split is empty")
             outside = ds.y[(ds.y < 0) | (ds.y >= n_classes)]

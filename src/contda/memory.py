@@ -34,7 +34,7 @@ class ClusterModel:
 def _pairwise_sq_dists(X, centers, xx=None):
     # ||x - c||^2 expanded, clipped at zero to survive cancellation; xx = ||x||^2
     xx = (X * X).sum(axis=1)[:, None] if xx is None else xx
-    d = xx - 2.0 * X @ centers.T + (centers * centers).sum(axis=1)[None, :]
+    d = xx - 2.0 * (X @ centers.T) + (centers * centers).sum(axis=1)[None, :]
     return np.maximum(d, 0.0)
 
 

@@ -8,7 +8,8 @@ gradients and update directions are expressed in that same space.  One
 forward pass keeps a batch's activations and their norms, and one backward
 pass from them stacks every gradient of that batch (the embedding gradient,
 and the cross-entropy of each group of its rows) as the rows of one (r, P)
-matrix, with index arrays built once per tuple of group sizes.
+matrix, with index arrays built once per tuple of group sizes, into a
+buffer the caller may reuse from step to step.
 A batch is its inputs and one integer label per row; every row that a
 cross-entropy group reads must carry a label in the class range.
 descend_ce takes every step of source pretraining in one call.
@@ -61,8 +62,11 @@ def _blocks(config: ModelConfig, vec: np.ndarray) -> dict:
 class ModelParams:
     """Immutable parameters: a config and a read-only copy of one flat vector.
 
-    blocks maps enc1_w ... cls_b to views of flat; sgd_step and descend_ce
-    derive new parameters around a vector they made, without the copy.
+    blocks maps enc1_w ... cls_b to views of flat.  descend_ce and the
+    adaptation loop (harness._train_epoch) step a writable copy of flat in
+    place and return parameters around it, without a second copy; while
+    it runs, the loop reads its copy through read-only params whose values
+    change with each step, the only params whose values ever change.
     """
 
     config: ModelConfig
@@ -182,7 +186,7 @@ def _group_layout(counts: tuple, lead: int):
 
 
 def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
-             groups=()):
+             groups=(), out=None):
     """Flat gradients of several losses on one forward pass, stacked as the
     rows of J of shape (r, P); returns the cross-entropy losses and J.
 
@@ -194,6 +198,10 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
     and only the weight reductions are taken per row, each into its block
     of J.  Projector blocks of the cross-entropy rows and classifier blocks
     of the embedding row are exactly zero.
+
+    out, an (R, P) buffer with R >= r, receives J as out[:r]; backward
+    writes every block but those zero blocks, so they must already hold
+    zeros, as they do in a zeroed buffer reused by calls that all pass dQ.
     """
     n = fw.X.shape[0]
     lead = 0 if dQ is None else 1
@@ -201,7 +209,11 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
     counts = (n,) * lead + tuple(r.size for r in rows)
     seg, at, sizes = _group_layout(counts, lead)
     B, L = params.blocks, _layout(params.config)
-    J = np.zeros((len(counts), params.num_params))
+    shape = (len(counts), params.num_params)
+    J = np.zeros(shape) if out is None else out[:shape[0]]
+    if J.shape != shape:
+        raise DimensionError(f"gradient buffer of shape {out.shape} cannot "
+                             f"hold J of shape {shape}")
     def block(r, name):  # row r of J as one parameter block
         return J[r, L[name][0]].reshape(L[name][1])
     pairs, dH2, losses = [slice(None)] * lead, [], []
@@ -260,8 +272,9 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
 def descend_ce(params: ModelParams, X, labels, orders, batch_size: int,
                lrs) -> ModelParams:
     """SGD on the mean cross-entropy of labeled inputs X, checked once: per
-    batch_size rows of each row order, in place, bitwise sgd_step on
-    backward's cross-entropy row (zero on the projector) at its rate in lrs."""
+    batch_size rows of each row order, in place, flat - lr * grad bitwise
+    on backward's cross-entropy row (zero on the projector) at its rate in
+    lrs."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != params.config.input_dim:
         raise DimensionError(f"inputs have shape {X.shape}, model expects "
@@ -291,19 +304,10 @@ def descend_ce(params: ModelParams, X, labels, orders, batch_size: int,
     return _owning(params.config, flat)
 
 
-def sgd_step(params: ModelParams, w: np.ndarray, lr: float) -> ModelParams:
-    """params - lr * w for a gradient-like descent direction w of length P."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != params.flat.shape:
-        raise DimensionError(f"update has shape {w.shape}, expected {params.flat.shape}")
-    flat = np.multiply(w, lr)
-    np.subtract(params.flat, flat, out=flat)
-    return _owning(params.config, flat)
-
-
 def _owning(config: ModelConfig, flat: np.ndarray) -> ModelParams:
-    """Params around flat, a new vector of the right length: made read-only
-    in place of __post_init__'s copy."""
+    """Params around flat, a vector of the right length, made read-only in
+    place of __post_init__'s copy; only a writable base that flat views, held
+    by the caller, can still change it."""
     flat.flags.writeable = False
     params = object.__new__(ModelParams)
     object.__setattr__(params, "config", config)

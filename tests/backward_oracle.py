@@ -3,13 +3,14 @@ backward pass from a forward pass's activations.
 
 model.backward stacks these gradients as the rows of one matrix; the tests
 compare each row with the oracles below.  ce_loss_and_grad is one batch's
-cross-entropy row of model.backward, the per-step reference of
-model.descend_ce.
+cross-entropy row of model.backward, and sgd_step one step along a
+direction: together they are the per-step reference of model.descend_ce.
 """
 
 import numpy as np
 
 from contda import model
+from contda.errors import DimensionError
 
 
 def _encoder_backward(params, X, H1, H2, dH2, G):
@@ -27,6 +28,18 @@ def ce_loss_and_grad(params, X, labels):
     losses, J = model.backward(params, model.forward(params, X, project=False),
                                labels=labels, groups=[slice(None)])
     return float(losses[0]), J[0]
+
+
+def sgd_step(params, w, lr):
+    """params - lr * w for a gradient-like descent direction w of length P,
+    as new read-only params."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != params.flat.shape:
+        raise DimensionError(f"update has shape {w.shape}, "
+                             f"expected {params.flat.shape}")
+    flat = np.multiply(w, lr)
+    np.subtract(params.flat, flat, out=flat)
+    return model._owning(params.config, flat)
 
 
 def ce_oracle(params, fw, rows, y):

@@ -462,6 +462,36 @@ def test_warm_projector_improves_objective_without_losing_source():
     assert source_nce(warmed) < source_nce(params)
 
 
+def test_step_loops_leave_the_callers_params():
+    # the warm-up and adaptation step one copy of the params in place: the
+    # caller's vector keeps its bits, and the result is new and read-only
+    domains = tiny_domains()
+    plan = tiny_plan(harness.GRCL)
+    cfg = model.ModelConfig(input_dim=2, n_classes=3, hidden_dim=plan.hidden_dim,
+                            proj_hidden_dim=plan.proj_hidden_dim,
+                            embed_dim=plan.embed_dim)
+    params = model.init_params(cfg, np.random.default_rng(0))
+
+    def stepped(p, call):
+        before = p.flat.copy()
+        q = call(p)
+        np.testing.assert_array_equal(p.flat, before)
+        assert not np.shares_memory(q.flat, p.flat)
+        assert not q.flat.flags.writeable
+        assert not q.blocks["enc1_w"].flags.writeable
+        assert not np.array_equal(q.flat, before)
+        return q
+
+    warmed = stepped(params, lambda p: harness.warm_projector(
+        p, domains[0].train, plan, np.random.default_rng(1)))
+    rngs = [np.random.default_rng(s) for s in (2, 3, 4)]
+    adapted = stepped(warmed, lambda p: harness.adapt_domain(
+        p, domains, 1, [], plan, *rngs[:2], []))
+    memory = harness.pseudo_label_memory(adapted, domains, 1, plan, rngs[2])
+    stepped(adapted, lambda p: harness.adapt_domain(
+        p, domains, 2, [memory], plan, *rngs[:2], []))
+
+
 def test_warm_up_projects_onto_the_source_row_without_labels(monkeypatch):
     # the warm-up shares adaptation's step loop but not its plan: under a
     # fixed-weight strategy it still projects every step's two rows (the
@@ -539,6 +569,10 @@ def test_run_plan_rejects_trivial_sequences(monkeypatch):
             [src, replace(tgt, holdout=replace(hold, y=y)), last],
         "domain 1's holdout split has 1 features, its train split 2":
             [src, replace(tgt, holdout=replace(hold, X=hold.X[:, :1])), last],
+        # one label for 12 rows, which evaluate would broadcast
+        r"domain 1's holdout split has labels of shape \(1,\) for 12 rows":
+            [src, replace(tgt, holdout=datagen.Dataset(
+                hold.ids[:12], hold.X[:12], hold.y[:1])), last],
     })
 
     def pretrain(*args):
@@ -560,7 +594,7 @@ def test_two_forward_passes_per_iteration(monkeypatch):
     forwards, step_marks, draw_marks, phases = [0], [], [], []
     calls = {"backward": 0, "gram": 0, "negative_rows": 0, "_draw_epoch": 0}
     rows = []  # rows of J per backward call
-    real_forward, real_step = model.forward, model.sgd_step
+    real_forward, real_step = model.forward, harness._step_direction
 
     def counting_forward(*args, **kwargs):
         forwards[0] += 1
@@ -597,7 +631,7 @@ def test_two_forward_passes_per_iteration(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(model, "forward", counting_forward)
-    monkeypatch.setattr(model, "sgd_step", marking_step)
+    monkeypatch.setattr(harness, "_step_direction", marking_step)
     counting(model, "backward")
     counting(gradproject, "gram")
     counting(bank, "negative_rows")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from backward_oracle import ce_loss_and_grad, ce_oracle, embedding_oracle
+from backward_oracle import (ce_loss_and_grad, ce_oracle, embedding_oracle,
+                             sgd_step)
 from contda import model
 from contda.errors import (ContractViolationError, DegenerateInputError,
                            DimensionError)
@@ -280,16 +281,16 @@ def test_backward_empty_group_and_validation():
 def test_sgd_step_arithmetic():
     p = make_params(71)
     w = np.ones(p.num_params)
-    q = model.sgd_step(p, w, 0.25)
+    q = sgd_step(p, w, 0.25)
     np.testing.assert_allclose(q.flat.copy(), p.flat.copy() - 0.25, atol=1e-15)
     with pytest.raises(DimensionError):
-        model.sgd_step(p, np.ones(3), 0.1)
+        sgd_step(p, np.ones(3), 0.1)
 
 
 def test_sgd_step_leaves_old_params_untouched():
     p = make_params(72)
     before = p.flat.copy()
-    q = model.sgd_step(p, np.ones(p.num_params), 0.5)
+    q = sgd_step(p, np.ones(p.num_params), 0.5)
     np.testing.assert_array_equal(p.flat, before)
     assert not np.shares_memory(p.flat, q.flat)
     with pytest.raises(ValueError):
@@ -302,7 +303,7 @@ def test_sgd_step_owns_a_read_only_result():
     p = make_params(73)
     w = np.random.default_rng(3).standard_normal(p.num_params)
     for lr in (0.1, 0.037):
-        q = model.sgd_step(p, w, lr)
+        q = sgd_step(p, w, lr)
         assert not q.flat.flags.writeable
         assert not np.shares_memory(q.flat, p.flat)
         assert not np.shares_memory(q.flat, w)
@@ -320,7 +321,7 @@ def stepwise_descent(p, X, labels, orders, batch_size, lrs):
     for order in orders:
         for a in range(0, len(order), batch_size):
             rows = order[a:a + batch_size]
-            p = model.sgd_step(p, ce_loss_and_grad(p, X[rows], labels[rows])[1],
+            p = sgd_step(p, ce_loss_and_grad(p, X[rows], labels[rows])[1],
                                next(lrs))
     return p
 
@@ -420,6 +421,35 @@ def test_ce_grad_on_row_subset_matches_sub_batch():
         assert abs(by_slice[0][0] - by_rows[0][0]) <= 1e-15
     with pytest.raises(DimensionError):
         model.backward(p, fw, labels=labels[:3], groups=[sel])
+
+
+def test_backward_into_a_reused_buffer_matches_a_fresh_call():
+    # one zeroed buffer through calls with 3, 1 and 2 groups and with no
+    # labels, as the adaptation loop passes it: each J is the buffer's first
+    # rows and bitwise the J of a call without it
+    rng = np.random.default_rng(84)
+    cfg = model.ModelConfig(input_dim=3, n_classes=4, hidden_dim=7,
+                            proj_hidden_dim=6, embed_dim=5)
+    p = make_params(510, cfg)
+    out = np.zeros((4, p.num_params))
+    layouts = [(slice(0, 4), slice(4, 7), slice(7, 11)), (slice(0, 5),),
+               (slice(0, 3), slice(3, 12)), ()]
+    for groups in layouts:
+        X = rng.standard_normal((12, 3))
+        labels = rng.integers(0, 4, size=12)
+        fw = model.forward(p, X)
+        dQ = rng.standard_normal((12, 5))
+        labels = labels if groups else None
+        want_losses, want = model.backward(p, fw, dQ, labels, groups)
+        losses, J = model.backward(p, fw, dQ, labels, groups, out=out)
+        assert J.shape == (1 + len(groups), p.num_params)
+        assert np.shares_memory(J, out) and J.base is out
+        np.testing.assert_array_equal(J, want)
+        np.testing.assert_array_equal(losses, want_losses)
+    with pytest.raises(DimensionError):
+        model.backward(p, fw, dQ, np.zeros(12), layouts[0], out=out[:3])
+    with pytest.raises(DimensionError):
+        model.backward(p, fw, dQ, out=out[:, 1:])
 
 
 def test_repeated_group_shapes_match_oracle_and_layouts_are_read_only():
