@@ -192,23 +192,28 @@ def run_config(cfg: dict) -> dict:
     # read once for every seed; a dataset that stops the run leaves no manifest
     dataset = import_dataset(cfg["dataset"]) if "dataset" in cfg else None
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+
+    def load(i):
+        # a preset's sequence is generated again on each of run_plans' calls
+        return dataset if dataset is not None else load_domains(cfg, seeds[i])
+
+    # every seed is pretrained before the first one's artifacts are written
+    results = harness.run_plans([build_plan(cfg, seed) for seed in seeds], load)
     collected = []
-    for seed in seeds:
-        domains = dataset if dataset is not None else load_domains(cfg, seed)
-        plan = build_plan(cfg, seed)
-        try:
-            result = harness.run_plan(domains, plan)
-        except InsufficientNegativesError as exc:
-            # the bank size is known only once the domains are loaded
-            raise ConfigError(f"invalid plan settings: {exc}") from exc
-        seed_dir = os.path.join(out_dir, f"seed_{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
-        write_matrix_csv(result.matrix, os.path.join(seed_dir, "rmatrix.csv"))
-        write_metrics_json(result.metrics, os.path.join(seed_dir, "metrics.json"))
-        if diagnostics == "full":
-            write_diagnostics_csv(result.diagnostics,
-                                  os.path.join(seed_dir, "diagnostics.csv"))
-        collected.append(result.metrics)
+    try:
+        for result, seed in zip(results, seeds):
+            seed_dir = os.path.join(out_dir, f"seed_{seed}")
+            os.makedirs(seed_dir, exist_ok=True)
+            write_matrix_csv(result.matrix, os.path.join(seed_dir, "rmatrix.csv"))
+            write_metrics_json(result.metrics,
+                               os.path.join(seed_dir, "metrics.json"))
+            if diagnostics == "full":
+                write_diagnostics_csv(result.diagnostics,
+                                      os.path.join(seed_dir, "diagnostics.csv"))
+            collected.append(result.metrics)
+    except InsufficientNegativesError as exc:
+        # the bank size is known only once the domains are loaded
+        raise ConfigError(f"invalid plan settings: {exc}") from exc
 
     aggregate = {
         "seeds": list(seeds),

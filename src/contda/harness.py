@@ -1,7 +1,8 @@
 """Continual adaptation protocol: source pretraining (one model.descend_ce
-call), per-domain loops that compose batches, measure the step's gradients,
-choose a step direction by strategy, and maintain the feature bank;
-evaluation into an accuracy matrix with the two summary metrics.
+call for every plan of run_plans, in lockstep), per-domain loops that
+compose batches, measure the step's gradients, choose a step direction by
+strategy, and maintain the feature bank; evaluation into an accuracy
+matrix with the two summary metrics.
 pseudo_label_memory builds the episodic memory of each target domain but the
 last, whose memory no later domain would read.
 
@@ -209,15 +210,23 @@ def _cosine_lr(base: float, step: int, total: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * step / max(total, 1)))
 
 
-def pretrain_source(params, source_train, plan, rng):
-    """Minibatch cross-entropy on the labeled source split, in one call."""
-    n = len(source_train)
+def pretrain_source(config, flat, sources, plan, rngs):
+    """Minibatch cross-entropy on each model's labeled source split, every
+    model in lockstep in one descend_ce call: flat is the writable (S, P)
+    stack of initial params, stepped in place, and sources (equally
+    shaped) and rngs hold one entry per model; the plan's pretraining
+    fields apply to all.  Returns each row's pretrained params, in order,
+    each a read-only copy that shares no memory with flat."""
+    n = len(sources[0])
     total = plan.pretrain_epochs * math.ceil(n / plan.batch_size)
-    # drawn as each epoch starts, so one order is held at a time
-    orders = (rng.permutation(n) for _ in range(plan.pretrain_epochs))
+    # drawn as each epoch starts, so one order per model is held at a time
+    orders = (np.stack([rng.permutation(n) for rng in rngs])
+              for _ in range(plan.pretrain_epochs))
     lrs = (_cosine_lr(plan.pretrain_lr, step, total) for step in range(total))
-    return model_mod.descend_ce(params, source_train.X, source_train.y,
-                                orders, plan.batch_size, lrs)
+    model_mod.descend_ce(config, flat, np.stack([s.X for s in sources]),
+                         np.stack([s.y for s in sources]), orders,
+                         plan.batch_size, lrs)
+    return [model_mod.ModelParams(config, row) for row in flat]
 
 
 def warm_projector(params, source_train, plan, rng):
@@ -448,23 +457,78 @@ def check_domains(domains) -> None:
                                          f"its {n_classes} classes")
 
 
-def run_plan(domains, plan: AdaptationPlan) -> RunResult:
-    """Full protocol: pretrain on domain 0, adapt through domains 1..N, fill
-    the accuracy matrix row by row, and summarize."""
+def _start(domains, plan):
+    """Check domains, then a run's model config, its source train split
+    (the only part of domains it keeps) and its seeds: init, pretraining,
+    warm-up, then three per target domain."""
     check_domains(domains)
-    n_targets = len(domains) - 1
-    n_classes = domains[0].spec.n_classes
-
-    ss = np.random.SeedSequence(plan.seed)
-    init_seed, pretrain_seed, warm_seed, *domain_seeds = ss.spawn(3 + 3 * n_targets)
-
     config = ModelConfig(input_dim=domains[0].train.X.shape[1],
-                         n_classes=n_classes, hidden_dim=plan.hidden_dim,
+                         n_classes=domains[0].spec.n_classes,
+                         hidden_dim=plan.hidden_dim,
                          proj_hidden_dim=plan.proj_hidden_dim,
                          embed_dim=plan.embed_dim)
-    params = model_mod.init_params(config, np.random.default_rng(init_seed))
-    params = pretrain_source(params, domains[0].train, plan,
-                             np.random.default_rng(pretrain_seed))
+    seeds = np.random.SeedSequence(plan.seed).spawn(3 * len(domains))
+    return config, domains[0].train, seeds
+
+
+def _pretrain_all(plans, load):
+    """Every plan's pretrained params and seeds, and the source split's
+    shape: each plan's start on load(i), then one pretrain_source call for
+    all of them; the source splits are dropped when it returns."""
+    configs, sources, seeds = zip(*(_start(load(i), plan)
+                                    for i, plan in enumerate(plans)))
+    # the widths are in the config
+    agree = {(c, s.X.shape, p.pretrain_epochs, p.batch_size, p.pretrain_lr)
+             for c, s, p in zip(configs, sources, plans)}
+    if len(agree) > 1:
+        raise ContractViolationError(
+            "plans pretrained together must share the pretraining fields, "
+            "the widths and the source split's shape")
+    # each init params is dropped once copied into the stack
+    flat = np.stack([model_mod.init_params(c, np.random.default_rng(s[0])).flat
+                     for c, s in zip(configs, seeds)])
+    rngs = [np.random.default_rng(s[1]) for s in seeds]
+    return (pretrain_source(configs[0], flat, sources, plans[0], rngs), seeds,
+            sources[0].X.shape)
+
+
+def run_plans(plans, load):
+    """Full protocol for each plan, yielding its RunResult in order: every
+    plan's source model is pretrained first, all in lockstep, then each is
+    warmed up, adapted and evaluated.
+
+    load(i) returns plan i's domains and is called twice per plan, once to
+    start it and once to finish it, returning equal domains both times;
+    between the two only the source train splits are held.  Every plan's
+    domains pass check_domains before any training, and the plans must
+    agree on the pretraining fields, the widths and the source split's
+    shape, else ContractViolationError; so must a second load's number of
+    domains and source split's shape with the first's.
+    """
+    plans = list(plans)
+    pretrained, seeds, shape = _pretrain_all(plans, load)
+    for i, plan in enumerate(plans):
+        # the list lets go of each params as its plan starts
+        params, pretrained[i] = pretrained[i], None
+        yield _adapt_and_evaluate(load(i), plan, params, seeds[i], shape)
+
+
+def run_plan(domains, plan: AdaptationPlan) -> RunResult:
+    """Full protocol: pretrain on domain 0, adapt through domains 1..N, fill
+    the accuracy matrix row by row, and summarize; run_plans' one-plan case."""
+    return next(run_plans([plan], lambda i: domains))
+
+
+def _adapt_and_evaluate(domains, plan, params, seeds, shape):
+    """A pretrained run's warm-up, adaptation and evaluation, from its
+    warm-up seed and three seeds per target domain; domains must have as
+    many domains as the run has seeds for, and a source split of the
+    shape it was pretrained on."""
+    if 3 * len(domains) != len(seeds) or domains[0].train.X.shape != shape:
+        raise ContractViolationError(
+            "a plan's second load returned other domains than its first")
+    n_targets = len(domains) - 1
+    _, _, warm_seed, *domain_seeds = seeds
     if plan.strategy != SRC_ONLY and plan.warm_epochs > 0:
         params = warm_projector(params, domains[0].train, plan,
                                 np.random.default_rng(warm_seed))

@@ -12,7 +12,8 @@ matrix, with index arrays built once per tuple of group sizes, into a
 buffer the caller may reuse from step to step.
 A batch is its inputs and one integer label per row; every row that a
 cross-entropy group reads must carry a label in the class range.
-descend_ce takes every step of source pretraining in one call.
+descend_ce takes every step of source pretraining in one call, for a
+stack of models of one config in lockstep.
 """
 
 from dataclasses import dataclass
@@ -52,6 +53,11 @@ def _layout(config: ModelConfig) -> dict:
     return layout
 
 
+def _size(config: ModelConfig) -> int:
+    """P, the length of the flat vector."""
+    return sum(s.stop - s.start for s, _ in _layout(config).values())
+
+
 def _blocks(config: ModelConfig, vec: np.ndarray) -> dict:
     """One view of vec per parameter block, shaped as that block."""
     return {name: vec[s].reshape(shape)
@@ -62,11 +68,13 @@ def _blocks(config: ModelConfig, vec: np.ndarray) -> dict:
 class ModelParams:
     """Immutable parameters: a config and a read-only copy of one flat vector.
 
-    blocks maps enc1_w ... cls_b to views of flat.  descend_ce and the
-    adaptation loop (harness._train_epoch) step a writable copy of flat in
-    place and return parameters around it, without a second copy; while
-    it runs, the loop reads its copy through read-only params whose values
-    change with each step, the only params whose values ever change.
+    blocks maps enc1_w ... cls_b to views of flat.  The adaptation loop
+    (harness._train_epoch) steps a writable copy of flat in place and
+    returns parameters around it, without a second copy; while it runs, it
+    reads its copy through read-only params whose values change with each
+    step, the only params whose values ever change.  Source pretraining
+    (harness.pretrain_source) steps a stack of flat vectors in place and
+    copies each row out.
     """
 
     config: ModelConfig
@@ -74,7 +82,7 @@ class ModelParams:
 
     def __post_init__(self):
         flat = np.array(self.flat, dtype=np.float64)
-        want = sum(s.stop - s.start for s, _ in _layout(self.config).values())
+        want = _size(self.config)
         if flat.shape != (want,):
             raise DimensionError(
                 f"flat vector has shape {flat.shape}, expected ({want},)")
@@ -142,10 +150,11 @@ def forward(params: ModelParams, X, project: bool = True) -> Forward:
 
 
 def _layers(B: dict, X: np.ndarray, names) -> list:
-    """X and its layers under blocks B, one per name (tanh but on proj2)."""
+    """X and its layers under blocks B, one per name (tanh but on proj2);
+    X and B may carry a leading model axis."""
     layers = [X]
     for name in names:
-        H = layers[-1] @ B[name + "_w"].T
+        H = layers[-1] @ B[name + "_w"].mT
         H += B[name + "_b"]
         layers.append(H if name == "proj2" else np.tanh(H, out=H))
     return layers
@@ -167,11 +176,12 @@ def classify_batch(params: ModelParams, X) -> np.ndarray:
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise, shift-stabilized log-softmax for a 2-D array of logits."""
-    if logits.ndim != 2 or logits.shape[1] == 0:
-        raise DimensionError(f"expected a non-empty 2-D array, got shape {logits.shape}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row-wise, shift-stabilized log-softmax over the last axis of an array
+    of logits with two axes or more."""
+    if logits.ndim < 2 or logits.shape[-1] == 0:
+        raise DimensionError(f"expected rows of logits, got shape {logits.shape}")
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 @lru_cache(maxsize=128)
@@ -269,39 +279,55 @@ def backward(params: ModelParams, fw: Forward, dQ=None, labels=None,
     return np.array(losses), J
 
 
-def descend_ce(params: ModelParams, X, labels, orders, batch_size: int,
-               lrs) -> ModelParams:
-    """SGD on the mean cross-entropy of labeled inputs X, checked once: per
-    batch_size rows of each row order, in place, flat - lr * grad bitwise
-    on backward's cross-entropy row (zero on the projector) at its rate in
-    lrs."""
+def descend_ce(config: ModelConfig, flat: np.ndarray, X, labels, orders,
+               batch_size: int, lrs) -> None:
+    """SGD on the mean cross-entropy of labeled inputs, S models of one
+    config in lockstep, checked once: flat is a writable (S, P) stack of
+    flat vectors, stepped in place, X of shape (S, n, d) and labels (S, n)
+    model s's inputs and labels.  Each order of orders is an (S, m) array
+    of rows; per batch_size of its columns every model takes flat - lr *
+    grad bitwise on backward's cross-entropy row at its rate in lrs, shared
+    by all models.  Every array has a leading model axis and each batched
+    product is one gemm per model, so model s steps bitwise as it would
+    alone, S = 1.  The projector's gradient is zero, and x - 0.0 is x, so
+    its blocks keep their values bitwise."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != params.config.input_dim:
-        raise DimensionError(f"inputs have shape {X.shape}, model expects "
-                             f"dimension {params.config.input_dim}")
-    if y.shape != X.shape[:1] or np.any((y < 0) | (y >= params.config.n_classes)):
+    if X.ndim != 3 or X.shape[2] != config.input_dim:
+        raise DimensionError(f"inputs have shape {X.shape}, models expect "
+                             f"(S, n, {config.input_dim})")
+    S, P, L = len(X), _size(config), _layout(config)
+    if (flat.shape != (S, P) or flat.dtype != np.float64
+            or not flat.flags.writeable or not flat.flags.c_contiguous):
+        raise DimensionError(f"parameters of shape {flat.shape} are no "
+                             f"writable float64 ({S}, {P}) stack")
+    if y.shape != X.shape[:2] or np.any((y < 0) | (y >= config.n_classes)):
         raise ContractViolationError("labels must be one per row, in the class range")
-    flat, grad, lrs = params.flat.copy(), np.zeros(params.num_params), iter(lrs)
-    W, G = _blocks(params.config, flat), _blocks(params.config, grad)
+
+    def view(vec, s, shape):  # a block as (S, rows, columns), a bias one row
+        return vec[:, s].reshape(S, -1, shape[-1])
+
+    grad = np.zeros((S, P))
+    W = {name: view(flat, s, shape) for name, (s, shape) in L.items()}
+    G = {name: view(grad, s, shape) for name, (s, shape) in L.items()}
+    lrs, models = iter(lrs), np.arange(S)[:, None]
     for order in orders:
-        Xe, ye = X[order], y[order]
-        for a in range(0, len(order), batch_size):
-            Xb, yb = Xe[a:a + batch_size], ye[a:a + batch_size]
+        for a in range(0, order.shape[1], batch_size):
+            rows = order[:, a:a + batch_size]
+            Xb, yb = X[models, rows], y[models, rows]
             _, H1, H2 = _layers(W, Xb, ("enc1", "enc2"))
-            seg, at, sizes = _group_layout((yb.size,), 0)
-            dlogits = np.exp(log_softmax_rows(H2 @ W["cls_w"].T + W["cls_b"]))
-            dlogits[at, yb] -= 1.0
-            dlogits /= sizes
-            dZ2 = dlogits @ W["cls_w"]
-            dZ2 *= 1.0 - H2 * H2
-            dZ1 = dZ2 @ W["enc2_w"]
-            dZ1 *= 1.0 - H1 * H1
-            for name, A, B in (("enc2_b", seg, dZ2), ("enc1_b", seg, dZ1),
-                               ("cls_b", seg, dlogits), ("enc2_w", dZ2.T, H1),
-                               ("enc1_w", dZ1.T, Xb), ("cls_w", dlogits.T, H2)):
-                np.matmul(A, B, out=G[name].reshape(len(A), -1))
+            seg, at, sizes = _group_layout((yb.shape[1],), 0)
+            dZ = np.exp(log_softmax_rows(H2 @ W["cls_w"].mT + W["cls_b"]))
+            dZ[models, at, yb] -= 1.0
+            dZ /= sizes
+            # each layer's gradients, then through the tanh below it, its
+            # input H turned into 1 - H * H in place
+            for name, H in (("cls", H2), ("enc2", H1), ("enc1", Xb)):
+                np.matmul(seg, dZ, out=G[name + "_b"])
+                np.matmul(dZ.mT, H, out=G[name + "_w"])
+                if H is not Xb:
+                    dZ = dZ @ W[name + "_w"]
+                    dZ *= np.subtract(1.0, np.multiply(H, H, out=H), out=H)
             np.subtract(flat, np.multiply(grad, next(lrs), out=grad), out=flat)
-    return _owning(params.config, flat)
 
 
 def _owning(config: ModelConfig, flat: np.ndarray) -> ModelParams:

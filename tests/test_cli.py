@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from contda import cli, datagen, harness
+from contda import cli, datagen, harness, model
+from contda.errors import NumericError
 from test_datagen import ORACLE_SPECS, blob_spec, sorted_list_split
 
 
@@ -241,6 +242,49 @@ def test_run_reads_a_dataset_once_for_every_seed(tmp_path, monkeypatch):
         for name in ("rmatrix.csv", "metrics.json", "diagnostics.csv"):
             assert ((tmp_path / "all" / f"seed_{seed}" / name).read_bytes()
                     == (alone / f"seed_{seed}" / name).read_bytes()), name
+
+
+def preset_cfg(out, seeds):
+    """A short moons-4 run config of these seeds, adaptation included."""
+    return cli.validate_config({
+        "strategy": "grcl", "preset": "moons-4", "output_dir": str(out),
+        "seeds": seeds, "pretrain_epochs": 2, "warm_epochs": 1,
+        "epochs_per_domain": 1, "hidden_dim": 8, "proj_hidden_dim": 8,
+        "embed_dim": 4, "negatives": 16, "memory_capacity": 16})
+
+
+def test_multi_seed_preset_run_writes_each_seeds_bytes(tmp_path):
+    # the seeds of one preset run, each with its own generated sequence and
+    # all pretrained in lockstep, write the bytes of one-seed runs
+    seeds = [1, 4, 9]
+    cli.run_config(preset_cfg(tmp_path / "all", seeds))
+    for seed in seeds:
+        alone = tmp_path / f"alone_{seed}"
+        cli.run_config(preset_cfg(alone, [seed]))
+        for name in ("rmatrix.csv", "metrics.json", "diagnostics.csv"):
+            assert ((tmp_path / "all" / f"seed_{seed}" / name).read_bytes()
+                    == (alone / f"seed_{seed}" / name).read_bytes()), name
+
+
+def test_pretraining_failure_stops_every_seed_before_artifacts(
+        tmp_path, monkeypatch, capsys):
+    # every seed is pretrained before the first seed's artifacts are
+    # written, so pretraining that fails once it reaches the last seed's
+    # model leaves the manifest and no seed's files
+    real, models = model.descend_ce, [0]
+
+    def failing(config, flat, *args):
+        real(config, flat, *args)
+        models[0] += len(flat)
+        if models[0] == 3:
+            raise NumericError("pretraining diverged")
+
+    monkeypatch.setattr(model, "descend_ce", failing)
+    out = tmp_path / "out"
+    cfg_path = write_cfg(tmp_path / "run.json", preset_cfg(out, [1, 4, 9]))
+    assert cli.main(["run", cfg_path]) == 3
+    assert "error: run failed: pretraining diverged" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
 def test_run_writes_only_under_output_dir(tmp_path, monkeypatch):

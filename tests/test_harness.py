@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -436,9 +437,9 @@ def test_warm_projector_improves_objective_without_losing_source():
                             proj_hidden_dim=plan.proj_hidden_dim,
                             embed_dim=plan.embed_dim)
     rng = np.random.SeedSequence(plan.seed).spawn(3)
-    params = model.init_params(cfg, np.random.default_rng(rng[0]))
-    params = harness.pretrain_source(params, src, plan,
-                                     np.random.default_rng(rng[1]))
+    init = model.init_params(cfg, np.random.default_rng(rng[0]))
+    (params,) = harness.pretrain_source(cfg, init.flat[None].copy(), [src],
+                                        plan, [np.random.default_rng(rng[1])])
     warmed = harness.warm_projector(params, src, plan,
                                     np.random.default_rng(rng[2]))
 
@@ -583,6 +584,133 @@ def test_run_plan_rejects_trivial_sequences(monkeypatch):
         for strategy in harness.STRATEGIES:
             with pytest.raises(ContractViolationError, match=message):
                 harness.run_plan(domains, tiny_plan(strategy))
+
+
+def test_run_plans_match_one_plan_runs():
+    # three plans of different strategies and seeds, each on its own
+    # domains and pretrained in lockstep, yield in order what run_plan
+    # returns for each alone, bitwise; every plan's domains are loaded
+    # before the first result, and once more as its result is made
+    plans = [tiny_plan(harness.SRC_ONLY, seed=3), tiny_plan(harness.GRCL, seed=4),
+             tiny_plan(harness.MULTITASK, seed=5, warm_epochs=0)]
+    data = [tiny_domains(seed=s) for s in (5, 6, 7)]
+    loads = []
+
+    def load(i):
+        loads.append(i)
+        return data[i]
+
+    results = harness.run_plans(plans, load)
+    got = [next(results)]
+    assert loads == [0, 1, 2, 0]
+    got += list(results)
+    assert loads == [0, 1, 2, 0, 1, 2]
+    for res, plan, domains in zip(got, plans, data):
+        want = harness.run_plan(domains, plan)
+        np.testing.assert_array_equal(res.matrix.values, want.matrix.values)
+        np.testing.assert_array_equal(res.params.flat.view(np.int64),
+                                      want.params.flat.view(np.int64))
+        assert repr(res.diagnostics) == repr(want.diagnostics)
+        assert repr(res.memories) == repr(want.memories)
+
+
+def test_run_plans_reject_plans_that_cannot_pretrain_together(monkeypatch):
+    # plans that differ in a pretraining field or a width, or whose source
+    # splits differ in shape, raise before any pretraining; plans that
+    # differ elsewhere pretrain together
+    def never(*args):
+        raise AssertionError("pretraining started")
+
+    monkeypatch.setattr(model, "descend_ce", never)
+    base = tiny_plan(harness.GRCL)
+    domains, other = tiny_domains(), tiny_domains(per_class=30)
+    for change in (dict(pretrain_epochs=4), dict(batch_size=12),
+                   dict(pretrain_lr=0.2), dict(hidden_dim=6),
+                   dict(proj_hidden_dim=6), dict(embed_dim=3)):
+        with pytest.raises(ContractViolationError, match="pretrained together"):
+            next(harness.run_plans([base, replace(base, **change)],
+                                   lambda i: domains))
+    with pytest.raises(ContractViolationError, match="source split's shape"):
+        next(harness.run_plans([base, base], [domains, other].__getitem__))
+    with pytest.raises(AssertionError, match="pretraining started"):
+        next(harness.run_plans(
+            [base, replace(base, strategy=harness.SRC_ONLY, seed=9, lr=0.2,
+                           warm_epochs=0, negatives=4)], lambda i: domains))
+
+
+def test_pretrain_source_returns_read_only_params_of_their_own():
+    # each model's pretrained params hold a read-only copy of its row of
+    # the stack, so no write to the stack or to them can change them
+    plan = tiny_plan(harness.SRC_ONLY)
+    cfg = model.ModelConfig(input_dim=2, n_classes=3, hidden_dim=plan.hidden_dim,
+                            proj_hidden_dim=plan.proj_hidden_dim,
+                            embed_dim=plan.embed_dim)
+    sources = [tiny_domains(seed=s)[0].train for s in (5, 6)]
+    flat = np.stack([model.init_params(cfg, np.random.default_rng(s)).flat
+                     for s in (1, 2)])
+    got = harness.pretrain_source(cfg, flat, sources, plan,
+                                  [np.random.default_rng(s) for s in (3, 4)])
+    assert len(got) == 2
+    for params, row in zip(got, flat):
+        np.testing.assert_array_equal(params.flat, row)
+        assert not params.flat.flags.writeable
+        with pytest.raises(ValueError):
+            params.flat[0] = 0.0
+        assert not np.shares_memory(params.flat, flat)
+    kept = [params.flat.copy() for params in got]
+    flat += 1.0
+    for params, values in zip(got, kept):
+        np.testing.assert_array_equal(params.flat, values)
+
+
+def test_run_plans_reject_a_second_load_unlike_the_first():
+    # a loader whose second call returns another number of domains or
+    # another source shape than its first raises before that plan adapts
+    plan = tiny_plan(harness.GRCL)
+    first = tiny_domains()
+    for second in (tiny_domains(n_domains=4), tiny_domains(per_class=30)):
+        loads = iter([first, second])
+        results = harness.run_plans([plan], lambda i: next(loads))
+        with pytest.raises(ContractViolationError, match="second load"):
+            next(results)
+
+
+def test_run_plans_hold_only_source_splits_while_pretraining(monkeypatch):
+    # each plan's domains are generated by load, and between the two loads
+    # a plan keeps only its source train split (inputs, labels and id rows)
+    # besides its seeds and its row of the small params' stack: the heap
+    # grown by the time pretraining starts stays within the source splits
+    # and 32 KiB, less than any other domain of the preset
+    specs = datagen.preset_specs("rot-blobs-5")
+    plans = [tiny_plan(harness.SRC_ONLY, seed=s, batch_size=64,
+                       pretrain_epochs=1) for s in (1, 2, 3)]
+
+    def load(i):
+        return datagen.generate_sequence(specs, 100 + i)
+
+    def split_bytes(ds):
+        return ds.X.nbytes + ds.y.nbytes + 8 * len(ds)
+
+    held, real = [], harness.pretrain_source
+
+    def measured(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    sources = sum(split_bytes(load(i)[0].train) for i in range(len(plans)))
+    others = [split_bytes(d.train) + split_bytes(d.holdout) for d in load(0)[1:]]
+    slack = 32 * 2**10
+    assert slack < min(others)
+    next(harness.run_plans(plans, load))  # fills one-time caches
+    monkeypatch.setattr(harness, "pretrain_source", measured)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        results = harness.run_plans(plans, load)
+        next(results)
+    finally:
+        tracemalloc.stop()
+    assert sources <= held[0] - base <= sources + slack
 
 
 def test_two_forward_passes_per_iteration(monkeypatch):

@@ -326,9 +326,28 @@ def stepwise_descent(p, X, labels, orders, batch_size, lrs):
     return p
 
 
+def descend_one(p, X, labels, orders, batch_size, lrs):
+    """descend_ce on one model, S = 1, as new params."""
+    flat = p.flat.copy()[None]
+    model.descend_ce(p.config, flat, X[None], labels[None],
+                     [order[None] for order in orders], batch_size, lrs)
+    return model.ModelParams(p.config, flat[0])
+
+
+def lockstep_case(rng, cfg, models, n, epochs):
+    """models' params, inputs, labels and row orders for descend_ce."""
+    ps = [make_params(int(rng.integers(1000)), cfg) for _ in range(models)]
+    X = rng.standard_normal((models, n, cfg.input_dim))
+    labels = rng.integers(0, cfg.n_classes, size=(models, n))
+    orders = [np.stack([rng.permutation(n) for _ in range(models)])
+              for _ in range(epochs)]
+    return ps, X, labels, orders
+
+
 def test_descend_ce_matches_stepwise_sgd_bitwise():
     # two and three epochs of batches of 16 over 37 rows, so each epoch
-    # ends on a batch of 5, at widths other than the plan's defaults
+    # ends on a batch of 5, at widths other than the plan's defaults; one
+    # model, S = 1, steps bitwise as the per-step oracle
     rng = np.random.default_rng(81)
     cfg = model.ModelConfig(input_dim=3, n_classes=4, hidden_dim=9,
                             proj_hidden_dim=6, embed_dim=5)
@@ -337,45 +356,65 @@ def test_descend_ce_matches_stepwise_sgd_bitwise():
         X, labels = labeled_batch(rng, p, n=37)
         orders = [rng.permutation(37) for _ in range(epochs)]
         lrs = rng.uniform(0.01, 0.5, size=3 * epochs).tolist()
-        got = model.descend_ce(p, X, labels, orders, 16, lrs)
+        got = descend_one(p, X, labels, orders, 16, lrs)
         want = stepwise_descent(p, X, labels, orders, 16, lrs)
-        assert got.config is p.config
         np.testing.assert_array_equal(got.flat.view(np.int64),
                                       want.flat.view(np.int64))
 
 
+def test_descend_ce_steps_models_in_lockstep_bitwise():
+    # three models with their own params, inputs, labels and row orders,
+    # stepped together, each end bitwise where it ends stepped alone, on
+    # epochs that end on a short batch and at two widths
+    rng = np.random.default_rng(88)
+    for cfg in (small_config(), model.ModelConfig(
+            input_dim=3, n_classes=4, hidden_dim=9, proj_hidden_dim=6,
+            embed_dim=5)):
+        ps, X, labels, orders = lockstep_case(rng, cfg, 3, 37, 2)
+        lrs = rng.uniform(0.01, 0.5, size=6).tolist()
+        flat = np.stack([p.flat for p in ps])
+        model.descend_ce(cfg, flat, X, labels, orders, 16, lrs)
+        for s, p in enumerate(ps):
+            alone = descend_one(p, X[s], labels[s], [o[s] for o in orders],
+                                16, lrs)
+            np.testing.assert_array_equal(flat[s].view(np.int64),
+                                          alone.flat.view(np.int64))
+
+
 def test_descend_ce_leaves_projector_and_input_params():
-    p = make_params(82)
-    before = p.flat.copy()
+    # the stack steps in place on its encoder and classifier blocks alone;
+    # the inputs, labels and orders keep their values
     rng = np.random.default_rng(83)
-    X, labels = labeled_batch(rng, p, n=20)
-    got = model.descend_ce(p, X, labels, [rng.permutation(20)], 8,
-                           [0.3, 0.2, 0.1])
-    np.testing.assert_array_equal(p.flat, before)
-    assert not np.shares_memory(got.flat, p.flat)
-    assert not got.flat.flags.writeable
-    with pytest.raises(ValueError):
-        got.flat[0] = 0.0
-    for name in ("proj1_w", "proj1_b", "proj2_w", "proj2_b"):
-        np.testing.assert_array_equal(got.blocks[name], p.blocks[name])
-    for name in ("enc1_w", "enc2_w", "cls_w", "cls_b"):
-        assert np.any(got.blocks[name] != p.blocks[name]), name
+    ps, X, labels, orders = lockstep_case(rng, small_config(), 2, 20, 1)
+    before = [a.copy() for a in (X, labels, orders[0])]
+    flat = np.stack([p.flat for p in ps])
+    assert model.descend_ce(ps[0].config, flat, X, labels, orders, 8,
+                            [0.3, 0.2, 0.1]) is None
+    for a, b in zip((X, labels, orders[0]), before):
+        np.testing.assert_array_equal(a, b)
+    for row, p in zip(flat, ps):
+        got = model.ModelParams(p.config, row)
+        for name in ("proj1_w", "proj1_b", "proj2_w", "proj2_b"):
+            np.testing.assert_array_equal(got.blocks[name], p.blocks[name])
+        for name in ("enc1_w", "enc2_w", "cls_w", "cls_b"):
+            assert np.any(got.blocks[name] != p.blocks[name]), name
 
 
 def test_descend_ce_zero_epochs_returns_the_same_values():
-    p = make_params(84)
-    X, labels = labeled_batch(np.random.default_rng(85), p, n=10)
-    got = model.descend_ce(p, X, labels, [], 4, [])
-    np.testing.assert_array_equal(got.flat, p.flat)
-    assert not got.flat.flags.writeable
+    ps, X, labels, _ = lockstep_case(np.random.default_rng(85),
+                                     small_config(), 2, 10, 0)
+    flat = np.stack([p.flat for p in ps])
+    model.descend_ce(ps[0].config, flat, X, labels, [], 4, [])
+    np.testing.assert_array_equal(flat, [p.flat for p in ps])
 
 
 def test_descend_ce_checks_inputs_before_any_step(monkeypatch):
-    # a bad label in the last batch of the last epoch, or a wrong input
-    # width, raises before the first step's head is evaluated
-    p = make_params(86)
-    rng = np.random.default_rng(87)
-    X, labels = labeled_batch(rng, p, n=12)
+    # a bad label in the last batch of the last epoch, a wrong input width,
+    # labels or stack of the wrong shape, or a stack it cannot step in
+    # place, raises before the first step's head is evaluated
+    ps, X, labels, _ = lockstep_case(np.random.default_rng(87),
+                                     small_config(), 2, 12, 0)
+    cfg, flat = ps[0].config, np.stack([p.flat for p in ps])
     heads = []
 
     def counting(logits):
@@ -383,19 +422,26 @@ def test_descend_ce_checks_inputs_before_any_step(monkeypatch):
         return log_softmax_rows(logits)
 
     monkeypatch.setattr(model, "log_softmax_rows", counting)
-    orders = [np.arange(12)] * 2
-    for label in (-1, p.config.n_classes):
+    orders = [np.tile(np.arange(12), (2, 1))] * 2
+    for label in (-1, cfg.n_classes):
         bad = labels.copy()
-        bad[-1] = label
+        bad[1, -1] = label
         with pytest.raises(ContractViolationError):
-            model.descend_ce(p, X, bad, orders, 4, [0.1] * 6)
-    with pytest.raises(DimensionError):
-        model.descend_ce(p, np.hstack([X, X]), labels, orders, 4, [0.1] * 6)
+            model.descend_ce(cfg, flat, X, bad, orders, 4, [0.1] * 6)
     with pytest.raises(ContractViolationError):
-        model.descend_ce(p, X, labels[:-1], orders, 4, [0.1] * 6)
+        model.descend_ce(cfg, flat, X, labels[:, :-1], orders, 4, [0.1] * 6)
+    for bad in (np.concatenate([X, X], axis=2), X[0]):
+        with pytest.raises(DimensionError):
+            model.descend_ce(cfg, flat, bad, labels, orders, 4, [0.1] * 6)
+    frozen = flat.copy()
+    frozen.flags.writeable = False
+    for bad in (flat[:1], flat[:, :-1], flat.astype(np.float32), frozen,
+                np.asfortranarray(flat)):
+        with pytest.raises(DimensionError):
+            model.descend_ce(cfg, bad, X, labels, orders, 4, [0.1] * 6)
     assert heads == []
-    model.descend_ce(p, X, labels, orders, 4, [0.1] * 6)
-    assert len(heads) == 6
+    model.descend_ce(cfg, flat, X, labels, orders, 4, [0.1] * 6)
+    assert heads == [(2, 4, cfg.n_classes)] * 6
 
 
 def test_ce_grad_on_row_subset_matches_sub_batch():
@@ -555,3 +601,9 @@ def test_log_softmax_rows_matches_per_row():
     rows = log_softmax_rows(M)
     for i in range(8):
         np.testing.assert_allclose(rows[i], _log_softmax_direct(M[i]), atol=1e-12)
+    # a stack of row sets, as descend_ce passes, gives each set's rows bitwise
+    stacked = log_softmax_rows(np.stack([M, -M]))
+    np.testing.assert_array_equal(stacked[0], rows)
+    np.testing.assert_array_equal(stacked[1], log_softmax_rows(-M))
+    with pytest.raises(DimensionError):
+        log_softmax_rows(np.zeros((2, 3, 0)))

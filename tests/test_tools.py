@@ -27,6 +27,43 @@ def test_bench_stages_wrap_points_resolve():
     assert missing == []
 
 
+def test_bench_stages_source_figures_per_config_seed(tmp_path):
+    # the source-only figures divide by the config's seed count: a traced
+    # three-seed src_only run makes one lockstep pretrain_source call and
+    # generates each seed's sequence twice; the figures of synthetic spans
+    # are their sums per seed.  Importing the script sets the BLAS thread
+    # variables and sys.path, so it runs in its own interpreter
+    code = ("import json, sys\n"
+            "sys.path.insert(0, 'tools')\n"
+            "import bench_stages as bs\n"
+            "from contda import cli\n"
+            "cfg = cli.validate_config({\n"
+            "    'preset': 'moons-4', 'strategy': 'src_only',\n"
+            "    'seeds': [1, 2, 3], 'pretrain_epochs': 1,\n"
+            "    'output_dir': sys.argv[1]})\n"
+            "tracer = bs.tracer_mod.Tracer(points=bs.source_points())\n"
+            "with tracer.installed():\n"
+            "    cli.run_config(cfg)\n"
+            "traced = bs.source_figures(tracer.spans, 1.0, len(cfg['seeds']))\n"
+            "spans = [['datagen.generate_sequence', 0.0, 0.002, -1, None]] * 10\n"
+            "spans += [['harness.pretrain_source', 1.0, 1.5, -1, None],\n"
+            "          ['harness.evaluate', 2.0, 2.005, -1, None]]\n"
+            "made = bs.source_figures(spans, 0.01, 5)\n"
+            "print(json.dumps([traced['seeds'], traced['calls'], made]))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                         cwd=ROOT, check=True, capture_output=True, text=True)
+    seeds, calls, made = json.loads(out.stdout.splitlines()[-1])
+    assert seeds == 3
+    assert calls["harness.pretrain_source"] == 1
+    assert calls["datagen.generate_sequence"] == 6
+    assert calls["harness.evaluate"] > 0
+    assert made["seeds"] == 5
+    assert made["ms_per_seed"] == {"datagen.generate_sequence": 4.0,
+                                   "harness.pretrain_source": 100.0,
+                                   "harness.evaluate": 1.0}
+    assert made["ref_per_seed"]["harness.pretrain_source"] == 10.0
+
+
 def test_perfbench_plans_every_workload(tmp_path):
     # perfbench builds each workload's config with run.make_config, checks
     # it with cli.validate_config and counts its pretraining and warm-up

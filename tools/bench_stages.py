@@ -28,7 +28,9 @@ after the traced run (with no ticks inside it, so no span absorbs one): a
 stage's raw time drifts with the host as a run's does.  The source-only
 run has no adaptation iteration; its traced run wraps only the functions
 of the path every run shares, data generation, source pretraining and
-evaluation, and gives each one's time, its callees' included, per seed.
+evaluation, and gives each one's time, its callees' included, per seed of
+the config: a run generates each seed's sequence twice, pretrains every
+seed in one lockstep call and evaluates each seed's states.
 Each config then runs once more under tracemalloc, whose peak is the run's
 `heap_peak_mb` (MiB): the process's peak RSS spans all three configs, so it
 cannot say what one run holds.
@@ -42,6 +44,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import functools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -85,12 +88,10 @@ PER_MEMORY = {
     "memory_build": (("contda.memory", "build_memory"),),
 }
 ITERATION = "gradproject.gram"  # one call per adaptation iteration
-# the source-only run's wrap points, timed with their callees, per seed:
-# one harness.run_plan call each
+# the source-only run's wrap points, timed with their callees, per seed
 SOURCE_PATH = (("contda.datagen", "generate_sequence"),
                ("contda.harness", "pretrain_source"),
                ("contda.harness", "evaluate"))
-SEED = "harness.run_plan"
 
 
 def span_name(module, attr):
@@ -106,8 +107,7 @@ def wrap_points():
 
 
 def source_points():
-    return sorted({(span_name(m, a), m, a) for m, a in SOURCE_PATH}
-                  | {(SEED, "contda.harness", "run_plan")})
+    return sorted((span_name(m, a), m, a) for m, a in SOURCE_PATH)
 
 
 def run_reference(reference, out_dir, sampler=None):
@@ -181,16 +181,16 @@ def stage_figures(spans, ref_s):
     }
 
 
-def source_figures(spans, ref_s):
+def source_figures(spans, ref_s, seeds):
     """ms per seed of each function of SOURCE_PATH, its callees included,
-    raw and in kernel units."""
-    seeds = sum(1 for rec in spans if rec[0] == SEED)
-    per_seed = {}
+    over a run of `seeds` seeds, raw and in kernel units, and its calls."""
+    per_seed, calls = {}, {}
     for m, a in SOURCE_PATH:
         name = span_name(m, a)
-        total = sum(rec[2] - rec[1] for rec in spans if rec[0] == name)
-        per_seed[name] = round(total * 1e3 / seeds, 2)
-    return {"seeds": seeds, "ms_per_seed": per_seed,
+        runs = [rec[2] - rec[1] for rec in spans if rec[0] == name]
+        per_seed[name] = round(sum(runs) * 1e3 / seeds, 2)
+        calls[name] = len(runs)
+    return {"seeds": seeds, "calls": calls, "ms_per_seed": per_seed,
             "ref_per_seed": in_kernels(per_seed, 1e-3, ref_s)}
 
 
@@ -248,8 +248,9 @@ def main(argv=None):
                             stage_figures)
         dense = measure(config("multitask-moons-k512"), wrap_points(),
                         stage_figures)
-        source_only = measure(config("srconly-blobs"), source_points(),
-                              source_figures)
+        source = config("srconly-blobs")
+        source_only = measure(source, source_points(), functools.partial(
+            source_figures, seeds=len(source["seeds"])))
     result = {
         "label": args.label,
         "commit": git("rev-parse", "HEAD"),
