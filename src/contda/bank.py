@@ -2,12 +2,12 @@
 where row i holds row i of the pool it was built from (source, each memory,
 then the target), so a batch's pool rows are its bank rows.
 
-Keys start from a frozen parameter snapshot and are then blended toward fresh
-embeddings with a momentum coefficient and re-normalized.  A single writer
-(the adaptation loop) mutates the bank in place.  Each step draws one set of
-distinct negatives among the rows outside its batch, which all of its
-queries share, as a MoCo queue is shared; distinct_rows, which also draws
-the batch rows, draws every step of an epoch at once.
+Keys start from a frozen parameter snapshot and are then blended toward the
+step's own unit embeddings with a momentum coefficient and re-normalized.  A
+single writer (the adaptation loop) mutates the bank in place.  Each step
+draws one set of distinct negatives among the rows outside its batch, which
+all of its queries share, as a MoCo queue is shared; distinct_rows, which
+also draws the batch rows, draws every step of an epoch at once.
 """
 
 import numpy as np

@@ -10,11 +10,11 @@ Strategies mirror the ablation family: a frozen source model, fixed-weight
 multitask combinations, a source-constrained projection, and GRCL, which
 projects onto the source constraint plus one memory constraint per earlier
 target domain.  One step loop, _train_epoch, serves the warm-up and every
-adaptive strategy.  Each step runs two forward passes: one before it, whose
-activations feed one model.backward call that stacks the contrastive,
-source and memory gradients as the rows of one matrix J, and one after it,
-whose embeddings refresh the bank; a call steps one copy of the parameters
-in place, and its backward calls reuse one gradient buffer.
+adaptive strategy.  Each step runs one forward pass, whose activations
+feed one model.backward call that stacks the contrastive, source and
+memory gradients as the rows of one matrix J, and whose unit embeddings
+refresh the bank; a call steps one copy of the parameters in place, and
+its backward calls reuse one gradient buffer.
 gradproject.gram forms J J^T once per step; the fixed-weight strategies
 step along a weighted sum of J's rows, and crt_sdc and GRCL take
 gradproject.project, one KKT-checked projection on that Gram matrix.  The
@@ -331,12 +331,12 @@ def _step_direction(plan, J, K, eps):
 def _train_epoch(params, fbank, rows, X, y, groups, labels, plan, rng, step,
                  total, log, **tag):
     """Steps on bank rows rows[i], inputs X[i], labels y[i] and groups[i]
-    (source group first), with negatives drawn from rng and labels (one per
-    bank row, or None) for positives; appends one diagnostics row per step,
-    tagged with tag, to log and returns the new params.  It steps one copy
-    of params.flat in place, read through live, read-only params whose
-    blocks see each step; backward fills one zeroed buffer whose row 0 is
-    always the embedding row, so the blocks no call writes stay zero."""
+    (source group first), negatives from rng and labels (one per bank row,
+    or None) for positives, one forward pass each feeding the step's
+    gradients and its rows' keys; appends a diagnostics row per step, tagged
+    with tag, to log and returns the new params.  It steps one copy of
+    params.flat in place through live, read-only params that see each step;
+    backward fills one zeroed buffer whose row 0 is the embedding row."""
     negs = bank_mod.negative_rows(fbank, rows, plan.negatives, rng)
     nces = contrastive_mod.epoch_plans(fbank, rows, negs, labels)
     flat, tmp = params.flat.copy(), np.empty(params.num_params)
@@ -354,8 +354,7 @@ def _train_epoch(params, fbank, rows, X, y, groups, labels, plan, rng, step,
         shares = np.array(sizes) / sum(sizes)
         lr = _cosine_lr(plan.lr, step, total)
         np.subtract(flat, np.multiply(w, lr, out=tmp), out=flat)
-        fresh = model_mod.encode_project_batch(live, inputs)
-        bank_mod.momentum_update(fbank, r, fresh, plan.bank_momentum)
+        bank_mod.momentum_update(fbank, r, fw.embeddings(), plan.bank_momentum)
         log.append({
             **tag, "iteration": step, "lr": lr,
             "loss_con": loss_con, "loss_src": float(losses[0]),

@@ -713,10 +713,10 @@ def test_run_plans_hold_only_source_splits_while_pretraining(monkeypatch):
     assert sources <= held[0] - base <= sources + slack
 
 
-def test_two_forward_passes_per_iteration(monkeypatch):
+def test_one_forward_pass_per_iteration(monkeypatch):
     # one forward before each step feeds one backward call, whose rows are
     # the contrastive, source and per-domain memory gradients, and one Gram
-    # matrix; one forward after it refreshes the bank.  Each epoch draws its
+    # matrix, and its embeddings refresh the bank.  Each epoch draws its
     # batches, and gathers their inputs and labels, before its step loop.
     domains = tiny_domains(n_domains=4)
     forwards, step_marks, draw_marks, phases = [0], [], [], []
@@ -775,14 +775,14 @@ def test_two_forward_passes_per_iteration(monkeypatch):
                for row in res.diagnostics if row["domain"] > 1)
     for name, _, marks, counts, _, _ in phases:
         assert len(marks) > 1
-        assert np.all(np.diff(marks) == 2), name
+        assert np.all(np.diff(marks) == 1), name
         assert counts["backward"] == counts["gram"] == len(marks), name
     # contrastive and source rows, then one row per earlier target domain
     # whose memory the batch drew from
     assert [max(p[4]) for p in phases] == [2, 2, 3, 4]
     # the warm-up adds only the bank snapshot of its one source pool
     _, total, marks, counts, _, draws = phases[0]
-    assert total == 1 + 2 * len(marks)
+    assert total == 1 + len(marks)
     # one negative_rows call per epoch, before the epoch's first step, and
     # under adaptation one batch gather per epoch
     for (name, _, marks, counts, _, draws), epochs in zip(
@@ -791,6 +791,45 @@ def test_two_forward_passes_per_iteration(monkeypatch):
         assert draws == [m - 1 for m in marks[::iters]], name
         assert counts["_draw_epoch"] == (
             epochs if name == "adapt_domain" else 0), name
+
+
+def test_bank_refresh_blends_the_steps_own_embeddings(monkeypatch):
+    # each step blends the unit embeddings of its one forward pass, taken
+    # before the step, into its rows' keys; every other key keeps its bits
+    src, tgt = tiny_domains()[:2]
+    plan = tiny_plan(harness.GRCL)
+    cfg = model.ModelConfig(input_dim=2, n_classes=3, hidden_dim=plan.hidden_dim,
+                            proj_hidden_dim=plan.proj_hidden_dim,
+                            embed_dim=plan.embed_dim)
+    params = model.init_params(cfg, np.random.default_rng(0))
+    parts = [(src.train.X, src.train.y),
+             (tgt.train.X, np.full(len(tgt.train), -1))]
+    fbank = bank.init_bank(params, [X for X, _ in parts])
+    pool, offsets = harness._batch_pool(parts)
+    rng = np.random.default_rng(1)
+    iters = 4
+    rows, X, y, groups = harness._draw_epoch(
+        pool, offsets, plan.batch_counts(False), iters, False, rng)
+    seen = []  # the keys as each forward pass starts, and the pass
+    real_forward = model.forward
+
+    def recording_forward(*args, **kwargs):
+        seen.append((fbank.copy(), real_forward(*args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    harness._train_epoch(params, fbank, rows, X, y, groups, pool[1], plan,
+                         rng, 0, iters, [])
+    assert len(seen) == iters
+    afters = [keys for keys, _ in seen[1:]] + [fbank]
+    for (before, fw), after, r in zip(seen, afters, rows):
+        expected = before.copy()
+        bank.momentum_update(expected, r, fw.embeddings(), plan.bank_momentum)
+        np.testing.assert_array_equal(after, expected)
+        outside = np.ones(len(fbank), dtype=bool)
+        outside[r] = False
+        np.testing.assert_array_equal(after[outside], before[outside])
+        assert not np.array_equal(after[r], before[r])
 
 
 def epoch_pool(memory_sizes=(10, 14), source=60, target=300):
